@@ -5,7 +5,8 @@ reports, writes the report bundle under --out and prints a per-class
 summary plus the CCC/WMC, CCC/CMC and CCC/CC correlations.
 
 Exit codes: 0 success (warnings allowed in tolerant mode), 1 parse/model
-error in strict mode, 2 no input files, 3 unwritable output directory.
+error in strict mode, 2 bad settings or no input files, 3 unwritable
+output directory.
 """
 
 import argparse
@@ -124,6 +125,8 @@ def _effective_settings(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
+    if settings["trials"] < 1:
+        raise ValueError(f"trials must be at least 1, got {settings['trials']}")
     return settings
 
 

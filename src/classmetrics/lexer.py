@@ -1,13 +1,16 @@
 """Tokenizer for Java source text.
 
-Produces a flat token stream plus the skipped trivia (whitespace and
-comments) so that the original file can be reconstructed byte for byte.
-Generic angle brackets are emitted as plain operators; disambiguation is
-the parser's job.
+One master regular expression with a named group per lexical class is
+run over the source with `finditer`, as in the "Writing a Tokenizer"
+recipe of the `re` documentation. Every position matches some group, so
+the matches tile the source. `scan` also returns the skipped trivia
+(whitespace and comments) so that the original file can be rebuilt
+byte for byte. Generic angle brackets are emitted as plain operators;
+disambiguation is the parser's job.
 """
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # Reserved words (JLS set plus assert/enum); true/false/null are reserved
 # literals and are classified as keywords here for simplicity.
@@ -38,30 +41,61 @@ _OPERATORS = sorted(
     reverse=True,
 )
 
-_PUNCTUATION = "{}()[];,.@"
-
-_RE_IDENT = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
-_RE_HEX = re.compile(r"0[xX][0-9a-fA-F]+[lL]?")
-_RE_BIN = re.compile(r"0[bB][01]+[lL]?")
-_RE_FLOAT = re.compile(
-    r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFdD]?"
-    r"|\d+[eE][+-]?\d+[fFdD]?"
-    r"|\d+[fFdD]"
+# Alternatives are tried in order at each position: the most frequent
+# come first, and where two can match at one position the one listed
+# first wins. Each error group matches only the opening of a construct
+# whose well-formed group failed. A text block (JLS 3.10.6) opens with
+# three quotes, optional blanks and a line break, and ends at the first
+# unescaped three quotes. Only "\n" breaks lines, here and in the
+# position bookkeeping.
+_MASTER = re.compile(
+    r"(?P<space>[ \t\r\n\f]+)"
+    r"|(?P<word>[A-Za-z_$][A-Za-z0-9_$]*)"
+    r"|(?P<punctuation>[{}()\[\];,@]|\.(?!\d))"
+    r"|(?P<comment>//[^\n]*|/\*[\s\S]*?\*/)"
+    r"|(?P<text_block>\"\"\"[ \t\f]*\r?\n(?:[^\"\\]|\\[\s\S]|\"(?!\"\"))*\"\"\")"
+    r"|(?P<bad_text_block>\"\"\"[ \t\f]*\r?\n)"
+    r"|(?P<string>\"[^\"\\\n]*(?:\\[\s\S][^\"\\\n]*)*\")"
+    r"|(?P<char>'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*')"
+    r"|(?P<bad_comment>/\*)"
+    r"|(?P<bad_string>\")"
+    r"|(?P<bad_char>')"
+    r"|(?P<float>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFdD]?"
+    r"|\d+[eE][+-]?\d+[fFdD]?|\d+[fFdD])"
+    r"|(?P<integer>0[xX][0-9a-fA-F]+[lL]?|0[bB][01]+[lL]?|\d+[lL]?)"
+    r"|(?P<operator>" + "|".join(map(re.escape, _OPERATORS)) + ")"
+    # Outside the Java lexical grammar; tolerated as punctuation so the
+    # byte round-trip still holds.
+    r"|(?P<other>[\s\S])"
 )
-_RE_INT = re.compile(r"\d+[lL]?")
-_RE_SPACE = re.compile(r"[ \t\r\n\f]+")
+
+# Token kind of each group whose match never spans a line break.
+_FLAT_KINDS = {
+    "punctuation": "punctuation", "operator": "operator",
+    "float": "float-literal", "integer": "integer-literal",
+    "other": "punctuation",
+}
+# Token kind of each group whose match may span line breaks.
+_SPANNING_KINDS = {
+    "string": "string-literal", "char": "char-literal",
+    "text_block": "string-literal",
+}
+_ERRORS = {
+    "bad_comment": "unterminated block comment",
+    "bad_text_block": "unterminated text block",
+    "bad_string": "unterminated string literal",
+    "bad_char": "unterminated char literal",
+}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # keyword | identifier | punctuation | operator | *-literal
     text: str
     line: int
     column: int
 
 
-@dataclass(frozen=True)
-class Trivia:
+class Trivia(NamedTuple):
     """Whitespace or comment run, kept only for position bookkeeping."""
 
     text: str
@@ -78,91 +112,13 @@ class LexError(Exception):
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize Java source, dropping whitespace and comments."""
-    return scan(source)[0]
+    return _lex(source, None)
 
 
 def scan(source: str) -> tuple[list[Token], list[Trivia]]:
     """Tokenize and also return the trivia runs in source order."""
-    tokens: list[Token] = []
     trivia: list[Trivia] = []
-    pos = 0
-    line = 1
-    col = 1
-    n = len(source)
-
-    while pos < n:
-        ch = source[pos]
-
-        m = _RE_SPACE.match(source, pos)
-        if m:
-            text = m.group()
-            trivia.append(Trivia(text, line, col))
-            pos, line, col = _advance(pos, line, col, text)
-            continue
-
-        if ch == "/" and pos + 1 < n and source[pos + 1] == "/":
-            end = source.find("\n", pos)
-            text = source[pos:] if end == -1 else source[pos:end]
-            trivia.append(Trivia(text, line, col))
-            pos, line, col = _advance(pos, line, col, text)
-            continue
-
-        if ch == "/" and pos + 1 < n and source[pos + 1] == "*":
-            end = source.find("*/", pos + 2)
-            if end == -1:
-                raise LexError("unterminated block comment", line, col)
-            text = source[pos:end + 2]
-            trivia.append(Trivia(text, line, col))
-            pos, line, col = _advance(pos, line, col, text)
-            continue
-
-        if ch == '"' or ch == "'":
-            text = _match_quoted(source, pos, ch, line, col)
-            kind = "string-literal" if ch == '"' else "char-literal"
-            tokens.append(Token(kind, text, line, col))
-            pos, line, col = _advance(pos, line, col, text)
-            continue
-
-        if ch.isdigit() or (ch == "." and pos + 1 < n and source[pos + 1].isdigit()):
-            for regex, kind in (
-                (_RE_HEX, "integer-literal"),
-                (_RE_BIN, "integer-literal"),
-                (_RE_FLOAT, "float-literal"),
-                (_RE_INT, "integer-literal"),
-            ):
-                m = regex.match(source, pos)
-                if m:
-                    text = m.group()
-                    tokens.append(Token(kind, text, line, col))
-                    pos, line, col = _advance(pos, line, col, text)
-                    break
-            continue
-
-        m = _RE_IDENT.match(source, pos)
-        if m:
-            text = m.group()
-            kind = "keyword" if text in KEYWORDS else "identifier"
-            tokens.append(Token(kind, text, line, col))
-            pos, line, col = _advance(pos, line, col, text)
-            continue
-
-        if ch in _PUNCTUATION:
-            tokens.append(Token("punctuation", ch, line, col))
-            pos, line, col = _advance(pos, line, col, ch)
-            continue
-
-        for op in _OPERATORS:
-            if source.startswith(op, pos):
-                tokens.append(Token("operator", op, line, col))
-                pos, line, col = _advance(pos, line, col, op)
-                break
-        else:
-            # Outside the Java lexical grammar; tolerate as punctuation so
-            # the byte round-trip still holds.
-            tokens.append(Token("punctuation", ch, line, col))
-            pos, line, col = _advance(pos, line, col, ch)
-
-    return tokens, trivia
+    return _lex(source, trivia), trivia
 
 
 def reconstruct(tokens: list[Token], trivia: list[Trivia]) -> str:
@@ -171,28 +127,35 @@ def reconstruct(tokens: list[Token], trivia: list[Trivia]) -> str:
     return "".join(p.text for p in pieces)
 
 
-def _match_quoted(source: str, pos: int, quote: str, line: int, col: int) -> str:
-    what = "string" if quote == '"' else "char"
-    i = pos + 1
-    n = len(source)
-    while i < n:
-        c = source[i]
-        if c == "\\":
-            i += 2
+def _lex(source: str, trivia: list[Trivia] | None) -> list[Token]:
+    """Tokens of `source`; trivia runs are appended to `trivia` unless it
+    is None. Columns count from the offset of the current line start."""
+    tokens: list[Token] = []
+    emit = tokens.append
+    new = tuple.__new__
+    line = 1
+    line_start = 0
+    for m in _MASTER.finditer(source):
+        group = m.lastgroup
+        text = m.group()
+        start = m.start()
+        if group == "word":
+            kind = "keyword" if text in KEYWORDS else "identifier"
+            emit(new(Token, (kind, text, line, start - line_start + 1)))
             continue
-        if c == quote:
-            return source[pos:i + 1]
-        if c == "\n":
-            break
-        i += 1
-    raise LexError(f"unterminated {what} literal", line, col)
-
-
-def _advance(pos: int, line: int, col: int, text: str) -> tuple[int, int, int]:
-    newlines = text.count("\n")
-    if newlines:
-        line += newlines
-        col = len(text) - text.rfind("\n")
-    else:
-        col += len(text)
-    return pos + len(text), line, col
+        kind = _FLAT_KINDS.get(group)
+        if kind is not None:
+            emit(new(Token, (kind, text, line, start - line_start + 1)))
+            continue
+        if group in _ERRORS:
+            raise LexError(_ERRORS[group], line, start - line_start + 1)
+        kind = _SPANNING_KINDS.get(group)
+        if kind is not None:
+            emit(new(Token, (kind, text, line, start - line_start + 1)))
+        elif trivia is not None:
+            trivia.append(new(Trivia, (text, line, start - line_start + 1)))
+        breaks = text.count("\n")
+        if breaks:
+            line += breaks
+            line_start = start + text.rindex("\n") + 1
+    return tokens

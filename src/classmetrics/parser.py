@@ -18,7 +18,7 @@ MODIFIERS = frozenset(
 )
 
 # Keywords opening a decision construct; `default:` labels deliberately
-# add nothing, `while` needs do-while pairing (see count_decision_points).
+# add nothing, `while` needs do-while pairing (see scan_body).
 _DECISION_KEYWORDS = frozenset(["if", "for", "catch", "case"])
 
 _STATEMENT_KEYWORDS = frozenset(["if", "for", "while", "do", "switch", "try"])
@@ -97,141 +97,154 @@ def parse(tokens: list[Token], file_path: str = "<memory>") -> CompilationUnit:
 
 
 # ---------------------------------------------------------------------------
-# Body fact scanners. These work on a balanced token slice of one method
-# body (the text between the outer braces, braces excluded).
+# Body facts. scan_body walks the balanced token slice of one method body
+# (the text between the outer braces, braces excluded) once; the other
+# functions here are views of its result.
 
-def count_decision_points(body_tokens: list[Token],
-                          count_short_circuit: bool = False) -> int:
-    """Count decision constructs: if/for/while/do, case labels (not
-    default), catch clauses and ternaries. `&&`/`||` only when asked."""
-    decisions = 0
+def scan_body(body_tokens: list[Token], own_method_names: set[str]) -> BodyFacts:
+    """Collect every BodyFacts field in one pass over the body.
+
+    Decision points: if/for/while/do, case labels (not default), catch
+    clauses and ternaries; `&&`/`||` are counted apart. A `while` that
+    closes a `do` at the same brace depth is part of that `do`.
+
+    Calls: external when they have an explicit receiver other than
+    `this` (x.f(), super.f(), super(...)) or are a bare name not declared
+    in the enclosing class; `new` expressions are object creations.
+
+    Statements: semicolons plus statement keywords.
+    """
+    new_types: list[str] = []
+    decisions = short_circuits = statements = 0
+    value_returns = bare_returns = external = internal = 0
     depth = 0
     do_stack: list[int] = []  # brace depth of each pending `do`
-    for i, tok in enumerate(body_tokens):
-        text = tok.text
-        if tok.kind == "punctuation":
-            if text == "{":
+    n = len(body_tokens)
+    for i, (kind, text, _, _) in enumerate(body_tokens):
+        if kind == "punctuation":
+            if text == ";":
+                statements += 1
+            elif text == "{":
                 depth += 1
             elif text == "}":
                 depth -= 1
-        elif tok.kind == "keyword":
-            if text in _DECISION_KEYWORDS:
+            continue
+        if kind == "operator":
+            if text == "?":
+                decisions += _is_ternary(body_tokens, i)
+            elif text == "&&" or text == "||":
+                short_circuits += 1
+            continue
+        next_text = body_tokens[i + 1].text if i + 1 < n else ""
+        if kind == "identifier":
+            if next_text == "(":
+                is_internal = _call_is_internal(body_tokens, i,
+                                                own_method_names)
+                if is_internal:
+                    internal += 1
+                elif is_internal is not None:
+                    external += 1
+            continue
+        if kind != "keyword":
+            continue
+        if text in _STATEMENT_KEYWORDS:
+            statements += 1
+        if text in _DECISION_KEYWORDS:
+            decisions += 1
+        elif text == "do":
+            do_stack.append(depth)
+            decisions += 1
+        elif text == "while":
+            prev = body_tokens[i - 1].text if i else ""
+            if do_stack and do_stack[-1] == depth and prev in ("}", ";"):
+                do_stack.pop()  # tail of a do-while, already counted
+            else:
                 decisions += 1
-            elif text == "do":
-                do_stack.append(depth)
-                decisions += 1
-            elif text == "while":
-                prev = body_tokens[i - 1].text if i else ""
-                if do_stack and do_stack[-1] == depth and prev in ("}", ";"):
-                    do_stack.pop()  # tail of a do-while, already counted
-                else:
-                    decisions += 1
-        elif tok.kind == "operator":
-            if text == "?" and _is_ternary(body_tokens, i):
-                decisions += 1
-            elif text in ("&&", "||") and count_short_circuit:
-                decisions += 1
-    return decisions
+        elif text == "return":
+            if i + 1 < n and next_text != ";":
+                value_returns += 1
+            else:
+                bare_returns += 1
+        elif text == "new":
+            name = _new_type_name(body_tokens, i + 1)
+            if name:
+                new_types.append(name)
+        elif next_text == "(":
+            if text == "super":
+                external += 1
+            elif text == "this":
+                internal += 1  # constructor delegation
+    return BodyFacts(
+        decision_point_count=decisions,
+        short_circuit_count=short_circuits,
+        value_return_count=value_returns,
+        bare_return_count=bare_returns,
+        external_call_count=external,
+        internal_call_count=internal,
+        statement_count=statements,
+        new_expression_type_names=new_types,
+    )
+
+
+def count_decision_points(body_tokens: list[Token],
+                          count_short_circuit: bool = False) -> int:
+    """Decision points of one body; `&&`/`||` only when asked."""
+    facts = scan_body(body_tokens, set())
+    return facts.decision_point_count + (
+        facts.short_circuit_count if count_short_circuit else 0)
 
 
 def classify_calls(body_tokens: list[Token],
                    own_method_names: set[str]) -> tuple[int, int]:
-    """Classify every call site as (external, internal).
-
-    External: explicit receiver other than `this` (x.f(), super.f(),
-    super(...)) or a bare name not declared in the enclosing class.
-    `new` expressions are object creations, not calls.
-    """
-    external = 0
-    internal = 0
-    n = len(body_tokens)
-    for i, tok in enumerate(body_tokens):
-        if i + 1 >= n or body_tokens[i + 1].text != "(":
-            continue
-        if tok.kind == "identifier":
-            chain_head = _chain_head(body_tokens, i)
-            before = body_tokens[chain_head - 1].text if chain_head else ""
-            if before == "new":
-                continue  # object creation
-            if chain_head == i and before != ".":
-                if tok.text in own_method_names:
-                    internal += 1
-                else:
-                    external += 1
-            elif (chain_head == i - 2
-                  and body_tokens[chain_head].text == "this"):
-                internal += 1
-            else:
-                # explicit receiver (named chain or expression result)
-                external += 1
-        elif tok.kind == "keyword":
-            if tok.text == "super":
-                external += 1
-            elif tok.text == "this":
-                internal += 1  # constructor delegation
-    return external, internal
+    """Classify every call site as (external, internal)."""
+    facts = scan_body(body_tokens, own_method_names)
+    return facts.external_call_count, facts.internal_call_count
 
 
 def count_returns(body_tokens: list[Token]) -> tuple[int, int]:
     """Return (value_returns, bare_returns) for one body slice."""
-    value = 0
-    bare = 0
-    n = len(body_tokens)
-    for i, tok in enumerate(body_tokens):
-        if tok.kind == "keyword" and tok.text == "return":
-            if i + 1 < n and body_tokens[i + 1].text != ";":
-                value += 1
-            else:
-                bare += 1
-    return value, bare
+    facts = scan_body(body_tokens, set())
+    return facts.value_return_count, facts.bare_return_count
 
 
+# The two views below have no caller in the package; they stay because
+# bench/tracing.py wraps every body view by name.
 def count_short_circuit_ops(body_tokens: list[Token]) -> int:
-    return sum(1 for t in body_tokens
-               if t.kind == "operator" and t.text in ("&&", "||"))
+    return scan_body(body_tokens, set()).short_circuit_count
 
 
 def collect_new_types(body_tokens: list[Token]) -> list[str]:
-    names = []
-    n = len(body_tokens)
-    i = 0
-    while i < n:
-        if body_tokens[i].kind == "keyword" and body_tokens[i].text == "new":
-            j = i + 1
-            parts = []
-            while j < n and (body_tokens[j].kind == "identifier"
-                             or body_tokens[j].text in PRIMITIVE_TYPES):
-                parts.append(body_tokens[j].text)
-                if j + 1 < n and body_tokens[j + 1].text == ".":
-                    parts.append(".")
-                    j += 2
-                else:
-                    j += 1
-                    break
-            if parts:
-                names.append("".join(parts))
-            i = j
+    return scan_body(body_tokens, set()).new_expression_type_names
+
+
+def _call_is_internal(tokens: list[Token], i: int,
+                      own_method_names: set[str]) -> bool | None:
+    """Whether the call of the identifier at i is internal; None for an
+    object creation."""
+    chain_head = _chain_head(tokens, i)
+    before = tokens[chain_head - 1].text if chain_head else ""
+    if before == "new":
+        return None
+    if chain_head == i and before != ".":
+        return tokens[i].text in own_method_names
+    # `this.f()` is internal; any other receiver (named chain or
+    # expression result) is external.
+    return chain_head == i - 2 and tokens[chain_head].text == "this"
+
+
+def _new_type_name(tokens: list[Token], j: int) -> str:
+    """Dotted type name of the `new` expression whose type starts at j."""
+    parts = []
+    n = len(tokens)
+    while j < n and (tokens[j].kind == "identifier"
+                     or tokens[j].text in PRIMITIVE_TYPES):
+        parts.append(tokens[j].text)
+        if j + 1 < n and tokens[j + 1].text == ".":
+            parts.append(".")
+            j += 2
         else:
-            i += 1
-    return names
-
-
-def scan_body(body_tokens: list[Token], own_method_names: set[str]) -> BodyFacts:
-    external, internal = classify_calls(body_tokens, own_method_names)
-    value, bare = count_returns(body_tokens)
-    statements = sum(1 for t in body_tokens if t.text == ";")
-    statements += sum(1 for t in body_tokens
-                      if t.kind == "keyword" and t.text in _STATEMENT_KEYWORDS)
-    return BodyFacts(
-        decision_point_count=count_decision_points(body_tokens),
-        short_circuit_count=count_short_circuit_ops(body_tokens),
-        value_return_count=value,
-        bare_return_count=bare,
-        external_call_count=external,
-        internal_call_count=internal,
-        statement_count=statements,
-        new_expression_type_names=collect_new_types(body_tokens),
-    )
+            break
+    return "".join(parts)
 
 
 def _is_ternary(tokens: list[Token], i: int) -> bool:

@@ -179,3 +179,42 @@ def test_console_script_module_invocation(namedb_trio_dir, tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "NameDB" in result.stdout
+
+
+TEXT_BLOCK_CLASS = '''class Doc {
+    String render() {
+        return """
+            if (x) { f(); }
+            """;
+    }
+}
+'''
+
+
+def test_text_block_file_gets_its_row(tmp_path, capsys):
+    source_dir = tmp_path / "src"
+    source_dir.mkdir()
+    (source_dir / "Doc.java").write_text(TEXT_BLOCK_CLASS)
+    out = tmp_path / "report"
+    assert run_cli(source_dir, "--out", out, "--strict") == 0
+    assert "file skipped" not in capsys.readouterr().err
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("C,Doc,")
+
+
+def test_trials_below_one_exits_2(namedb_trio_dir, tmp_path, capsys):
+    out = tmp_path / "report"
+    assert run_cli(namedb_trio_dir, "--out", out, "--weyuker",
+                   "--trials", 0) == 2
+    assert "error: trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_trials_below_one_in_config_exits_2(namedb_trio_dir, tmp_path,
+                                            capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("weyuker=yes\ntrials=-1\n")
+    out = tmp_path / "report"
+    assert run_cli(namedb_trio_dir, "--out", out, "--config", config) == 2
+    assert "error: trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -278,3 +278,13 @@ def test_body_fact_invariants_on_fixture_corpus(dlib_dir):
                 assert body.external_call_count >= 0
                 assert (body.value_return_count + body.bare_return_count
                         <= body.statement_count + 1), method.name
+
+
+def test_text_block_adds_no_decisions_or_calls():
+    unit = parse_source('class Doc {\n  String render() {\n    return """\n'
+                        '      if (x) { f(); }\n      """;\n  }\n}\n')
+    [render] = unit.type_decls[0].methods
+    body = render.body
+    assert body.decision_point_count == 0
+    assert (body.external_call_count, body.internal_call_count) == (0, 0)
+    assert (body.value_return_count, body.statement_count) == (1, 1)
