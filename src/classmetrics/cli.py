@@ -142,18 +142,20 @@ def discover_files(inputs: list[str]) -> list[Path]:
     return [p for _, p in unique]
 
 
-def _input_digest(files: list[Path]) -> str:
-    digest = hashlib.sha256()
-    for path in files:
-        digest.update(path.as_posix().encode())
-        digest.update(b"\0")
-        digest.update(path.read_bytes())
-        digest.update(b"\0")
-    return digest.hexdigest()
+def _read_source(path: Path, digest) -> str:
+    """Add the file's path and bytes to `digest`, then decode the same
+    bytes as Path.read_text(encoding="utf-8") would: UnicodeDecodeError
+    propagates, and both \\r\\n and a lone \\r become \\n."""
+    data = path.read_bytes()
+    digest.update(path.as_posix().encode())
+    digest.update(b"\0")
+    digest.update(data)
+    digest.update(b"\0")
+    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
-def _print_summary(rows, cfg, corr) -> None:
-    table = [SHEET_COLUMNS] + [sheet_cells(row, cfg) for row in rows]
+def _print_summary(cells, corr) -> None:
+    table = [SHEET_COLUMNS] + cells
     widths = [max(len(line[i]) for line in table)
               for i in range(len(SHEET_COLUMNS))]
     for line in table:
@@ -200,9 +202,10 @@ def main(argv: list[str] | None = None) -> int:
 
     units = []
     warnings = []
+    digest = hashlib.sha256()
     for path in files:
         try:
-            source = path.read_text(encoding="utf-8")
+            source = _read_source(path, digest)
             unit = parse(tokenize(source), path.as_posix())
         except (LexError, ParseError, UnicodeDecodeError) as exc:
             message = f"{path.as_posix()}: {exc}"
@@ -241,15 +244,18 @@ def main(argv: list[str] | None = None) -> int:
             "count_constructors": cfg.count_constructors,
             "wmc_mode": cfg.wmc_mode,
         },
-        "inputs": {"files": len(files), "sha256": _input_digest(files)},
+        "inputs": {"files": len(files), "sha256": digest.hexdigest()},
     }
-    bundle = build_bundle(model, rows, cfg, metadata)
+    cells = [sheet_cells(row, cfg) for row in rows]
+    formats = (("csv", "json") if settings["format"] == "all"
+               else (settings["format"],))
+    bundle = build_bundle(model, rows, cfg, metadata, formats, cells)
 
     (out_dir / "model.xml").write_bytes(bundle.model_xml)
-    if settings["format"] in ("csv", "all"):
+    if bundle.sheet_csv is not None:
         (out_dir / "metrics.csv").write_text(bundle.sheet_csv,
                                              encoding="utf-8")
-    if settings["format"] in ("json", "all"):
+    if bundle.sheet_json is not None:
         (out_dir / "metrics.json").write_text(bundle.sheet_json,
                                               encoding="utf-8")
     (out_dir / "chart.svg").write_text(bundle.chart_svg, encoding="utf-8")
@@ -272,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         (out_dir / "weyuker.txt").write_text(weyuker_text, encoding="utf-8")
         print(weyuker_text)
 
-    _print_summary(rows, cfg, bundle.correlations)
+    _print_summary(cells, bundle.correlations)
     print(f"\nreports written to {out_dir.as_posix()}/")
     return 0
 

@@ -69,10 +69,20 @@ def included_methods(decl: ClassDecl,
     return [m for m in decl.methods if not m.is_constructor]
 
 
+def ccc_value(int_sum: int, complexity_sum: int, nomt: int) -> Fraction:
+    """CCC as one Fraction: `int_sum` is the sum of the eight integer
+    sub-metrics (NOMT, MOA, EXT, NSUP, NSUB, INTR, PACK, NQU) and AVCC is
+    complexity_sum / nomt, or 0 for a class without methods."""
+    if not nomt:
+        return Fraction(int_sum)
+    return Fraction(int_sum * nomt + complexity_sum, nomt)
+
+
 def ccc_total(nomt: int, avcc: Fraction, moa: int, ext: int, nsup: int,
               nsub: int, intr: int, pack: int, nqu: int) -> Fraction:
     """CCC = NOMT + AVCC + MOA + EXT + NSUP + NSUB + INTR + PACK + NQU."""
-    return Fraction(nomt + moa + ext + nsup + nsub + intr + pack + nqu) + avcc
+    return ccc_value(nomt + moa + ext + nsup + nsub + intr + pack + nqu,
+                     avcc.numerator, avcc.denominator)
 
 
 def wmc(decl: ClassDecl, cfg: MetricConfig = DEFAULT_CONFIG) -> int:
@@ -101,7 +111,6 @@ def compute_row(decl: ClassDecl, model: ProjectModel,
     methods = included_methods(decl, cfg)
     nomt = len(methods)
     complexity_sum = sum(method_cyclomatic(m, cfg) for m in methods)
-    avcc = Fraction(complexity_sum, nomt) if nomt else Fraction(0)
 
     moa = sum(1 for f in decl.fields
               if is_user_defined(f.declared_type_name, model, cfg.moa_policy))
@@ -120,7 +129,7 @@ def compute_row(decl: ClassDecl, model: ProjectModel,
         class_kind=decl.kind,
         file_path=decl.unit_path,
         nomt=nomt,
-        avcc=avcc,
+        avcc=Fraction(complexity_sum, nomt) if nomt else Fraction(0),
         moa=moa,
         iv=iv,
         ext=ext,
@@ -132,9 +141,10 @@ def compute_row(decl: ClassDecl, model: ProjectModel,
         ncd=ncd,
         wmc_unity=nomt,
         wmc_weighted=complexity_sum,
-        cmc=cmc(decl, cfg),
-        cc=cc_balasubramanian(decl, cfg),
-        ccc=ccc_total(nomt, avcc, moa, ext, nsup, nsub, intr, pack, nqu),
+        cmc=complexity_sum,
+        cc=iv + complexity_sum,
+        ccc=ccc_value(nomt + moa + ext + nsup + nsub + intr + pack + nqu,
+                      complexity_sum, nomt),
     )
 
 

@@ -198,27 +198,35 @@ def _collect_ancestors(entry: _Entry, resolve, direct_supers) -> list[str]:
 
 
 def _check_acyclic(entries: list[_Entry], resolve, direct_supers) -> None:
+    """Depth-first search for a cycle in the resolved super relation. The
+    stack is explicit, so a deep hierarchy cannot exhaust the recursion
+    limit."""
     WHITE, GRAY, BLACK = 0, 1, 2
     color = {e.qualified: WHITE for e in entries}
-    by_qualified = {e.qualified: e for e in entries}
 
-    def visit(entry: _Entry, path: list[str]) -> None:
-        color[entry.qualified] = GRAY
-        path.append(entry.display)
-        for written in direct_supers(entry):
-            target = resolve(written, entry.unit.package_name)
-            if target is None:
-                continue
-            state = color[target.qualified]
-            if state == GRAY:
-                cycle = path[path.index(target.display):] + [target.display]
-                raise ModelError(
-                    "inheritance cycle: " + " -> ".join(cycle))
-            if state == WHITE:
-                visit(target, path)
-        path.pop()
-        color[entry.qualified] = BLACK
-
-    for entry in entries:
-        if color[entry.qualified] == WHITE:
-            visit(entry, [])
+    for root in entries:
+        if color[root.qualified] != WHITE:
+            continue
+        color[root.qualified] = GRAY
+        path = [root.display]
+        stack = [(root, iter(direct_supers(root)))]
+        while stack:
+            entry, supers = stack[-1]
+            for written in supers:
+                target = resolve(written, entry.unit.package_name)
+                if target is None:
+                    continue
+                state = color[target.qualified]
+                if state == GRAY:
+                    cycle = path[path.index(target.display):]
+                    raise ModelError("inheritance cycle: " + " -> ".join(
+                        cycle + [target.display]))
+                if state == WHITE:
+                    color[target.qualified] = GRAY
+                    path.append(target.display)
+                    stack.append((target, iter(direct_supers(target))))
+                    break
+            else:
+                stack.pop()
+                path.pop()
+                color[entry.qualified] = BLACK

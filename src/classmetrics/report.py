@@ -14,7 +14,6 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
-from xml.sax.saxutils import escape
 
 from .metrics import ClassMetricsRow, MetricConfig
 from .model import ProjectModel
@@ -69,21 +68,24 @@ def sheet_cells(row: ClassMetricsRow,
 
 
 def emit_sheet(rows: list[ClassMetricsRow], format: str = "csv",
-               cfg: MetricConfig | None = None) -> str:
-    cfg = cfg or MetricConfig()
+               cfg: MetricConfig | None = None,
+               cells: list[list[str]] | None = None) -> str:
+    """The metric sheet in `format`. `cells` holds each row's sheet_cells
+    when the caller has them already; otherwise they are computed here."""
+    if cells is None:
+        cfg = cfg or MetricConfig()
+        cells = [sheet_cells(row, cfg) for row in rows]
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(SHEET_COLUMNS)
-        for row in rows:
-            writer.writerow(sheet_cells(row, cfg))
+        writer.writerows(cells)
         return out.getvalue()
     if format == "json":
         records = []
-        for row in rows:
-            cells = sheet_cells(row, cfg)
+        for row_cells in cells:
             record = {}
-            for column, cell in zip(SHEET_COLUMNS, cells):
+            for column, cell in zip(SHEET_COLUMNS, row_cells):
                 if column in ("CT", "CL", "AVCC", "WMC", "CMC", "CC", "CCC"):
                     record[column] = cell
                 else:
@@ -185,6 +187,12 @@ def emit_model_xml(model: ProjectModel) -> bytes:
 # ---------------------------------------------------------------------------
 # SVG chart
 
+
+def _escape(text: str) -> str:
+    """Escape &, < and > for XML character data."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 _SERIES = [("WMC", "#4878a8"), ("CMC", "#e49444"),
            ("CC", "#5ba053"), ("CCC", "#d1605e")]
 
@@ -235,7 +243,8 @@ def emit_chart(rows: list[ClassMetricsRow],
 
     for gi, row in enumerate(rows):
         group_x = margin_left + gi * group_width
-        parts.append(f'<g class="group" data-class="{escape(row.class_name)}">')
+        parts.append(
+            f'<g class="group" data-class="{_escape(row.class_name)}">')
         for bi, ((series, color), value) in enumerate(
                 zip(_SERIES, values_of(row))):
             bar_height = plot_height * value / scale_max
@@ -251,7 +260,7 @@ def emit_chart(rows: list[ClassMetricsRow],
             f'<text x="{label_x:.2f}" y="{label_y:.2f}" '
             f'font-family="sans-serif" font-size="11" text-anchor="end" '
             f'transform="rotate(-40 {label_x:.2f} {label_y:.2f})">'
-            f'{escape(row.class_name)}</text>')
+            f'{_escape(row.class_name)}</text>')
         parts.append('</g>')
 
     # axes
@@ -285,8 +294,8 @@ def emit_chart(rows: list[ClassMetricsRow],
 @dataclass
 class ReportBundle:
     model_xml: bytes
-    sheet_csv: str
-    sheet_json: str
+    sheet_csv: str | None  # None when "csv" is not among the formats
+    sheet_json: str | None  # None when "json" is not among the formats
     chart_svg: str
     rows: list[ClassMetricsRow]
     correlations: dict[str, float | None]
@@ -295,12 +304,17 @@ class ReportBundle:
 
 def build_bundle(model: ProjectModel, rows: list[ClassMetricsRow],
                  cfg: MetricConfig | None = None,
-                 metadata: dict | None = None) -> ReportBundle:
+                 metadata: dict | None = None,
+                 formats: tuple[str, ...] = ("csv", "json"),
+                 cells: list[list[str]] | None = None) -> ReportBundle:
+    """Render the model, the chart and the sheet in each of `formats`.
+    `cells` is passed on to emit_sheet."""
     cfg = cfg or MetricConfig()
+    sheets = {fmt: emit_sheet(rows, fmt, cfg, cells) for fmt in formats}
     return ReportBundle(
         model_xml=emit_model_xml(model),
-        sheet_csv=emit_sheet(rows, "csv", cfg),
-        sheet_json=emit_sheet(rows, "json", cfg),
+        sheet_csv=sheets.get("csv"),
+        sheet_json=sheets.get("json"),
         chart_svg=emit_chart(rows, cfg),
         rows=rows,
         correlations=correlations(rows, cfg),

@@ -9,12 +9,13 @@ reference verdict table, flagging divergences instead of suppressing
 them.
 """
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .metrics import MetricConfig, method_cyclomatic
+from .metrics import MetricConfig, ccc_value, method_cyclomatic
 from .model import ProjectModel, is_user_defined
 from .parser import ClassDecl
 
@@ -107,18 +108,17 @@ def concat(p: SyntheticClass, q: SyntheticClass) -> SyntheticClass:
 
 def rename(p: SyntheticClass, mapping: dict[str, str]) -> SyntheticClass:
     """Apply a name bijection to every identifier in p."""
-    applied: dict[str, str] = {}
+    source_of: dict[str, str] = {}  # target -> first name mapped to it
 
     def lookup(name: str) -> str:
         if name not in mapping:
             raise ValueError(f"mapping does not cover name {name!r}")
         target = mapping[name]
-        for src, dst in applied.items():
-            if dst == target and src != name:
-                raise ValueError(
-                    f"mapping is not injective: {src!r} and {name!r} "
-                    f"both map to {target!r}")
-        applied[name] = target
+        src = source_of.setdefault(target, name)
+        if src != name:
+            raise ValueError(
+                f"mapping is not injective: {src!r} and {name!r} "
+                f"both map to {target!r}")
         return target
 
     def map_type(text: str) -> str:
@@ -174,6 +174,8 @@ def collect_names(p: SyntheticClass) -> set[str]:
 
 
 def submetrics_of(cls: SyntheticClass) -> dict[str, Fraction]:
+    """Each sub-metric on its own: the reference view that CCC_METRIC,
+    which sums them as one Fraction, is tested against."""
     nomt = len(cls.methods)
     complexity = sum(m[1] for m in cls.methods)
     return {
@@ -190,7 +192,16 @@ def submetrics_of(cls: SyntheticClass) -> dict[str, Fraction]:
 
 
 def _ccc_of(cls: SyntheticClass) -> Fraction:
-    return sum(submetrics_of(cls).values(), Fraction(0))
+    methods = cls.methods
+    complexity = value_returns = external_calls = 0
+    for _, c, vr, ec, _ in methods:
+        complexity += c
+        value_returns += vr
+        external_calls += ec
+    int_sum = (len(methods) + sum(1 for f in cls.fields if f[2])
+               + external_calls + len(cls.ancestors) + len(cls.subclasses)
+               + len(cls.interfaces) + len(cls.imports) + value_returns)
+    return ccc_value(int_sum, complexity, len(methods))
 
 
 def _wmc_of(cls: SyntheticClass) -> Fraction:
@@ -370,7 +381,11 @@ def project_corpus(model: ProjectModel,
 
 def check_property(k: int, metric: MetricFunction,
                    corpus: list[CorpusEntry], trial_budget: int,
-                   seed: int = 0) -> PropertyReport:
+                   seed: int = 0, *, values: list | None = None
+                   ) -> PropertyReport:
+    """Search `corpus` for property k's witness or violation. `values`
+    pairs each corpus entry with its metric value when the caller has
+    them already; otherwise the corpus is evaluated here."""
     if trial_budget <= 0:
         raise ValueError("trial budget must be positive")
     if k not in range(1, 10):
@@ -393,7 +408,8 @@ def check_property(k: int, metric: MetricFunction,
             "is taken by only finitely many classes")
         return report
 
-    values = [(e, metric(e.cls)) for e in corpus]
+    if values is None:
+        values = [(e, metric(e.cls)) for e in corpus]
     checker = {
         1: _check_p1, 3: _check_p3, 4: _check_p4, 5: _check_p5,
         6: _check_p6, 8: _check_p8, 9: _check_p9,
@@ -404,7 +420,10 @@ def check_property(k: int, metric: MetricFunction,
 
 def run_all(metric: MetricFunction, corpus: list[CorpusEntry],
             seed: int, trial_budget: int) -> list[PropertyReport]:
-    return [check_property(k, metric, corpus, trial_budget, seed)
+    """All nine properties, evaluating each corpus class once."""
+    values = [(e, metric(e.cls)) for e in corpus]
+    return [check_property(k, metric, corpus, trial_budget, seed,
+                           values=values)
             for k in range(1, 10)]
 
 
@@ -540,32 +559,30 @@ def _check_p8(report, metric, values, rng):
         report.verdict = "no-counterexample-found"
         report.note = "empty corpus"
         return
-    while report.trials < report.trial_budget:
-        for entry, value in values:
-            if report.trials >= report.trial_budget:
-                break
-            report.trials += 1
-            names = sorted(collect_names(entry.cls))
-            if not names:
-                continue
-            if rng.random() < 0.5:
-                shuffled = names[:]
-                rng.shuffle(shuffled)
-                mapping = dict(zip(names, shuffled))
-            else:
-                mapping = {n: f"r{i}_{n}" for i, n in enumerate(names)}
-            renamed = rename(entry.cls, mapping)
-            if metric(renamed) != value:
-                report.verdict = "witnessed"
-                report.witness = _witness(
-                    (entry.ident, value),
-                    (f"renamed({entry.ident})", metric(renamed)),
-                    mapping=mapping,
-                    relation="metric changed under bijective renaming")
-                return
-        else:
+    # Trials visit the entries round-robin, so only the first
+    # trial_budget entries are ever renamed.
+    named = [(entry, value, sorted(collect_names(entry.cls)))
+             for entry, value in values[:report.trial_budget]]
+    for entry, value, names in itertools.islice(
+            itertools.cycle(named), report.trial_budget):
+        report.trials += 1
+        if not names:
             continue
-        break
+        if rng.random() < 0.5:
+            shuffled = names[:]
+            rng.shuffle(shuffled)
+            mapping = dict(zip(names, shuffled))
+        else:
+            mapping = {n: f"r{i}_{n}" for i, n in enumerate(names)}
+        renamed = rename(entry.cls, mapping)
+        if metric(renamed) != value:
+            report.verdict = "witnessed"
+            report.witness = _witness(
+                (entry.ident, value),
+                (f"renamed({entry.ident})", metric(renamed)),
+                mapping=mapping,
+                relation="metric changed under bijective renaming")
+            return
     report.verdict = "no-counterexample-found"
     report.note = "metric invariant under every bijective renaming tried"
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +171,49 @@ def test_format_selection_limits_sheet_outputs(namedb_trio_dir, tmp_path, capsys
     assert not (out_json / "metrics.csv").exists()
     for out in (out_csv, out_json):
         assert (out / "model.xml").exists() and (out / "chart.svg").exists()
+
+
+def test_crlf_and_lone_cr_sources_match_lf(tmp_path, capsys):
+    fixture = Path(__file__).parent / "fixtures" / "tolerant" / "Fancy.java"
+    lf = fixture.read_bytes()
+    assert b"\r" not in lf
+    results = {}
+    for name, newline in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+        source_dir = tmp_path / name
+        source_dir.mkdir()
+        (source_dir / "Fancy.java").write_bytes(lf.replace(b"\n", newline))
+        out = tmp_path / f"{name}-report"
+        assert run_cli(source_dir, "--out", out) == 0
+        warnings = capsys.readouterr().err.replace(source_dir.as_posix(), "")
+        results[name] = ((out / "metrics.csv").read_text(), warnings)
+    assert "line 7" in results["lf"][1] and "line 13" in results["lf"][1]
+    assert results["crlf"] == results["lf"]
+    assert results["cr"] == results["lf"]
+
+
+def test_input_digest_covers_every_file_read(tmp_path, capsys):
+    source_dir = tmp_path / "src"
+    source_dir.mkdir()
+    (source_dir / "Ok.java").write_text("class Ok { }")
+    (source_dir / "Bad.java").write_bytes(b"class Bad { } \xff")
+    out = tmp_path / "report"
+    assert run_cli(source_dir, "--out", out) == 0
+    assert "file skipped" in capsys.readouterr().err
+    expected = hashlib.sha256()
+    for path in discover_files([str(source_dir)]):
+        expected.update(path.as_posix().encode() + b"\0"
+                        + path.read_bytes() + b"\0")
+    run = json.loads((out / "run.json").read_text())
+    assert run["inputs"] == {"files": 2, "sha256": expected.hexdigest()}
+
+
+def test_cli_import_skips_network_modules():
+    code = ("import sys, classmetrics.cli; print(sorted(m for m in "
+            "('urllib.request', 'http.client', 'email') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_console_script_module_invocation(namedb_trio_dir, tmp_path):

@@ -159,13 +159,19 @@ def test_formula_identity_over_500_synthetic_classes():
     checked = 0
     for batch in range(10):
         model = random_project(rng, 50)
-        for row in compute_rows(model, MetricConfig(
-                moa_policy=rng.choice(["project", "any-class"]),
-                count_short_circuit=rng.random() < 0.5)):
+        cfg = MetricConfig(
+            moa_policy=rng.choice(["project", "any-class"]),
+            count_short_circuit=rng.random() < 0.5)
+        for decl, row in zip(model.ordered_decls(), compute_rows(model, cfg)):
             recomputed = (Fraction(row.nomt) + row.avcc + row.moa + row.ext
                           + row.nsup + row.nsub + row.intr + row.pack
                           + row.nqu)
             assert row.ccc == recomputed
+            assert row.ccc == ccc_total(row.nomt, row.avcc, row.moa, row.ext,
+                                        row.nsup, row.nsub, row.intr,
+                                        row.pack, row.nqu)
+            assert row.cmc == cmc(decl, cfg)
+            assert row.cc == cc_balasubramanian(decl, cfg)
             assert row.cc == row.iv + row.cmc
             assert row.wmc_unity == row.nomt
             checked += 1

@@ -89,6 +89,22 @@ def test_inheritance_cycle_is_model_error():
     assert "cycle" in str(err.value)
 
 
+def test_deep_extends_chain_is_checked_without_recursion():
+    # Deeper than the interpreter's default recursion limit of 1000.
+    depth = 1500
+    names = [f"C{i:04d}" for i in range(depth)]
+    chain = [f"class {child} extends {parent} {{}}"
+             for child, parent in zip(names, names[1:])]
+    model = model_from_sources(*chain, f"class {names[-1]} {{}}")
+    leaf = next(d for d in model.ordered_decls() if d.name == names[0])
+    assert model.ancestors_of(leaf) == names[1:]
+    with pytest.raises(ModelError) as err:
+        model_from_sources(*chain,
+                           f"class {names[-1]} extends {names[0]} {{}}")
+    assert str(err.value) == (
+        "inheritance cycle: " + " -> ".join(names + names[:1]))
+
+
 def test_duplicate_qualified_name_is_model_error():
     with pytest.raises(ModelError) as err:
         model_from_sources("package p; class A {}", "package p; class A {}")

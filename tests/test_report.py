@@ -265,6 +265,16 @@ def test_chart_ccc_bar_tallest_where_ext_dominates(dlib_model):
     assert heights[3] == max(heights)
 
 
+def test_chart_escapes_class_names():
+    model = model_from_sources("class A { }")
+    rows = compute_rows(model)
+    rows[0].class_name = "A<T>&B"
+    svg = emit_chart(rows)
+    assert 'data-class="A&lt;T&gt;&amp;B"' in svg
+    assert ">A&lt;T&gt;&amp;B</text>" in svg
+    assert ET.fromstring(svg).find(".//{*}g").get("data-class") == "A<T>&B"
+
+
 # ---------------------------------------------------------------------------
 # determinism
 
@@ -277,3 +287,17 @@ def test_all_emitters_byte_deterministic(dlib_model):
     assert first.sheet_csv == second.sheet_csv
     assert first.sheet_json == second.sheet_json
     assert first.chart_svg == second.chart_svg
+
+
+def test_bundle_renders_only_requested_formats(dlib_model):
+    rows = compute_rows(dlib_model, ANY_CLASS)
+    full = build_bundle(dlib_model, rows, ANY_CLASS)
+    for fmt in ("csv", "json"):
+        assert getattr(full, f"sheet_{fmt}") == emit_sheet(rows, fmt,
+                                                           ANY_CLASS)
+    csv_only = build_bundle(dlib_model, rows, ANY_CLASS, formats=("csv",))
+    assert csv_only.sheet_csv == full.sheet_csv
+    assert csv_only.sheet_json is None
+    json_only = build_bundle(dlib_model, rows, ANY_CLASS, formats=("json",))
+    assert json_only.sheet_json == full.sheet_json
+    assert json_only.sheet_csv is None

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from classmetrics.metrics import MetricConfig, compute_rows
-from classmetrics.weyuker import (CCC_METRIC, CMC_METRIC,
+from classmetrics.weyuker import (CCC_METRIC, CMC_METRIC, CorpusEntry,
                                   SyntheticClass, check_property,
                                   collect_names, concat, fixture_corpus,
                                   from_class_model, generate_corpus,
@@ -110,6 +110,12 @@ def test_rename_rejects_non_injective_mapping():
     p = make([("a()", 1, 0, 0, True), ("b()", 1, 0, 0, True)])
     with pytest.raises(ValueError):
         rename(p, {"a": "same", "b": "same"})
+    # One signature fixes the lookup order: the parameter types, then the
+    # method name.
+    with pytest.raises(ValueError) as err:
+        rename(make([("a(b)", 1, 0, 0, True)]), {"a": "same", "b": "same"})
+    assert str(err.value) == ("mapping is not injective: 'b' and 'a' "
+                              "both map to 'same'")
 
 
 def test_rename_requires_full_coverage():
@@ -127,6 +133,19 @@ def test_synthetic_mapping_reproduces_engine_ccc(dlib_model):
         for entry in project_corpus(dlib_model, cfg):
             assert CCC_METRIC(entry.cls) == rows[entry.ident].ccc, entry.ident
             assert CMC_METRIC(entry.cls) == rows[entry.ident].cmc
+
+
+def test_ccc_metric_equals_submetric_sum(dlib_model):
+    fixtures = fixture_corpus()
+    corpora = [generate_corpus(seed) for seed in (1, 42, 2024)]
+    corpora.append(random_corpus(5, 300))
+    corpora.append([CorpusEntry(f"{a.ident}+{b.ident}", concat(a.cls, b.cls))
+                    for a in fixtures for b in fixtures])
+    corpora.append(project_corpus(dlib_model))
+    for corpus in corpora:
+        for entry in corpus:
+            assert (CCC_METRIC(entry.cls)
+                    == sum(submetrics_of(entry.cls).values())), entry.ident
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +221,17 @@ def test_reports_are_deterministic():
     assert [r.to_dict() for r in first] == [r.to_dict() for r in second]
 
 
-def test_report_accumulation_is_merge_safe():
+def test_report_accumulation_is_merge_safe(dlib_model):
     # Per-property reports are independent; assembling them in any order
-    # yields the same set.
-    corpus = generate_corpus(11)
-    forward = {r.property_number: r.to_dict()
-               for r in run_all(CCC_METRIC, corpus, 11, 200)}
-    backward = {k: check_property(k, CCC_METRIC, corpus, 200, 11).to_dict()
-                for k in range(9, 0, -1)}
-    assert forward == backward
+    # yields the same set, and run_all's shared metric values give what
+    # each property evaluating the corpus on its own gives.
+    for corpus in (generate_corpus(11), project_corpus(dlib_model)):
+        forward = {r.property_number: r.to_dict()
+                   for r in run_all(CCC_METRIC, corpus, 11, 200)}
+        backward = {
+            k: check_property(k, CCC_METRIC, corpus, 200, 11).to_dict()
+            for k in range(9, 0, -1)}
+        assert forward == backward
 
 
 # ---------------------------------------------------------------------------
