@@ -3,13 +3,17 @@
 One master regular expression with a named group per lexical class is
 run over the source with `finditer`, as in the "Writing a Tokenizer"
 recipe of the `re` documentation. Every position matches some group, so
-the matches tile the source. `scan` also returns the skipped trivia
-(whitespace and comments) so that the original file can be rebuilt
-byte for byte. Generic angle brackets are emitted as plain operators;
-disambiguation is the parser's job.
+the matches tile the source. The blanks after a token (space, tab, form
+feed, carriage return) ride in that token's match; only runs holding a
+line break, comments and blanks at the start of the file take a match of
+their own. `scan` rebuilds the skipped trivia (whitespace and comment
+runs) from the gaps between tokens so that the original file can be
+rebuilt byte for byte. Generic angle brackets are emitted as plain
+operators; disambiguation is the parser's job.
 """
 
 import re
+from bisect import bisect_right
 from typing import NamedTuple
 
 # Reserved words (JLS set plus assert/enum); true/false/null are reserved
@@ -47,9 +51,10 @@ _OPERATORS = sorted(
 # whose well-formed group failed. A text block (JLS 3.10.6) opens with
 # three quotes, optional blanks and a line break, and ends at the first
 # unescaped three quotes. Only "\n" breaks lines, here and in the
-# position bookkeeping.
+# position bookkeeping. The blanks that follow any match are consumed
+# with it, outside the named group, so they never form a match alone.
 _MASTER = re.compile(
-    r"(?P<space>[ \t\r\n\f]+)"
+    r"(?:(?P<space>[ \t\r\n\f]+)"
     r"|(?P<word>[A-Za-z_$][A-Za-z0-9_$]*)"
     r"|(?P<punctuation>[{}()\[\];,@]|\.(?!\d))"
     r"|(?P<comment>//[^\n]*|/\*[\s\S]*?\*/)"
@@ -66,8 +71,12 @@ _MASTER = re.compile(
     r"|(?P<operator>" + "|".join(map(re.escape, _OPERATORS)) + ")"
     # Outside the Java lexical grammar; tolerated as punctuation so the
     # byte round-trip still holds.
-    r"|(?P<other>[\s\S])"
+    r"|(?P<other>[\s\S]))[ \t\f\r]*"
 )
+
+# One whitespace or comment run; the gaps between tokens hold only these.
+_TRIVIA = re.compile(r"[ \t\r\n\f]+|//[^\n]*|/\*[\s\S]*?\*/")
+_LINE_BREAK = re.compile(r"\n")
 
 # Token kind of each group whose match never spans a line break.
 _FLAT_KINDS = {
@@ -111,25 +120,8 @@ class LexError(Exception):
 
 
 def tokenize(source: str) -> list[Token]:
-    """Tokenize Java source, dropping whitespace and comments."""
-    return _lex(source, None)
-
-
-def scan(source: str) -> tuple[list[Token], list[Trivia]]:
-    """Tokenize and also return the trivia runs in source order."""
-    trivia: list[Trivia] = []
-    return _lex(source, trivia), trivia
-
-
-def reconstruct(tokens: list[Token], trivia: list[Trivia]) -> str:
-    """Rebuild the exact source text from a scan() result."""
-    pieces = sorted(tokens + trivia, key=lambda t: (t.line, t.column))
-    return "".join(p.text for p in pieces)
-
-
-def _lex(source: str, trivia: list[Trivia] | None) -> list[Token]:
-    """Tokens of `source`; trivia runs are appended to `trivia` unless it
-    is None. Columns count from the offset of the current line start."""
+    """Tokenize Java source, dropping whitespace and comments. Columns
+    count from the offset of the current line start."""
     tokens: list[Token] = []
     emit = tokens.append
     new = tuple.__new__
@@ -137,25 +129,47 @@ def _lex(source: str, trivia: list[Trivia] | None) -> list[Token]:
     line_start = 0
     for m in _MASTER.finditer(source):
         group = m.lastgroup
-        text = m.group()
-        start = m.start()
         if group == "word":
+            text = m[group]
             kind = "keyword" if text in KEYWORDS else "identifier"
-            emit(new(Token, (kind, text, line, start - line_start + 1)))
+            emit(new(Token, (kind, text, line, m.start() - line_start + 1)))
             continue
         kind = _FLAT_KINDS.get(group)
         if kind is not None:
-            emit(new(Token, (kind, text, line, start - line_start + 1)))
+            emit(new(Token,
+                     (kind, m[group], line, m.start() - line_start + 1)))
             continue
+        start = m.start()
         if group in _ERRORS:
             raise LexError(_ERRORS[group], line, start - line_start + 1)
+        text = m[group]
         kind = _SPANNING_KINDS.get(group)
         if kind is not None:
             emit(new(Token, (kind, text, line, start - line_start + 1)))
-        elif trivia is not None:
-            trivia.append(new(Trivia, (text, line, start - line_start + 1)))
         breaks = text.count("\n")
         if breaks:
             line += breaks
             line_start = start + text.rindex("\n") + 1
     return tokens
+
+
+def scan(source: str) -> tuple[list[Token], list[Trivia]]:
+    """Tokenize and also return the trivia runs in source order, rebuilt
+    from the gaps between the tokens."""
+    tokens = tokenize(source)
+    line_starts = [0] + [m.end() for m in _LINE_BREAK.finditer(source)]
+    trivia: list[Trivia] = []
+    starts = [line_starts[t.line - 1] + t.column - 1 for t in tokens]
+    gap_starts = [0] + [s + len(t.text) for s, t in zip(starts, tokens)]
+    for gap_start, gap_end in zip(gap_starts, starts + [len(source)]):
+        for m in _TRIVIA.finditer(source, gap_start, gap_end):
+            line = bisect_right(line_starts, m.start())
+            trivia.append(Trivia(m.group(), line,
+                                 m.start() - line_starts[line - 1] + 1))
+    return tokens, trivia
+
+
+def reconstruct(tokens: list[Token], trivia: list[Trivia]) -> str:
+    """Rebuild the exact source text from a scan() result."""
+    pieces = sorted(tokens + trivia, key=lambda t: (t.line, t.column))
+    return "".join(p.text for p in pieces)

@@ -123,9 +123,8 @@ def build_model(units: list[CompilationUnit]) -> ProjectModel:
 
     for entry in entries:
         model.immediate_subclasses.setdefault(entry.qualified, set())
+    model.ancestors = _all_ancestors(entries, resolve, direct_supers)
     for entry in entries:
-        model.ancestors[entry.qualified] = _collect_ancestors(
-            entry, resolve, direct_supers)
         model.interfaces_implemented[entry.qualified] = {
             n.split(".")[-1] for n in entry.decl.implemented_interface_names
         }
@@ -169,6 +168,36 @@ def _flatten(decl: ClassDecl, unit: CompilationUnit, prefix: str,
     out.append(_Entry(qualified, display, decl, unit))
     for nested in decl.nested:
         _flatten(nested, unit, f"{display}.", out)
+
+
+def _all_ancestors(entries: list[_Entry], resolve,
+                   direct_supers) -> dict[str, list[str]]:
+    """Ancestor names of every entry, as _collect_ancestors gives them.
+
+    An entry with exactly one resolved direct super t extends t's list,
+    which is computed first: its breadth-first walk is t's walk with
+    t.display seen from the start. That start changes nothing unless
+    t's own list holds t.display (a same-named class of another
+    package), and then the full walk runs instead."""
+    out: dict[str, list[str]] = {}
+    for entry in entries:
+        chain = []  # (entry, its one resolved super), child first
+        while entry.qualified not in out:
+            supers = direct_supers(entry)
+            target = (resolve(supers[0], entry.unit.package_name)
+                      if len(supers) == 1 else None)
+            if target is None:
+                out[entry.qualified] = _collect_ancestors(
+                    entry, resolve, direct_supers)
+                break
+            chain.append((entry, target))
+            entry = target
+        for entry, target in reversed(chain):
+            above = out[target.qualified]
+            out[entry.qualified] = (
+                [target.display] + above if target.display not in above
+                else _collect_ancestors(entry, resolve, direct_supers))
+    return out
 
 
 def _collect_ancestors(entry: _Entry, resolve, direct_supers) -> list[str]:

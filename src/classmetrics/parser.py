@@ -23,6 +23,10 @@ _DECISION_KEYWORDS = frozenset(["if", "for", "catch", "case"])
 
 _STATEMENT_KEYWORDS = frozenset(["if", "for", "while", "do", "switch", "try"])
 
+# Class and interface declarations nested deeper than this are skipped
+# with a warning; the parser recurses once per level.
+MAX_CLASS_NESTING = 100
+
 
 class ParseError(Exception):
     def __init__(self, message: str, line: int, column: int):
@@ -92,8 +96,8 @@ class CompilationUnit:
 
 def parse(tokens: list[Token], file_path: str = "<memory>") -> CompilationUnit:
     """Parse a token stream into a CompilationUnit (tolerant mode)."""
-    _check_brace_balance(tokens, file_path)
-    return _Parser(tokens, file_path).parse_unit()
+    closers = _match_braces(tokens, file_path)
+    return _Parser(tokens, file_path, closers).parse_unit()
 
 
 # ---------------------------------------------------------------------------
@@ -271,28 +275,35 @@ def _chain_head(tokens: list[Token], i: int) -> int:
     return j
 
 
-def _check_brace_balance(tokens: list[Token], file_path: str) -> None:
+def _match_braces(tokens: list[Token], file_path: str) -> dict[int, int]:
+    """Index of the matching '}' for the index of each '{'."""
+    closers = {}
     stack = []
-    for tok in tokens:
-        if tok.text == "{":
-            stack.append(tok)
-        elif tok.text == "}":
+    for i, tok in enumerate(tokens):
+        text = tok.text
+        if text == "{":
+            stack.append(i)
+        elif text == "}":
             if not stack:
                 raise ParseError(f"unmatched '}}' in {file_path}",
                                  tok.line, tok.column)
-            stack.pop()
+            closers[stack.pop()] = i
     if stack:
-        tok = stack[-1]
+        tok = tokens[stack[-1]]
         raise ParseError(f"unclosed '{{' in {file_path}", tok.line, tok.column)
+    return closers
 
 
 # ---------------------------------------------------------------------------
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file_path: str):
+    def __init__(self, tokens: list[Token], file_path: str,
+                 closers: dict[int, int]):
         self.tokens = tokens
+        self.closers = closers  # '{' index -> matching '}' index
         self.pos = 0
+        self.depth = 0  # class bodies entered and not yet left
         self.unit = CompilationUnit(file_path=file_path)
 
     # -- token helpers ------------------------------------------------
@@ -350,7 +361,7 @@ class _Parser:
         if self.at(";"):
             self.advance()
         out = []
-        for k, p in enumerate(parts):
+        for p in parts:
             if out and _wordlike(out[-1][-1]) and _wordlike(p[0]):
                 out.append(" ")
             out.append(p)
@@ -392,7 +403,7 @@ class _Parser:
                 self.advance()
                 self.advance()
         if self.at("("):
-            self._skip_balanced("(", ")")
+            self._skip_parenthesized()
 
     def _skip_declaration(self) -> None:
         """Skip to the end of a declaration: past a balanced brace block or
@@ -403,25 +414,27 @@ class _Parser:
                 self.advance()
                 return
             if tok.text == "{":
-                self._skip_balanced("{", "}")
+                self._skip_braces()
                 return
             if tok.text == "}":
                 return  # let the enclosing body loop consume it
             self.advance()
 
-    def _skip_balanced(self, opener: str, closer: str) -> int:
-        """Skip a balanced region starting at the current opener. Returns
-        the index just past the closer."""
+    def _skip_braces(self) -> None:
+        """Jump past the '}' matching the current '{'."""
+        self.pos = self.closers[self.pos] + 1
+
+    def _skip_parenthesized(self) -> None:
+        """Skip the balanced parentheses starting at the current '('."""
         depth = 0
         while self.cur() is not None:
             text = self.advance().text
-            if text == opener:
+            if text == "(":
                 depth += 1
-            elif text == closer:
+            elif text == ")":
                 depth -= 1
                 if depth == 0:
-                    break
-        return self.pos
+                    return
 
     # -- declarations ---------------------------------------------------
 
@@ -463,7 +476,9 @@ class _Parser:
             self._skip_declaration()
             return None
         self.advance()
+        self.depth += 1
         self._parse_class_body(decl)
+        self.depth -= 1
         return decl
 
     def _read_name_list(self, stop: set[str]) -> list[str]:
@@ -511,6 +526,11 @@ class _Parser:
             return
 
         if tok.text in ("class", "interface"):
+            if self.depth >= MAX_CLASS_NESTING:
+                self.warn(f"class nested deeper than {MAX_CLASS_NESTING}"
+                          " levels skipped")
+                self._skip_declaration()
+                return
             nested = self._parse_type_decl(mods)
             if nested is not None:
                 decl.nested.append(nested)
@@ -521,7 +541,7 @@ class _Parser:
             return
         if tok.text == "{":
             self.warn("initializer block skipped")
-            self._skip_balanced("{", "}")
+            self._skip_braces()
             return
         if tok.text == "<":
             self.warn("generic method skipped")
@@ -623,7 +643,7 @@ class _Parser:
     def _capture_body(self) -> list[Token]:
         """Capture the tokens between the braces of a method body."""
         start = self.pos + 1
-        self._skip_balanced("{", "}")
+        self._skip_braces()
         return self.tokens[start:self.pos - 1]
 
     def _finish_fields(self, decl: ClassDecl, mods: list[str],
@@ -668,11 +688,16 @@ class _Parser:
             return
 
     def _skip_initializer(self) -> None:
-        """Skip an initializer expression up to a top-level ',' or ';'."""
+        """Skip an initializer expression up to a top-level ',' or ';'.
+        A brace block (array initializer, anonymous class body) is one
+        jump."""
         depth = 0
         while self.cur() is not None:
             text = self.cur().text
-            if text in "([{":
+            if text == "{":
+                self._skip_braces()
+                continue
+            if text in "([":
                 depth += 1
             elif text in ")]}":
                 if depth == 0:

@@ -262,3 +262,28 @@ def test_trials_below_one_in_config_exits_2(namedb_trio_dir, tmp_path,
     assert run_cli(namedb_trio_dir, "--out", out, "--config", config) == 2
     assert "error: trials must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_class_nesting_past_the_cap_loses_one_declaration(tmp_path):
+    # 1,200 levels would overflow the interpreter's recursion limit.
+    source_dir = tmp_path / "src"
+    source_dir.mkdir()
+    depth = 1200
+    (source_dir / "Deep.java").write_text(
+        "".join(f"class N{i} {{\n" for i in range(depth))
+        + "int x;\n" + "}\n" * depth)
+    warning = ("Deep.java: class nested deeper than 100 levels skipped"
+               " at line 101")
+    for flag, code in (("--fixed-timestamp", 0), ("--strict", 1)):
+        out = tmp_path / f"report{code}"
+        result = subprocess.run(
+            [sys.executable, "-m", "classmetrics", str(source_dir),
+             "--out", str(out), flag],
+            capture_output=True, text=True)
+        assert result.returncode == code, result.stderr
+        assert "Traceback" not in result.stdout + result.stderr
+        assert warning in result.stderr
+    rows = (tmp_path / "report0" / "metrics.csv").read_text().splitlines()
+    names = [row.split(",")[1] for row in rows[1:]]
+    assert names == [".".join(f"N{i}" for i in range(k + 1))
+                     for k in range(100)]

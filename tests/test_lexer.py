@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classmetrics.lexer import LexError, reconstruct, scan, tokenize
+from classmetrics.lexer import LexError, Trivia, reconstruct, scan, tokenize
 
 
 def kinds_and_texts(source):
@@ -126,20 +126,41 @@ def test_digit_outside_decimal_digits_is_punctuation():
         ("punctuation", ";")]]
 
 
-def test_positions_match_source_lines(dlib_dir):
+def assert_positions_match_lines(source):
     # Independent of the lexer's own bookkeeping: each token's text must
-    # start at its (line, column) in the split source. Multi-line
-    # literals are checked up to the end of their first line.
+    # start at its (line, column) in the source split at "\n", the only
+    # line break the lexer counts (str.splitlines would also split at
+    # "\r", "\f" and others). A token that spans lines must run to the
+    # end of its first line.
+    lines = source.split("\n")
+    for tok in tokenize(source):
+        first, *rest = tok.text.split("\n")
+        tail = lines[tok.line - 1][tok.column - 1:]
+        assert tail == first if rest else tail.startswith(first), tok
+
+
+def test_positions_match_source_lines(dlib_dir):
     sources = [p.read_text(encoding="utf-8")
                for p in sorted(dlib_dir.glob("*.java"))]
     sources.append('class T {\n\tString s = """\n\t  a "" b\n\t""";'
                    ' int y = 0x1F; }\n')
     for source in sources:
-        lines = source.splitlines(keepends=True)
-        for tok in tokenize(source):
-            first_line = tok.text[:tok.text.find("\n") + 1 or None]
-            assert lines[tok.line - 1][tok.column - 1:].startswith(
-                first_line), tok
+        assert_positions_match_lines(source)
+
+
+def test_scan_trivia_is_exact():
+    source = " \t int a ;\t\f// note \r\n\tb\r= 1 /* x\n y */  ; \f\n  "
+    tokens, trivia = scan(source)
+    assert [(t.text, t.line, t.column) for t in tokens] == [
+        ("int", 1, 4), ("a", 1, 8), (";", 1, 10), ("b", 2, 2),
+        ("=", 2, 4), ("1", 2, 6), (";", 3, 8)]
+    assert trivia == [
+        Trivia(" \t ", 1, 1), Trivia(" ", 1, 7), Trivia(" ", 1, 9),
+        Trivia("\t\f", 1, 11), Trivia("// note \r", 1, 13),
+        Trivia("\n\t", 1, 22), Trivia("\r", 2, 3), Trivia(" ", 2, 5),
+        Trivia(" ", 2, 7), Trivia("/* x\n y */", 2, 8), Trivia("  ", 3, 6),
+        Trivia(" \f\n  ", 3, 9)]
+    assert reconstruct(tokens, trivia) == source
 
 
 def test_round_trip_on_fixture_corpus(dlib_dir):
@@ -173,3 +194,12 @@ def test_round_trip_property(source):
         return  # unterminated literal/comment; nothing to round-trip
     assert reconstruct(tokens, trivia) == source
     assert tokenize(reconstruct(tokens, trivia)) == tokens
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SOURCE_PIECES, max_size=120).map("".join))
+def test_positions_match_source_lines_property(source):
+    try:
+        assert_positions_match_lines(source)
+    except LexError:
+        pass  # unterminated literal/comment; no positions to check

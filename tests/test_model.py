@@ -105,6 +105,122 @@ def test_deep_extends_chain_is_checked_without_recursion():
         "inheritance cycle: " + " -> ".join(names + names[:1]))
 
 
+def reference_ancestors(units):
+    """Breadth-first ancestor names of every class, one fresh walk per
+    class; written apart from the model's memoised version."""
+    entries = []  # (display, decl, package)
+
+    def flatten(decl, package, prefix):
+        entries.append((prefix + decl.name, decl, package))
+        for nested in decl.nested:
+            flatten(nested, package, f"{prefix}{decl.name}.")
+
+    for unit in sorted(units, key=lambda u: u.file_path):
+        for decl in unit.type_decls:
+            flatten(decl, unit.package_name, "")
+    by_simple = {}
+    for entry in entries:
+        by_simple.setdefault(entry[1].name, []).append(entry)
+
+    def resolve(written, package):
+        candidates = by_simple.get(written.split(".")[-1], [])
+        if len(candidates) == 1:
+            return candidates[0]
+        return next((c for c in candidates if c[2] == package),
+                    candidates[0] if candidates else None)
+
+    def supers(entry):
+        decl = entry[1]
+        if decl.kind == "interface":
+            return decl.extended_interface_names
+        return [decl.superclass_name] if decl.superclass_name else []
+
+    result = {}
+    for entry in entries:
+        seen, out = set(), []
+        frontier = [(entry, written) for written in supers(entry)]
+        while frontier:
+            next_frontier = []
+            for origin, written in frontier:
+                target = resolve(written, origin[2])
+                name = written.split(".")[-1] if target is None else target[0]
+                if name in seen:
+                    continue
+                seen.add(name)
+                out.append(name)
+                if target is not None:
+                    next_frontier.extend((target, up) for up in supers(target))
+            frontier = next_frontier
+        display, _, package = entry
+        result[f"{package}.{display}" if package else display] = out
+    return result
+
+
+def random_hierarchy(rng):
+    """Sources of a small random hierarchy: classes and interfaces in
+    three packages sharing a few simple names, multi-extends interfaces,
+    nested classes and supers outside the set."""
+    names = [f"T{i}" for i in range(rng.randint(2, 8))]
+
+    def written_super():
+        if rng.random() < 0.15:
+            return rng.choice(["Ext", "lib.Ext", "Other"])
+        name = rng.choice(names)
+        return f"{rng.choice('pq')}.{name}" if rng.random() < 0.2 else name
+
+    def header(name):
+        if rng.random() < 0.4:
+            supers = [written_super() for _ in range(rng.randint(0, 3))]
+            extends = f" extends {', '.join(supers)}" if supers else ""
+            return f"interface {name}{extends}"
+        extends = f" extends {written_super()}" if rng.random() < 0.8 else ""
+        return f"class {name}{extends}"
+
+    declared = set()
+    sources = []
+    for _ in range(rng.randint(2, 12)):
+        package, name = rng.choice(["", "p", "q"]), rng.choice(names)
+        if (package, name) in declared:
+            continue
+        declared.add((package, name))
+        nested = (f" {header(rng.choice(names))} {{}} "
+                  if rng.random() < 0.2 else "")
+        prefix = f"package {package}; " if package else ""
+        sources.append(f"{prefix}{header(name)} {{{nested}}}")
+    return sources
+
+
+def test_ancestors_match_a_fresh_walk_per_class():
+    built = 0
+    for seed in range(800):
+        sources = random_hierarchy(random.Random(seed))
+        units = [parse_source(src, f"src{i}.java")
+                 for i, src in enumerate(sources)]
+        try:
+            model = build_model(units)
+        except ModelError:
+            continue  # an inheritance cycle
+        built += 1
+        assert model.ancestors == reference_ancestors(units), sources
+    assert built >= 200
+
+
+def test_ancestors_when_a_same_named_class_sits_above():
+    # b.Foo -> c.Bar -> a.Foo (Bar's "Foo" resolves to the first Foo in
+    # file order): below b.Foo the name Foo is already seen, so a.Foo's
+    # own super is never reached.
+    model = model_from_sources(
+        "package a; class Foo extends Base {}",
+        "package b; class Foo extends Bar {}",
+        "package c; class Bar extends Foo {}",
+        "package b; class X extends Foo {}",
+        "package a; class Base {}",
+    )
+    assert model.ancestors["b.X"] == ["Foo", "Bar"]
+    assert model.ancestors["b.Foo"] == ["Bar", "Foo", "Base"]
+    assert model.ancestors["c.Bar"] == ["Foo", "Base"]
+
+
 def test_duplicate_qualified_name_is_model_error():
     with pytest.raises(ModelError) as err:
         model_from_sources("package p; class A {}", "package p; class A {}")

@@ -113,10 +113,55 @@ def test_parse_is_deterministic(namedb_source):
 
 
 def test_unbalanced_braces_raise():
-    with pytest.raises(ParseError):
-        parse_source("class A { void f() { }")
-    with pytest.raises(ParseError):
-        parse_source("class A { } }")
+    with pytest.raises(ParseError) as err:
+        parse(tokenize("class A {\n  void f() { }\n} }"), "a.java")
+    assert str(err.value) == "unmatched '}' in a.java at line 3, column 3"
+    assert (err.value.line, err.value.column) == (3, 3)
+    # Reported at the innermost brace still open at the end of the file.
+    with pytest.raises(ParseError) as err:
+        parse(tokenize("class A {\n  void f() {\n    if (x) { }\n"),
+              "a.java")
+    assert str(err.value) == "unclosed '{' in a.java at line 2, column 12"
+    assert (err.value.line, err.value.column) == (2, 12)
+
+
+def test_members_after_skipped_brace_blocks_still_parse():
+    unit = parse_source("""
+        class A {
+            enum Color { RED, GREEN; void paint() { if (x) f(); } }
+            int afterEnum;
+            static { if (ready) { setup(); } }
+            void afterInitializer() { go(); }
+            Runnable r = new Runnable() { public void run() { g(); } }, s;
+            int afterAnonymous;
+            Object o = new Object() { void broken( }, t;
+            int afterBroken;
+        }
+    """)
+    [decl] = unit.type_decls
+    assert [f.name for f in decl.fields] == [
+        "afterEnum", "r", "s", "afterAnonymous", "o", "t", "afterBroken"]
+    [method] = decl.methods
+    assert method.name == "afterInitializer"
+    assert method.body.external_call_count == 1
+    assert unit.warnings == [
+        "<test>.java: enum declaration skipped at line 3",
+        "<test>.java: initializer block skipped at line 5",
+    ]
+
+
+def test_class_nesting_is_capped(monkeypatch):
+    import classmetrics.parser as parser_module
+    monkeypatch.setattr(parser_module, "MAX_CLASS_NESTING", 2)
+    unit = parse_source(
+        "class A {\n class B {\n  class C { class D { } }\n  int b;\n }\n"
+        " interface E { }\n}\nclass F { }")
+    [a, f] = unit.type_decls
+    [b, e] = a.nested
+    assert (b.name, e.name, f.name) == ("B", "E", "F")
+    assert b.nested == [] and [x.name for x in b.fields] == ["b"]
+    assert unit.warnings == [
+        "<test>.java: class nested deeper than 2 levels skipped at line 3"]
 
 
 def test_malformed_member_is_skipped_with_warning():
