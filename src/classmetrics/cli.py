@@ -10,6 +10,7 @@ output directory.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -155,7 +156,7 @@ def _read_source(path: Path, digest) -> str:
 
 
 def _print_summary(cells, corr) -> None:
-    table = [SHEET_COLUMNS] + cells
+    table = [SHEET_COLUMNS] + [[str(cell) for cell in line] for line in cells]
     widths = [max(len(line[i]) for line in table)
               for i in range(len(SHEET_COLUMNS))]
     for line in table:
@@ -238,18 +239,13 @@ def main(argv: list[str] | None = None) -> int:
         "tool": "classmetrics",
         "version": __version__,
         "generated": timestamp,
-        "config": {
-            "moa_policy": cfg.moa_policy,
-            "count_short_circuit": cfg.count_short_circuit,
-            "count_constructors": cfg.count_constructors,
-            "wmc_mode": cfg.wmc_mode,
-        },
+        "config": dataclasses.asdict(cfg),
         "inputs": {"files": len(files), "sha256": digest.hexdigest()},
     }
     cells = [sheet_cells(row, cfg) for row in rows]
     formats = (("csv", "json") if settings["format"] == "all"
                else (settings["format"],))
-    bundle = build_bundle(model, rows, cfg, metadata, formats, cells)
+    bundle = build_bundle(model, rows, cfg, formats, cells)
 
     (out_dir / "model.xml").write_bytes(bundle.model_xml)
     if bundle.sheet_csv is not None:

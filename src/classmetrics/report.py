@@ -11,7 +11,7 @@ import io
 import json
 import statistics
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 
@@ -45,21 +45,22 @@ def format_fixed2(value) -> str:
 
 
 def sheet_cells(row: ClassMetricsRow,
-                cfg: MetricConfig | None = None) -> list[str]:
+                cfg: MetricConfig | None = None) -> list[str | int]:
+    """One row of the sheet: counts as ints, the rest as text."""
     cfg = cfg or MetricConfig()
     return [
         "C" if row.class_kind == "class" else "I",
         row.class_name,
-        str(row.nomt),
+        row.nomt,
         format_rational(row.avcc),
-        str(row.moa),
-        str(row.iv),
-        str(row.ext),
-        str(row.nsup),
-        str(row.nsub),
-        str(row.pack),
-        str(row.nqu),
-        str(row.ncd),
+        row.moa,
+        row.iv,
+        row.ext,
+        row.nsup,
+        row.nsub,
+        row.pack,
+        row.nqu,
+        row.ncd,
         format_fixed2(row.wmc(cfg.wmc_mode)),
         format_fixed2(row.cmc),
         format_fixed2(row.cc),
@@ -69,7 +70,7 @@ def sheet_cells(row: ClassMetricsRow,
 
 def emit_sheet(rows: list[ClassMetricsRow], format: str = "csv",
                cfg: MetricConfig | None = None,
-               cells: list[list[str]] | None = None) -> str:
+               cells: list[list[str | int]] | None = None) -> str:
     """The metric sheet in `format`. `cells` holds each row's sheet_cells
     when the caller has them already; otherwise they are computed here."""
     if cells is None:
@@ -82,15 +83,7 @@ def emit_sheet(rows: list[ClassMetricsRow], format: str = "csv",
         writer.writerows(cells)
         return out.getvalue()
     if format == "json":
-        records = []
-        for row_cells in cells:
-            record = {}
-            for column, cell in zip(SHEET_COLUMNS, row_cells):
-                if column in ("CT", "CL", "AVCC", "WMC", "CMC", "CC", "CCC"):
-                    record[column] = cell
-                else:
-                    record[column] = int(cell)
-            records.append(record)
+        records = [dict(zip(SHEET_COLUMNS, row_cells)) for row_cells in cells]
         return json.dumps(records, indent=2) + "\n"
     raise ValueError(f"unknown sheet format: {format!r}")
 
@@ -297,16 +290,13 @@ class ReportBundle:
     sheet_csv: str | None  # None when "csv" is not among the formats
     sheet_json: str | None  # None when "json" is not among the formats
     chart_svg: str
-    rows: list[ClassMetricsRow]
     correlations: dict[str, float | None]
-    metadata: dict = field(default_factory=dict)
 
 
 def build_bundle(model: ProjectModel, rows: list[ClassMetricsRow],
                  cfg: MetricConfig | None = None,
-                 metadata: dict | None = None,
                  formats: tuple[str, ...] = ("csv", "json"),
-                 cells: list[list[str]] | None = None) -> ReportBundle:
+                 cells: list[list[str | int]] | None = None) -> ReportBundle:
     """Render the model, the chart and the sheet in each of `formats`.
     `cells` is passed on to emit_sheet."""
     cfg = cfg or MetricConfig()
@@ -316,7 +306,5 @@ def build_bundle(model: ProjectModel, rows: list[ClassMetricsRow],
         sheet_csv=sheets.get("csv"),
         sheet_json=sheets.get("json"),
         chart_svg=emit_chart(rows, cfg),
-        rows=rows,
         correlations=correlations(rows, cfg),
-        metadata=metadata or {},
     )

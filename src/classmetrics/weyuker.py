@@ -7,6 +7,13 @@ corpus for witnesses (existential properties) or violations (universal
 properties) within a trial budget and reports verdicts next to a
 reference verdict table, flagging divergences instead of suppressing
 them.
+
+Trial rule: each property check walks a stream of candidates (class
+pairs, triples or renamings). A candidate counts as one trial before it
+is tried; when `trial_budget` trials have been counted and a further
+candidate is due, the search stops with no-counterexample-found. A note
+that claims the whole stream was searched is set only when the stream
+ran to its end.
 """
 
 import itertools
@@ -15,7 +22,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .metrics import MetricConfig, ccc_value, method_cyclomatic
+from .metrics import (MetricConfig, ccc_value, included_methods,
+                      method_cyclomatic)
 from .model import ProjectModel, is_user_defined
 from .parser import ClassDecl
 
@@ -106,6 +114,35 @@ def concat(p: SyntheticClass, q: SyntheticClass) -> SyntheticClass:
     )
 
 
+def _map_names(p: SyntheticClass, fn) -> SyntheticClass:
+    """Apply `fn` to every identifier in p, in a fixed order: each
+    method's parameter types (array suffixes kept) before its name, then
+    field names and types, ancestors, subclasses, interfaces, imports."""
+
+    def map_type(text: str) -> str:
+        base = text
+        while base.endswith("[]"):
+            base = base[:-2]
+        return fn(base) + text[len(base):]
+
+    def map_signature(sig: str) -> str:
+        name, _, rest = sig.partition("(")
+        params = [map_type(t) for t in rest.rstrip(")").split(",") if t]
+        return f"{fn(name)}({','.join(params)})"
+
+    return SyntheticClass(
+        methods=frozenset(
+            (map_signature(sig), c, vr, ec, vd)
+            for (sig, c, vr, ec, vd) in p.methods),
+        fields=frozenset(
+            (fn(n), map_type(t), u) for (n, t, u) in p.fields),
+        ancestors=frozenset(fn(n) for n in p.ancestors),
+        subclasses=frozenset(fn(n) for n in p.subclasses),
+        interfaces=frozenset(fn(n) for n in p.interfaces),
+        imports=frozenset(fn(n) for n in p.imports),
+    )
+
+
 def rename(p: SyntheticClass, mapping: dict[str, str]) -> SyntheticClass:
     """Apply a name bijection to every identifier in p."""
     source_of: dict[str, str] = {}  # target -> first name mapped to it
@@ -121,51 +158,18 @@ def rename(p: SyntheticClass, mapping: dict[str, str]) -> SyntheticClass:
                 f"both map to {target!r}")
         return target
 
-    def map_type(text: str) -> str:
-        rank = 0
-        base = text
-        while base.endswith("[]"):
-            base = base[:-2]
-            rank += 1
-        return lookup(base) + "[]" * rank
-
-    def map_signature(sig: str) -> str:
-        name, _, rest = sig.partition("(")
-        params = rest.rstrip(")")
-        mapped = [map_type(t) for t in params.split(",") if t]
-        return f"{lookup(name)}({','.join(mapped)})"
-
-    return SyntheticClass(
-        methods=frozenset(
-            (map_signature(sig), c, vr, ec, vd)
-            for (sig, c, vr, ec, vd) in p.methods),
-        fields=frozenset(
-            (lookup(n), map_type(t), u) for (n, t, u) in p.fields),
-        ancestors=frozenset(lookup(n) for n in p.ancestors),
-        subclasses=frozenset(lookup(n) for n in p.subclasses),
-        interfaces=frozenset(lookup(n) for n in p.interfaces),
-        imports=frozenset(lookup(n) for n in p.imports),
-    )
+    return _map_names(p, lookup)
 
 
 def collect_names(p: SyntheticClass) -> set[str]:
+    """Every identifier that rename looks up."""
     names: set[str] = set()
-    for sig, *_ in p.methods:
-        base, _, rest = sig.partition("(")
-        names.add(base)
-        for t in rest.rstrip(")").split(","):
-            t = t.strip()
-            while t.endswith("[]"):
-                t = t[:-2]
-            if t:
-                names.add(t)
-    for n, t, _ in p.fields:
-        names.add(n)
-        base = t
-        while base.endswith("[]"):
-            base = base[:-2]
-        names.add(base)
-    names |= p.ancestors | p.subclasses | p.interfaces | p.imports
+
+    def record(name: str) -> str:
+        names.add(name)
+        return name
+
+    _map_names(p, record)
     return names
 
 
@@ -204,23 +208,12 @@ def _ccc_of(cls: SyntheticClass) -> Fraction:
     return ccc_value(int_sum, complexity, len(methods))
 
 
-def _wmc_of(cls: SyntheticClass) -> Fraction:
-    return Fraction(len(cls.methods))
-
-
 def _cmc_of(cls: SyntheticClass) -> Fraction:
     return Fraction(sum(m[1] for m in cls.methods))
 
 
-def _cc_of(cls: SyntheticClass) -> Fraction:
-    # All synthetic fields are treated as instance variables.
-    return Fraction(len(cls.fields)) + _cmc_of(cls)
-
-
 CCC_METRIC = MetricFunction("CCC", _ccc_of)
-WMC_METRIC = MetricFunction("WMC", _wmc_of)
 CMC_METRIC = MetricFunction("CMC", _cmc_of)
-CC_METRIC = MetricFunction("CC", _cc_of)
 
 
 def from_class_model(decl: ClassDecl, model: ProjectModel,
@@ -228,9 +221,7 @@ def from_class_model(decl: ClassDecl, model: ProjectModel,
     """Lossless (for metric purposes) mapping of a parsed class."""
     cfg = cfg or MetricConfig()
     methods = []
-    for m in decl.methods:
-        if not cfg.count_constructors and m.is_constructor:
-            continue
+    for m in included_methods(decl, cfg):
         body = m.body
         methods.append((
             m.signature,
@@ -414,7 +405,10 @@ def check_property(k: int, metric: MetricFunction,
         1: _check_p1, 3: _check_p3, 4: _check_p4, 5: _check_p5,
         6: _check_p6, 8: _check_p8, 9: _check_p9,
     }[k]
-    checker(report, metric, values, random.Random(seed * 1000003 + k))
+    report.witness = checker(report, metric, values,
+                             random.Random(seed * 1000003 + k))
+    report.verdict = ("witnessed" if report.witness
+                      else "no-counterexample-found")
     return report
 
 
@@ -434,39 +428,35 @@ def _witness(*pairs: tuple[str, Fraction], **extra) -> dict:
     return out
 
 
+def _trials(report: PropertyReport, candidates):
+    """Yield each candidate as one trial, counted before it runs. When
+    the budget is spent the verdict becomes no-counterexample-found and
+    the stream stops, so a checker whose loop ends with report.verdict
+    still empty has tried every candidate."""
+    for candidate in candidates:
+        if report.trials >= report.trial_budget:
+            report.verdict = "no-counterexample-found"
+            return
+        report.trials += 1
+        yield candidate
+
+
 def _check_p1(report, metric, values, rng):
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if report.trials >= report.trial_budget:
-                report.verdict = "no-counterexample-found"
-                return
-            report.trials += 1
-            (a, va), (b, vb) = values[i], values[j]
-            if va != vb:
-                report.verdict = "witnessed"
-                report.witness = _witness(
-                    (a.ident, va), (b.ident, vb),
-                    relation=f"mu({a.ident}) != mu({b.ident})")
-                return
-    report.verdict = "no-counterexample-found"
-    report.note = "all corpus classes share one metric value"
+    for (a, va), (b, vb) in _trials(report, itertools.combinations(values, 2)):
+        if va != vb:
+            return _witness((a.ident, va), (b.ident, vb),
+                            relation=f"mu({a.ident}) != mu({b.ident})")
+    if not report.verdict:
+        report.note = "all corpus classes share one metric value"
+    return None
 
 
 def _check_p3(report, metric, values, rng):
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if report.trials >= report.trial_budget:
-                report.verdict = "no-counterexample-found"
-                return
-            report.trials += 1
-            (a, va), (b, vb) = values[i], values[j]
-            if a.cls != b.cls and va == vb:
-                report.verdict = "witnessed"
-                report.witness = _witness(
-                    (a.ident, va), (b.ident, vb),
-                    relation=f"distinct classes with mu = {va}")
-                return
-    report.verdict = "no-counterexample-found"
+    for (a, va), (b, vb) in _trials(report, itertools.combinations(values, 2)):
+        if a.cls != b.cls and va == vb:
+            return _witness((a.ident, va), (b.ident, vb),
+                            relation=f"distinct classes with mu = {va}")
+    return None
 
 
 def _check_p4(report, metric, values, rng):
@@ -475,97 +465,63 @@ def _check_p4(report, metric, values, rng):
         if entry.equivalence_group:
             groups.setdefault(entry.equivalence_group, []).append(
                 (entry, value))
-    for group, members in sorted(groups.items()):
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                if report.trials >= report.trial_budget:
-                    report.verdict = "no-counterexample-found"
-                    return
-                report.trials += 1
-                (a, va), (b, vb) = members[i], members[j]
-                if va != vb:
-                    report.verdict = "witnessed"
-                    report.witness = _witness(
-                        (a.ident, va), (b.ident, vb),
-                        relation=(f"equivalent implementations "
-                                  f"({group}) with different mu"))
-                    return
-    report.verdict = "no-counterexample-found"
     if not groups:
         report.note = "corpus declares no equivalence groups"
+    pairs = itertools.chain.from_iterable(
+        itertools.combinations(members, 2)
+        for _, members in sorted(groups.items()))
+    for (a, va), (b, vb) in _trials(report, pairs):
+        if va != vb:
+            return _witness(
+                (a.ident, va), (b.ident, vb),
+                relation=(f"equivalent implementations "
+                          f"({a.equivalence_group}) with different mu"))
+    return None
 
 
 def _check_p5(report, metric, values, rng):
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if report.trials >= report.trial_budget:
-                report.verdict = "no-counterexample-found"
-                return
-            report.trials += 1
-            (a, va), (b, vb) = values[i], values[j]
-            vc = metric(concat(a.cls, b.cls))
-            if va > vc or vb > vc:
-                worse = a if va > vc else b
-                worse_v = va if va > vc else vb
-                report.verdict = "witnessed"
-                report.witness = _witness(
-                    (worse.ident, worse_v),
-                    (f"{a.ident}+{b.ident}", vc),
-                    relation=(f"mu({worse.ident}) = {worse_v} > "
-                              f"mu({a.ident}+{b.ident}) = {vc}"),
-                    pair=[a.ident, b.ident])
-                report.note = ("violation: average-complexity dilution can "
-                               "shrink the combined metric below a part")
-                return
-    report.verdict = "no-counterexample-found"
+    for (a, va), (b, vb) in _trials(report, itertools.combinations(values, 2)):
+        vc = metric(concat(a.cls, b.cls))
+        if va > vc or vb > vc:
+            worse, worse_v = (a, va) if va > vc else (b, vb)
+            report.note = ("violation: average-complexity dilution can "
+                           "shrink the combined metric below a part")
+            return _witness(
+                (worse.ident, worse_v), (f"{a.ident}+{b.ident}", vc),
+                relation=(f"mu({worse.ident}) = {worse_v} > "
+                          f"mu({a.ident}+{b.ident}) = {vc}"),
+                pair=[a.ident, b.ident])
+    return None
 
 
 def _check_p6(report, metric, values, rng):
-    equal_pairs = []
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            (a, va), (b, vb) = values[i], values[j]
-            if a.cls != b.cls and va == vb:
-                equal_pairs.append((values[i], values[j]))
-            if len(equal_pairs) >= 25:
-                break
-        if len(equal_pairs) >= 25:
-            break
-    for (a, va), (b, vb) in equal_pairs:
-        for r, _vr in values:
-            if r.ident in (a.ident, b.ident):
-                continue
-            if report.trials >= report.trial_budget:
-                report.verdict = "no-counterexample-found"
-                return
-            report.trials += 1
-            var = metric(concat(a.cls, r.cls))
-            vbr = metric(concat(b.cls, r.cls))
-            if var != vbr:
-                report.verdict = "witnessed"
-                report.witness = _witness(
-                    (a.ident, va), (b.ident, vb), (r.ident, _vr),
-                    relation=(f"mu({a.ident})=mu({b.ident})={va} but "
-                              f"mu({a.ident}+{r.ident})={var} != "
-                              f"mu({b.ident}+{r.ident})={vbr}"))
-                return
-    report.verdict = "no-counterexample-found"
+    equal_pairs = list(itertools.islice(
+        ((x, y) for x, y in itertools.combinations(values, 2)
+         if x[0].cls != y[0].cls and x[1] == y[1]), 25))
     if not equal_pairs:
         report.note = "no equal-valued class pair found to start from"
+    # The third class r is neither member; skipping a member uses no trial.
+    triples = ((a, va, b, vb, r, vr)
+               for (a, va), (b, vb) in equal_pairs
+               for r, vr in values if r.ident not in (a.ident, b.ident))
+    for a, va, b, vb, r, vr in _trials(report, triples):
+        var = metric(concat(a.cls, r.cls))
+        vbr = metric(concat(b.cls, r.cls))
+        if var != vbr:
+            return _witness(
+                (a.ident, va), (b.ident, vb), (r.ident, vr),
+                relation=(f"mu({a.ident})=mu({b.ident})={va} but "
+                          f"mu({a.ident}+{r.ident})={var} != "
+                          f"mu({b.ident}+{r.ident})={vbr}"))
+    return None
 
 
 def _check_p8(report, metric, values, rng):
-    if not values:
-        report.verdict = "no-counterexample-found"
-        report.note = "empty corpus"
-        return
     # Trials visit the entries round-robin, so only the first
     # trial_budget entries are ever renamed.
     named = [(entry, value, sorted(collect_names(entry.cls)))
              for entry, value in values[:report.trial_budget]]
-    for entry, value, names in itertools.islice(
-            itertools.cycle(named), report.trial_budget):
-        report.trials += 1
+    for entry, value, names in _trials(report, itertools.cycle(named)):
         if not names:
             continue
         if rng.random() < 0.5:
@@ -576,37 +532,29 @@ def _check_p8(report, metric, values, rng):
             mapping = {n: f"r{i}_{n}" for i, n in enumerate(names)}
         renamed = rename(entry.cls, mapping)
         if metric(renamed) != value:
-            report.verdict = "witnessed"
-            report.witness = _witness(
+            return _witness(
                 (entry.ident, value),
                 (f"renamed({entry.ident})", metric(renamed)),
                 mapping=mapping,
                 relation="metric changed under bijective renaming")
-            return
-    report.verdict = "no-counterexample-found"
-    report.note = "metric invariant under every bijective renaming tried"
+    report.note = ("metric invariant under every bijective renaming tried"
+                   if values else "empty corpus")
+    return None
 
 
 def _check_p9(report, metric, values, rng):
-    for i in range(len(values)):
-        for j in range(i + 1, len(values)):
-            if report.trials >= report.trial_budget:
-                report.verdict = "no-counterexample-found"
-                return
-            report.trials += 1
-            (a, va), (b, vb) = values[i], values[j]
-            vc = metric(concat(a.cls, b.cls))
-            if va + vb < vc:
-                report.verdict = "witnessed"
-                report.witness = _witness(
-                    (a.ident, va), (b.ident, vb),
-                    (f"{a.ident}+{b.ident}", vc),
-                    relation=f"{va} + {vb} < {vc}")
-                return
-    report.verdict = "no-counterexample-found"
-    report.note = ("expected: every component metric of a union is at most "
-                   "the sum over the parts, and the average complexity of "
-                   "a union never exceeds the sum of the parts' averages")
+    for (a, va), (b, vb) in _trials(report, itertools.combinations(values, 2)):
+        vc = metric(concat(a.cls, b.cls))
+        if va + vb < vc:
+            return _witness((a.ident, va), (b.ident, vb),
+                            (f"{a.ident}+{b.ident}", vc),
+                            relation=f"{va} + {vb} < {vc}")
+    if not report.verdict:
+        report.note = ("expected: every component metric of a union is at "
+                       "most the sum over the parts, and the average "
+                       "complexity of a union never exceeds the sum of the "
+                       "parts' averages")
+    return None
 
 
 def verify_witness(report: PropertyReport, metric: MetricFunction,

@@ -1,16 +1,19 @@
 import json
 import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 
 from classmetrics.metrics import MetricConfig, compute_rows
 from classmetrics.weyuker import (CCC_METRIC, CMC_METRIC, CorpusEntry,
-                                  SyntheticClass, check_property,
-                                  collect_names, concat, fixture_corpus,
-                                  from_class_model, generate_corpus,
-                                  project_corpus, random_corpus, rename,
-                                  reports_to_json, reports_to_text, run_all,
-                                  submetrics_of, verify_witness)
+                                  MetricFunction, SyntheticClass,
+                                  check_property, collect_names, concat,
+                                  fixture_corpus, from_class_model,
+                                  generate_corpus, project_corpus,
+                                  random_corpus, rename, reports_to_json,
+                                  reports_to_text, run_all, submetrics_of,
+                                  verify_witness)
 
 
 def make(methods=(), **kwargs):
@@ -84,18 +87,26 @@ def test_submetric_union_bound_over_random_pairs():
 # rename
 
 
-def test_rename_identity():
-    for entry in fixture_corpus():
-        names = collect_names(entry.cls)
-        assert rename(entry.cls, {n: n for n in names}) == entry.cls
+def rename_corpora(model):
+    return [fixture_corpus(), random_corpus(5, 100), project_corpus(model)]
 
 
-def test_rename_preserves_metric():
-    for entry in fixture_corpus():
-        names = sorted(collect_names(entry.cls))
-        reversed_map = {n: n[::-1] + "_x" for n in names}
-        renamed = rename(entry.cls, reversed_map)
-        assert CCC_METRIC(renamed) == CCC_METRIC(entry.cls)
+def test_rename_identity(dlib_model):
+    for corpus in rename_corpora(dlib_model):
+        for entry in corpus:
+            names = collect_names(entry.cls)
+            assert rename(entry.cls, {n: n for n in names}) == entry.cls
+
+
+def test_rename_preserves_metric(dlib_model):
+    for corpus in rename_corpora(dlib_model):
+        for entry in corpus:
+            names = sorted(collect_names(entry.cls))
+            reversed_map = {n: n[::-1] + "_x" for n in names}
+            renamed = rename(entry.cls, reversed_map)
+            assert CCC_METRIC(renamed) == CCC_METRIC(entry.cls)
+            # collect_names finds exactly the names rename looks up.
+            assert collect_names(renamed) == set(reversed_map.values())
 
 
 def test_rename_swap_preserves_cardinalities():
@@ -177,6 +188,32 @@ def test_p2_structural_note():
     report = check_property(2, CCC_METRIC, fixture_corpus(), 10)
     assert report.verdict == "not-applicable"
     assert "structural" in report.note
+
+
+# C(12, 2) - 1, C(12, 2), C(12, 2) + 1, and past P6's 25 * 10 triples.
+@pytest.mark.parametrize("budget", [65, 66, 67, 300])
+def test_trial_budget_against_constant_metric(budget):
+    # A constant metric gives no witness except P3's, so every other
+    # search runs until its candidates or its budget run out, and each
+    # trial count follows from n and the budget alone.
+    n = 12
+    pairs = comb(n, 2)
+    zero = MetricFunction("ZERO", lambda cls: Fraction(0))
+    corpus = [CorpusEntry(f"c{i}", make([(f"m{i}()", 1, 0, 0, True)]))
+              for i in range(n)]
+    reports = {r.property_number: r for r in run_all(zero, corpus, 0, budget)}
+    expected = {1: min(budget, pairs), 5: min(budget, pairs),
+                9: min(budget, pairs), 6: min(budget, 25 * (n - 2)),
+                8: budget, 4: 0}
+    for k, trials in expected.items():
+        assert reports[k].verdict == "no-counterexample-found", k
+        assert reports[k].trials == trials, k
+    assert (reports[3].verdict, reports[3].trials) == ("witnessed", 1)
+    assert reports[4].note == "corpus declares no equivalence groups"
+    # P1's and P9's notes claim the whole search ran, which a spent
+    # budget does not show.
+    for k in (1, 9):
+        assert bool(reports[k].note) == (budget >= pairs), k
 
 
 def test_p8_no_violation_across_corpus():
