@@ -4,15 +4,21 @@ Discovers .java files, runs tokenize -> parse -> model -> metrics ->
 reports, writes the report bundle under --out and prints a per-class
 summary plus the CCC/WMC, CCC/CMC and CCC/CC correlations.
 
+The bundle is the files named in BUNDLE_FILES. A run writes the ones it
+produced, removes the others from --out, and touches no other file
+there. It writes them only after every other step has succeeded (see
+"Report bundle" in RULES.md).
+
 Exit codes: 0 success (warnings allowed in tolerant mode), 1 parse/model
 error in strict mode, 2 bad settings or no input files, 3 unwritable
-output directory.
+output directory or bundle file.
 """
 
 import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,47 +47,53 @@ _DEFAULTS = {
     "fixed_timestamp": False,
 }
 
+# Allowed values of the choice settings, for flags and config file alike.
+_CHOICES = {
+    "format": ("csv", "json", "all"),
+    "moa_policy": ("project", "any-class"),
+    "wmc": ("unity", "weighted"),
+    "weyuker_corpus": ("synthetic", "project", "both"),
+}
+
 _EPOCH = "1970-01-01T00:00:00Z"
+
+BUNDLE_FILES = ("metrics.csv", "metrics.json", "model.xml", "chart.svg",
+                "run.json", "weyuker.json", "weyuker.txt")
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
+    """Flags that are not given are absent from the namespace."""
     ap = argparse.ArgumentParser(
-        prog="classmetrics",
+        prog="classmetrics", argument_default=argparse.SUPPRESS,
         description="Class-level complexity metrics for Java source trees.")
     ap.add_argument("inputs", nargs="+", metavar="PATH",
                     help="source files and/or directories (searched "
                          "recursively for *.java)")
-    ap.add_argument("--out", metavar="DIR", default=None,
+    ap.add_argument("--out", metavar="DIR",
                     help="output directory (default: out)")
-    ap.add_argument("--format", choices=["csv", "json", "all"], default=None,
+    ap.add_argument("--format", choices=_CHOICES["format"],
                     help="metric sheet format(s) to write (default: all)")
-    ap.add_argument("--moa-policy", choices=["project", "any-class"],
-                    default=None, dest="moa_policy",
+    ap.add_argument("--moa-policy", choices=_CHOICES["moa_policy"],
                     help="which field types count for MOA (default: project)")
-    ap.add_argument("--wmc", choices=["unity", "weighted"], default=None,
+    ap.add_argument("--wmc", choices=_CHOICES["wmc"],
                     help="WMC column mode (default: unity)")
     ap.add_argument("--count-short-circuit", action="store_true",
-                    default=None, dest="count_short_circuit",
                     help="count && and || as decision points")
     ap.add_argument("--count-constructors", action=argparse.BooleanOptionalAction,
-                    default=None, dest="count_constructors",
                     help="count constructors as methods (default: yes)")
-    ap.add_argument("--strict", action="store_true", default=None,
+    ap.add_argument("--strict", action="store_true",
                     help="fail (exit 1) on any parse warning or error")
-    ap.add_argument("--weyuker", action="store_true", default=None,
+    ap.add_argument("--weyuker", action="store_true",
                     help="also run the Weyuker property harness")
-    ap.add_argument("--weyuker-corpus",
-                    choices=["synthetic", "project", "both"], default=None,
-                    dest="weyuker_corpus",
+    ap.add_argument("--weyuker-corpus", choices=_CHOICES["weyuker_corpus"],
                     help="corpus for the harness (default: synthetic)")
-    ap.add_argument("--seed", type=int, default=None,
+    ap.add_argument("--seed", type=int,
                     help="seed for the synthetic corpus (default: 42)")
-    ap.add_argument("--trials", type=int, default=None,
+    ap.add_argument("--trials", type=int,
                     help="trial budget per property (default: 1000)")
-    ap.add_argument("--fixed-timestamp", action="store_true", default=None,
-                    dest="fixed_timestamp",
+    ap.add_argument("--fixed-timestamp", action="store_true",
                     help="pin the run timestamp for byte-identical output")
-    ap.add_argument("--config", metavar="FILE", default=None,
+    ap.add_argument("--config", metavar="FILE",
                     help="key=value config file; command-line flags win")
     ap.add_argument("--version", action="version",
                     version=f"%(prog)s {__version__}")
@@ -112,7 +124,14 @@ def load_config_file(path: str) -> dict:
             else:
                 raise ValueError(f"{path}:{lineno}: bad boolean {value!r}")
         elif isinstance(default, int):
-            settings[key] = int(value)
+            try:
+                settings[key] = int(value)
+            except ValueError:
+                raise ValueError(
+                    f"{path}:{lineno}: bad integer {value!r}") from None
+        elif key in _CHOICES and value not in _CHOICES[key]:
+            raise ValueError(f"{path}:{lineno}: bad {key} {value!r} "
+                             f"(choose from {', '.join(_CHOICES[key])})")
         else:
             settings[key] = value
     return settings
@@ -120,12 +139,10 @@ def load_config_file(path: str) -> dict:
 
 def _effective_settings(args: argparse.Namespace) -> dict:
     settings = dict(_DEFAULTS)
-    if args.config:
+    if "config" in args:
         settings.update(load_config_file(args.config))
-    for key in _DEFAULTS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in _DEFAULTS)
     if settings["trials"] < 1:
         raise ValueError(f"trials must be at least 1, got {settings['trials']}")
     return settings
@@ -148,7 +165,7 @@ def _read_source(path: Path, digest) -> str:
     bytes as Path.read_text(encoding="utf-8") would: UnicodeDecodeError
     propagates, and both \\r\\n and a lone \\r become \\n."""
     data = path.read_bytes()
-    digest.update(path.as_posix().encode())
+    digest.update(os.fsencode(path))
     digest.update(b"\0")
     digest.update(data)
     digest.update(b"\0")
@@ -224,12 +241,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    if warnings and strict:
-        for message in warnings:
-            print(f"error: {message}", file=sys.stderr)
-        return 1
     for message in warnings:
-        print(f"warning: {message}", file=sys.stderr)
+        print(f"{'error' if strict else 'warning'}: {message}",
+              file=sys.stderr)
+    if warnings and strict:
+        return 1
 
     rows = compute_rows(model, cfg)
     timestamp = (_EPOCH if settings["fixed_timestamp"]
@@ -246,18 +262,8 @@ def main(argv: list[str] | None = None) -> int:
     formats = (("csv", "json") if settings["format"] == "all"
                else (settings["format"],))
     bundle = build_bundle(model, rows, cfg, formats, cells)
-
-    (out_dir / "model.xml").write_bytes(bundle.model_xml)
-    if bundle.sheet_csv is not None:
-        (out_dir / "metrics.csv").write_text(bundle.sheet_csv,
-                                             encoding="utf-8")
-    if bundle.sheet_json is not None:
-        (out_dir / "metrics.json").write_text(bundle.sheet_json,
-                                              encoding="utf-8")
-    (out_dir / "chart.svg").write_text(bundle.chart_svg, encoding="utf-8")
-    (out_dir / "run.json").write_text(
-        json.dumps(metadata, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
+    bundle.files["run.json"] = (
+        json.dumps(metadata, indent=2, sort_keys=True) + "\n").encode()
 
     if settings["weyuker"]:
         corpus_kind = settings["weyuker_corpus"]
@@ -268,11 +274,21 @@ def main(argv: list[str] | None = None) -> int:
             corpus.extend(project_corpus(model, cfg))
         reports = run_all(CCC_METRIC, corpus, settings["seed"],
                           settings["trials"])
-        (out_dir / "weyuker.json").write_text(
-            reports_to_json(reports, len(corpus)), encoding="utf-8")
+        bundle.files["weyuker.json"] = reports_to_json(
+            reports, len(corpus)).encode()
         weyuker_text = reports_to_text(reports, len(corpus))
-        (out_dir / "weyuker.txt").write_text(weyuker_text, encoding="utf-8")
+        bundle.files["weyuker.txt"] = weyuker_text.encode()
         print(weyuker_text)
+
+    try:
+        for name in BUNDLE_FILES:
+            if name in bundle.files:
+                (out_dir / name).write_bytes(bundle.files[name])
+            else:
+                (out_dir / name).unlink(missing_ok=True)
+    except OSError as exc:
+        print(f"error: output directory not writable: {exc}", file=sys.stderr)
+        return 3
 
     _print_summary(cells, bundle.correlations)
     print(f"\nreports written to {out_dir.as_posix()}/")

@@ -286,10 +286,7 @@ def emit_chart(rows: list[ClassMetricsRow],
 
 @dataclass
 class ReportBundle:
-    model_xml: bytes
-    sheet_csv: str | None  # None when "csv" is not among the formats
-    sheet_json: str | None  # None when "json" is not among the formats
-    chart_svg: str
+    files: dict[str, bytes]  # file name -> the exact bytes to write
     correlations: dict[str, float | None]
 
 
@@ -297,14 +294,11 @@ def build_bundle(model: ProjectModel, rows: list[ClassMetricsRow],
                  cfg: MetricConfig | None = None,
                  formats: tuple[str, ...] = ("csv", "json"),
                  cells: list[list[str | int]] | None = None) -> ReportBundle:
-    """Render the model, the chart and the sheet in each of `formats`.
-    `cells` is passed on to emit_sheet."""
+    """Render model.xml, metrics.<fmt> for each of `formats` and
+    chart.svg. `cells` is passed on to emit_sheet."""
     cfg = cfg or MetricConfig()
-    sheets = {fmt: emit_sheet(rows, fmt, cfg, cells) for fmt in formats}
-    return ReportBundle(
-        model_xml=emit_model_xml(model),
-        sheet_csv=sheets.get("csv"),
-        sheet_json=sheets.get("json"),
-        chart_svg=emit_chart(rows, cfg),
-        correlations=correlations(rows, cfg),
-    )
+    files = {"model.xml": emit_model_xml(model)}
+    for fmt in formats:
+        files[f"metrics.{fmt}"] = emit_sheet(rows, fmt, cfg, cells).encode()
+    files["chart.svg"] = emit_chart(rows, cfg).encode()
+    return ReportBundle(files, correlations(rows, cfg))

@@ -115,9 +115,10 @@ def concat(p: SyntheticClass, q: SyntheticClass) -> SyntheticClass:
 
 
 def _map_names(p: SyntheticClass, fn) -> SyntheticClass:
-    """Apply `fn` to every identifier in p, in a fixed order: each
-    method's parameter types (array suffixes kept) before its name, then
-    field names and types, ancestors, subclasses, interfaces, imports."""
+    """Apply `fn` to every identifier in p, in a fixed order: the
+    methods in sorted order, each one's parameter types (array suffixes
+    kept) before its name, then the sorted field names and types,
+    ancestors, subclasses, interfaces and imports."""
 
     def map_type(text: str) -> str:
         base = text
@@ -133,13 +134,13 @@ def _map_names(p: SyntheticClass, fn) -> SyntheticClass:
     return SyntheticClass(
         methods=frozenset(
             (map_signature(sig), c, vr, ec, vd)
-            for (sig, c, vr, ec, vd) in p.methods),
+            for (sig, c, vr, ec, vd) in sorted(p.methods)),
         fields=frozenset(
-            (fn(n), map_type(t), u) for (n, t, u) in p.fields),
-        ancestors=frozenset(fn(n) for n in p.ancestors),
-        subclasses=frozenset(fn(n) for n in p.subclasses),
-        interfaces=frozenset(fn(n) for n in p.interfaces),
-        imports=frozenset(fn(n) for n in p.imports),
+            (fn(n), map_type(t), u) for (n, t, u) in sorted(p.fields)),
+        ancestors=frozenset(fn(n) for n in sorted(p.ancestors)),
+        subclasses=frozenset(fn(n) for n in sorted(p.subclasses)),
+        interfaces=frozenset(fn(n) for n in sorted(p.interfaces)),
+        imports=frozenset(fn(n) for n in sorted(p.imports)),
     )
 
 

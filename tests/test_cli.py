@@ -1,12 +1,15 @@
 import hashlib
 import json
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from classmetrics.cli import discover_files, load_config_file, main
+from classmetrics.cli import (BUNDLE_FILES, build_arg_parser, discover_files,
+                              load_config_file, main)
 
 
 def run_cli(*argv):
@@ -287,3 +290,95 @@ def test_class_nesting_past_the_cap_loses_one_declaration(tmp_path):
     names = [row.split(",")[1] for row in rows[1:]]
     assert names == [".".join(f"N{i}" for i in range(k + 1))
                      for k in range(100)]
+
+
+@pytest.mark.parametrize("line, message", [
+    ("moa_policy = bogus", "bad moa_policy 'bogus'"),
+    ("format = xml", "bad format 'xml'"),
+    ("wmc = heavy", "bad wmc 'heavy'"),
+    ("weyuker_corpus = none", "bad weyuker_corpus 'none'"),
+    ("seed = abc", "bad integer 'abc'"),
+])
+def test_bad_config_value_exits_2(namedb_trio_dir, tmp_path, capsys, line,
+                                  message):
+    config = tmp_path / "run.conf"
+    config.write_text(f"# settings\n{line}\n")
+    out = tmp_path / "report"
+    assert run_cli(namedb_trio_dir, "--out", out, "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}:2: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_accepts_every_flag_choice(tmp_path):
+    config = tmp_path / "run.conf"
+    for action in build_arg_parser()._actions:
+        for value in action.choices or ():
+            config.write_text(f"{action.dest} = {value}\n")
+            assert load_config_file(str(config)) == {action.dest: value}
+
+
+def test_non_utf8_file_name_is_analysed(tmp_path, capsys):
+    source_dir = tmp_path / "src"
+    source_dir.mkdir()
+    path = source_dir / os.fsdecode(b"X\xff.java")
+    try:
+        path.write_text("class X { }")
+    except (OSError, UnicodeEncodeError):
+        pytest.skip("the file system refuses names that are not UTF-8")
+    out = tmp_path / "report"
+    assert run_cli(source_dir, "--out", out) == 0
+    assert b'X&#56575;.java' in (out / "model.xml").read_bytes()
+    expected = hashlib.sha256(os.fsencode(path) + b"\0class X { }\0")
+    run = json.loads((out / "run.json").read_text())
+    assert run["inputs"] == {"files": 1, "sha256": expected.hexdigest()}
+
+
+def test_reused_out_holds_only_this_runs_bundle(namedb_trio_dir, tmp_path,
+                                                capsys):
+    out = tmp_path / "report"
+    out.mkdir()
+    (out / "notes.txt").write_text("mine")
+    assert run_cli(namedb_trio_dir, "--out", out, "--weyuker",
+                   "--trials", 20) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        BUNDLE_FILES + ("notes.txt",))
+    assert run_cli(namedb_trio_dir, "--out", out) == 0
+    assert not (out / "weyuker.json").exists()
+    assert not (out / "weyuker.txt").exists()
+    assert (out / "metrics.json").exists()
+    assert run_cli(namedb_trio_dir, "--out", out, "--format", "csv") == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "chart.svg", "metrics.csv", "model.xml", "notes.txt", "run.json"]
+    assert (out / "notes.txt").read_text() == "mine"
+
+
+def test_failed_run_leaves_previous_bundle_intact(namedb_trio_dir, tmp_path,
+                                                  capsys):
+    out = tmp_path / "report"
+    assert run_cli(namedb_trio_dir, "--out", out, "--weyuker",
+                   "--trials", 20) == 0
+    before = {p.name: digest(p) for p in out.iterdir()}
+    assert run_cli(namedb_trio_dir, "--out", out, "--trials", 0) == 2
+    (namedb_trio_dir / "Fancy.java").write_text(
+        "class Fancy { public <T> T pick(T a, T b) { return a; } }")
+    assert run_cli(namedb_trio_dir, "--out", out, "--strict") == 1
+    assert {p.name: digest(p) for p in out.iterdir()} == before
+
+
+def test_readme_lists_the_bundle_files():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    listed = re.findall(r"^\| `([^`]+)`", readme, re.MULTILINE)
+    assert tuple(listed) == BUNDLE_FILES
+
+
+def test_bundle_name_held_by_a_directory_exits_3(namedb_trio_dir, tmp_path,
+                                                 capsys):
+    out = tmp_path / "report"
+    (out / "weyuker.json").mkdir(parents=True)
+    assert run_cli(namedb_trio_dir, "--out", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: output directory not writable:")
+    assert "weyuker.json" in err and (out / "weyuker.json").is_dir()

@@ -14,7 +14,7 @@ from classmetrics.report import (build_bundle, correlations, emit_chart,
                                  emit_model_xml, emit_sheet, format_fixed2,
                                  format_rational, pearson)
 
-from conftest import model_from_sources
+from conftest import model_from_sources, parse_source
 
 ANY_CLASS = MetricConfig(moa_policy="any-class")
 
@@ -223,6 +223,19 @@ def test_xml_attributes_sorted(dlib_model):
             assert names == sorted(names), line
 
 
+def test_xml_escapes_hostile_file_path():
+    # The exact bytes ElementTree writes today; a hand-written model.xml
+    # writer has to reproduce them.
+    path = 'd/a&b"<c>\t\n\r\udcff\u00e9.java'
+    model = build_model([parse_source("class A { int x; }", path)])
+    assert emit_model_xml(model) == (
+        b"<?xml version='1.0' encoding='utf-8'?>\n<model>\n"
+        b'  <class file="d/a&amp;b&quot;&lt;c&gt;&#09;&#10;&#13;&#56575;'
+        b'\xc3\xa9.java" kind="class" name="A">\n'
+        b'    <field name="x" static="false" type="int" />\n'
+        b"  </class>\n</model>\n")
+
+
 # ---------------------------------------------------------------------------
 # chart
 
@@ -283,21 +296,21 @@ def test_all_emitters_byte_deterministic(dlib_model):
     rows = compute_rows(dlib_model, ANY_CLASS)
     first = build_bundle(dlib_model, rows, ANY_CLASS)
     second = build_bundle(dlib_model, rows, ANY_CLASS)
-    assert first.model_xml == second.model_xml
-    assert first.sheet_csv == second.sheet_csv
-    assert first.sheet_json == second.sheet_json
-    assert first.chart_svg == second.chart_svg
+    assert sorted(first.files) == ["chart.svg", "metrics.csv",
+                                   "metrics.json", "model.xml"]
+    for name, data in first.files.items():
+        assert data == second.files[name], name
 
 
 def test_bundle_renders_only_requested_formats(dlib_model):
     rows = compute_rows(dlib_model, ANY_CLASS)
     full = build_bundle(dlib_model, rows, ANY_CLASS)
     for fmt in ("csv", "json"):
-        assert getattr(full, f"sheet_{fmt}") == emit_sheet(rows, fmt,
-                                                           ANY_CLASS)
+        assert full.files[f"metrics.{fmt}"] == emit_sheet(
+            rows, fmt, ANY_CLASS).encode()
     csv_only = build_bundle(dlib_model, rows, ANY_CLASS, formats=("csv",))
-    assert csv_only.sheet_csv == full.sheet_csv
-    assert csv_only.sheet_json is None
+    assert csv_only.files["metrics.csv"] == full.files["metrics.csv"]
+    assert "metrics.json" not in csv_only.files
     json_only = build_bundle(dlib_model, rows, ANY_CLASS, formats=("json",))
-    assert json_only.sheet_json == full.sheet_json
-    assert json_only.sheet_csv is None
+    assert json_only.files["metrics.json"] == full.files["metrics.json"]
+    assert "metrics.csv" not in json_only.files

@@ -1,10 +1,15 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import classmetrics
 from classmetrics.metrics import MetricConfig, compute_rows
 from classmetrics.weyuker import (CCC_METRIC, CMC_METRIC, CorpusEntry,
                                   MetricFunction, SyntheticClass,
@@ -127,6 +132,32 @@ def test_rename_rejects_non_injective_mapping():
         rename(make([("a(b)", 1, 0, 0, True)]), {"a": "same", "b": "same"})
     assert str(err.value) == ("mapping is not injective: 'b' and 'a' "
                               "both map to 'same'")
+
+
+CLASH_SCRIPT = """
+from classmetrics.weyuker import SyntheticClass, rename
+p = SyntheticClass(methods=frozenset(
+    (f"f{i}()", 1, 0, 0, True) for i in range(3)))
+try:
+    rename(p, {"f0": "same", "f1": "f1", "f2": "same"})
+except ValueError as exc:
+    print(exc)
+"""
+
+
+def test_rename_clash_message_ignores_hash_seed():
+    # Three signatures sit in a frozenset, whose iteration order follows
+    # string hashing; the message must not.
+    src = str(Path(classmetrics.__file__).resolve().parents[1])
+    messages = set()
+    for seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", CLASH_SCRIPT],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        messages.add(result.stdout)
+    assert messages == {"mapping is not injective: 'f0' and 'f2' "
+                        "both map to 'same'\n"}
 
 
 def test_rename_requires_full_coverage():
