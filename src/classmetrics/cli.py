@@ -6,7 +6,8 @@ summary plus the CCC/WMC, CCC/CMC and CCC/CC correlations.
 
 The bundle is the files named in BUNDLE_FILES. A run writes the ones it
 produced, removes the others from --out, and touches no other file
-there. It writes them only after every other step has succeeded (see
+there. It writes them only after every other step has succeeded, first
+into a staging directory in --out and then moved into place (see
 "Report bundle" in RULES.md).
 
 Exit codes: 0 success (warnings allowed in tolerant mode), 1 parse/model
@@ -19,7 +20,9 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -172,6 +175,29 @@ def _read_source(path: Path, digest) -> str:
     return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _write_bundle(out_dir: Path, files: dict[str, bytes]) -> None:
+    """Write `files` into a staging directory inside `out_dir`, check that
+    no bundle name there is held by a directory or other non-file, then
+    move each file into place and remove the bundle names not in `files`.
+    An OSError before the first move leaves `out_dir` as it was; the
+    staging directory is removed in every case."""
+    stage = Path(tempfile.mkdtemp(prefix=".bundle-", dir=out_dir))
+    try:
+        for name, data in files.items():
+            (stage / name).write_bytes(data)
+        for name in BUNDLE_FILES:
+            target = out_dir / name
+            if target.exists() and not target.is_file():
+                raise OSError(f"bundle name held by a non-file: {target}")
+        for name in BUNDLE_FILES:
+            if name in files:
+                os.replace(stage / name, out_dir / name)
+            else:
+                (out_dir / name).unlink(missing_ok=True)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+
+
 def _print_summary(cells, corr) -> None:
     table = [SHEET_COLUMNS] + [[str(cell) for cell in line] for line in cells]
     widths = [max(len(line[i]) for line in table)
@@ -281,11 +307,7 @@ def main(argv: list[str] | None = None) -> int:
         print(weyuker_text)
 
     try:
-        for name in BUNDLE_FILES:
-            if name in bundle.files:
-                (out_dir / name).write_bytes(bundle.files[name])
-            else:
-                (out_dir / name).unlink(missing_ok=True)
+        _write_bundle(out_dir, bundle.files)
     except OSError as exc:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return 3

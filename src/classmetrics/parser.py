@@ -6,11 +6,17 @@ constructors. Method bodies are captured as balanced token slices and
 scanned for structural facts (decision points, returns, call sites).
 Generics, annotations, enums, lambdas and initializer blocks are
 tokenized but reduced to skip-with-warning so mixed codebases still parse.
+
+The parser reads the `kinds` and `texts` lists of a lexer `Tokens`. It
+asks the `Tokens` for a line and column only to report a warning or a
+brace error, so a file that parses cleanly never builds its position
+table. A plain list of `Token`s is converted to a `Tokens` once.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .lexer import PRIMITIVE_TYPES, Token
+from .lexer import PRIMITIVE_TYPES, Token, Tokens
 
 MODIFIERS = frozenset(
     ["public", "private", "protected", "static", "final", "abstract",
@@ -94,8 +100,11 @@ class CompilationUnit:
     warnings: list[str] = field(default_factory=list)
 
 
-def parse(tokens: list[Token], file_path: str = "<memory>") -> CompilationUnit:
-    """Parse a token stream into a CompilationUnit (tolerant mode)."""
+def parse(tokens: Sequence[Token],
+          file_path: str = "<memory>") -> CompilationUnit:
+    """Parse a token stream, a Tokens or a list of Tokens, into a
+    CompilationUnit (tolerant mode)."""
+    tokens = Tokens.of(tokens)
     closers = _match_braces(tokens, file_path)
     return _Parser(tokens, file_path, closers).parse_unit()
 
@@ -105,7 +114,8 @@ def parse(tokens: list[Token], file_path: str = "<memory>") -> CompilationUnit:
 # (the text between the outer braces, braces excluded) once; the other
 # functions here are views of its result.
 
-def scan_body(body_tokens: list[Token], own_method_names: set[str]) -> BodyFacts:
+def scan_body(body_tokens: Sequence[Token],
+              own_method_names: set[str]) -> BodyFacts:
     """Collect every BodyFacts field in one pass over the body.
 
     Decision points: if/for/while/do, case labels (not default), catch
@@ -118,13 +128,16 @@ def scan_body(body_tokens: list[Token], own_method_names: set[str]) -> BodyFacts
 
     Statements: semicolons plus statement keywords.
     """
+    body = Tokens.of(body_tokens)
+    kinds, texts = body.kinds, body.texts
     new_types: list[str] = []
     decisions = short_circuits = statements = 0
     value_returns = bare_returns = external = internal = 0
     depth = 0
     do_stack: list[int] = []  # brace depth of each pending `do`
-    n = len(body_tokens)
-    for i, (kind, text, _, _) in enumerate(body_tokens):
+    n = len(texts)
+    for i, kind in enumerate(kinds):
+        text = texts[i]
         if kind == "punctuation":
             if text == ";":
                 statements += 1
@@ -135,14 +148,14 @@ def scan_body(body_tokens: list[Token], own_method_names: set[str]) -> BodyFacts
             continue
         if kind == "operator":
             if text == "?":
-                decisions += _is_ternary(body_tokens, i)
+                decisions += _is_ternary(texts, i)
             elif text == "&&" or text == "||":
                 short_circuits += 1
             continue
-        next_text = body_tokens[i + 1].text if i + 1 < n else ""
+        next_text = texts[i + 1] if i + 1 < n else ""
         if kind == "identifier":
             if next_text == "(":
-                is_internal = _call_is_internal(body_tokens, i,
+                is_internal = _call_is_internal(kinds, texts, i,
                                                 own_method_names)
                 if is_internal:
                     internal += 1
@@ -159,7 +172,7 @@ def scan_body(body_tokens: list[Token], own_method_names: set[str]) -> BodyFacts
             do_stack.append(depth)
             decisions += 1
         elif text == "while":
-            prev = body_tokens[i - 1].text if i else ""
+            prev = texts[i - 1] if i else ""
             if do_stack and do_stack[-1] == depth and prev in ("}", ";"):
                 do_stack.pop()  # tail of a do-while, already counted
             else:
@@ -170,7 +183,7 @@ def scan_body(body_tokens: list[Token], own_method_names: set[str]) -> BodyFacts
             else:
                 bare_returns += 1
         elif text == "new":
-            name = _new_type_name(body_tokens, i + 1)
+            name = _new_type_name(kinds, texts, i + 1)
             if name:
                 new_types.append(name)
         elif next_text == "(":
@@ -190,7 +203,7 @@ def scan_body(body_tokens: list[Token], own_method_names: set[str]) -> BodyFacts
     )
 
 
-def count_decision_points(body_tokens: list[Token],
+def count_decision_points(body_tokens: Sequence[Token],
                           count_short_circuit: bool = False) -> int:
     """Decision points of one body; `&&`/`||` only when asked."""
     facts = scan_body(body_tokens, set())
@@ -198,14 +211,14 @@ def count_decision_points(body_tokens: list[Token],
         facts.short_circuit_count if count_short_circuit else 0)
 
 
-def classify_calls(body_tokens: list[Token],
+def classify_calls(body_tokens: Sequence[Token],
                    own_method_names: set[str]) -> tuple[int, int]:
     """Classify every call site as (external, internal)."""
     facts = scan_body(body_tokens, own_method_names)
     return facts.external_call_count, facts.internal_call_count
 
 
-def count_returns(body_tokens: list[Token]) -> tuple[int, int]:
+def count_returns(body_tokens: Sequence[Token]) -> tuple[int, int]:
     """Return (value_returns, bare_returns) for one body slice."""
     facts = scan_body(body_tokens, set())
     return facts.value_return_count, facts.bare_return_count
@@ -213,37 +226,37 @@ def count_returns(body_tokens: list[Token]) -> tuple[int, int]:
 
 # The two views below have no caller in the package; they stay because
 # bench/tracing.py wraps every body view by name.
-def count_short_circuit_ops(body_tokens: list[Token]) -> int:
+def count_short_circuit_ops(body_tokens: Sequence[Token]) -> int:
     return scan_body(body_tokens, set()).short_circuit_count
 
 
-def collect_new_types(body_tokens: list[Token]) -> list[str]:
+def collect_new_types(body_tokens: Sequence[Token]) -> list[str]:
     return scan_body(body_tokens, set()).new_expression_type_names
 
 
-def _call_is_internal(tokens: list[Token], i: int,
+def _call_is_internal(kinds: list[str], texts: list[str], i: int,
                       own_method_names: set[str]) -> bool | None:
     """Whether the call of the identifier at i is internal; None for an
     object creation."""
-    chain_head = _chain_head(tokens, i)
-    before = tokens[chain_head - 1].text if chain_head else ""
+    chain_head = _chain_head(kinds, texts, i)
+    before = texts[chain_head - 1] if chain_head else ""
     if before == "new":
         return None
     if chain_head == i and before != ".":
-        return tokens[i].text in own_method_names
+        return texts[i] in own_method_names
     # `this.f()` is internal; any other receiver (named chain or
     # expression result) is external.
-    return chain_head == i - 2 and tokens[chain_head].text == "this"
+    return chain_head == i - 2 and texts[chain_head] == "this"
 
 
-def _new_type_name(tokens: list[Token], j: int) -> str:
+def _new_type_name(kinds: list[str], texts: list[str], j: int) -> str:
     """Dotted type name of the `new` expression whose type starts at j."""
     parts = []
-    n = len(tokens)
-    while j < n and (tokens[j].kind == "identifier"
-                     or tokens[j].text in PRIMITIVE_TYPES):
-        parts.append(tokens[j].text)
-        if j + 1 < n and tokens[j + 1].text == ".":
+    n = len(texts)
+    while j < n and (kinds[j] == "identifier"
+                     or texts[j] in PRIMITIVE_TYPES):
+        parts.append(texts[j])
+        if j + 1 < n and texts[j + 1] == ".":
             parts.append(".")
             j += 2
         else:
@@ -251,10 +264,10 @@ def _new_type_name(tokens: list[Token], j: int) -> str:
     return "".join(parts)
 
 
-def _is_ternary(tokens: list[Token], i: int) -> bool:
+def _is_ternary(texts: list[str], i: int) -> bool:
     # Filter out generic wildcards: <?>, <? extends X>, Map<String,?>.
-    prev = tokens[i - 1].text if i else ""
-    nxt = tokens[i + 1].text if i + 1 < len(tokens) else ""
+    prev = texts[i - 1] if i else ""
+    nxt = texts[i + 1] if i + 1 < len(texts) else ""
     if prev in ("<", ","):
         return False
     if nxt in ("extends", "super", ">", ">>", ","):
@@ -262,29 +275,29 @@ def _is_ternary(tokens: list[Token], i: int) -> bool:
     return True
 
 
-def _chain_head(tokens: list[Token], i: int) -> int:
+def _chain_head(kinds: list[str], texts: list[str], i: int) -> int:
     """Index of the first token of the dotted name chain ending at i."""
     j = i
-    while j >= 2 and tokens[j - 1].text == ".":
-        prev = tokens[j - 2]
-        if prev.kind == "identifier" or (prev.kind == "keyword"
-                                         and prev.text in ("this", "super")):
+    while j >= 2 and texts[j - 1] == ".":
+        kind, text = kinds[j - 2], texts[j - 2]
+        if kind == "identifier" or (kind == "keyword"
+                                    and text in ("this", "super")):
             j -= 2
         else:
             break
     return j
 
 
-def _match_braces(tokens: list[Token], file_path: str) -> dict[int, int]:
+def _match_braces(tokens: Tokens, file_path: str) -> dict[int, int]:
     """Index of the matching '}' for the index of each '{'."""
     closers = {}
     stack = []
-    for i, tok in enumerate(tokens):
-        text = tok.text
+    for i, text in enumerate(tokens.texts):
         if text == "{":
             stack.append(i)
         elif text == "}":
             if not stack:
+                tok = tokens[i]
                 raise ParseError(f"unmatched '}}' in {file_path}",
                                  tok.line, tok.column)
             closers[stack.pop()] = i
@@ -298,9 +311,12 @@ def _match_braces(tokens: list[Token], file_path: str) -> dict[int, int]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], file_path: str,
+    def __init__(self, tokens: Tokens, file_path: str,
                  closers: dict[int, int]):
         self.tokens = tokens
+        self.kinds = tokens.kinds
+        self.texts = tokens.texts
+        self.n = len(tokens.texts)
         self.closers = closers  # '{' index -> matching '}' index
         self.pos = 0
         self.depth = 0  # class bodies entered and not yet left
@@ -308,42 +324,47 @@ class _Parser:
 
     # -- token helpers ------------------------------------------------
 
-    def cur(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def cur(self) -> str | None:
+        """Text of the current token; None at the end."""
+        return self.texts[self.pos] if self.pos < self.n else None
 
-    def peek(self, off: int = 0) -> Token | None:
+    def kind(self, off: int = 0) -> str | None:
+        """Kind of the token `off` places ahead; None past the end."""
         p = self.pos + off
-        return self.tokens[p] if 0 <= p < len(self.tokens) else None
+        return self.kinds[p] if p < self.n else None
 
-    def advance(self) -> Token | None:
-        tok = self.cur()
-        if tok is not None:
+    def peek(self, off: int) -> str | None:
+        """Text of the token `off` places ahead; None past the end."""
+        p = self.pos + off
+        return self.texts[p] if p < self.n else None
+
+    def advance(self) -> str | None:
+        text = self.cur()
+        if text is not None:
             self.pos += 1
-        return tok
+        return text
 
     def at(self, text: str) -> bool:
-        tok = self.cur()
-        return tok is not None and tok.text == text
+        return self.pos < self.n and self.texts[self.pos] == text
 
     def warn(self, message: str) -> None:
-        tok = self.cur()
-        where = f" at line {tok.line}" if tok else ""
+        where = (f" at line {self.tokens[self.pos].line}"
+                 if self.pos < self.n else "")
         self.unit.warnings.append(f"{self.unit.file_path}: {message}{where}")
 
     # -- top level ----------------------------------------------------
 
     def parse_unit(self) -> CompilationUnit:
-        while self.cur() is not None:
-            tok = self.cur()
-            if tok.text == "package":
+        while (text := self.cur()) is not None:
+            if text == "package":
                 self.advance()
                 self.unit.package_name = self._read_until_semi()
-            elif tok.text == "import":
+            elif text == "import":
                 self.advance()
                 self.unit.imports.append(self._read_until_semi())
-            elif tok.text == "@":
+            elif text == "@":
                 self._skip_annotation()
-            elif tok.text == ";":
+            elif text == ";":
                 self.advance()
             else:
                 before = self.pos
@@ -357,7 +378,7 @@ class _Parser:
     def _read_until_semi(self) -> str:
         parts = []
         while self.cur() is not None and not self.at(";"):
-            parts.append(self.advance().text)
+            parts.append(self.advance())
         if self.at(";"):
             self.advance()
         out = []
@@ -369,16 +390,16 @@ class _Parser:
 
     def _parse_type_decl_or_skip(self) -> ClassDecl | None:
         mods = self._collect_modifiers()
-        tok = self.cur()
-        if tok is None:
+        text = self.cur()
+        if text is None:
             return None
-        if tok.text in ("class", "interface"):
+        if text in ("class", "interface"):
             return self._parse_type_decl(mods)
-        if tok.text == "enum":
+        if text == "enum":
             self.warn("enum declaration skipped")
             self._skip_declaration()
             return None
-        self.warn(f"unsupported top-level construct '{tok.text}' skipped")
+        self.warn(f"unsupported top-level construct '{text}' skipped")
         self._skip_declaration()
         return None
 
@@ -388,8 +409,8 @@ class _Parser:
             if self.at("@"):
                 self._skip_annotation()
                 continue
-            if self.cur().text in MODIFIERS:
-                mods.append(self.advance().text)
+            if self.cur() in MODIFIERS:
+                mods.append(self.advance())
                 continue
             break
         return mods
@@ -397,7 +418,7 @@ class _Parser:
     def _skip_annotation(self) -> None:
         self.warn("annotation skipped")
         self.advance()  # '@'
-        if self.cur() is not None and self.cur().kind in ("identifier", "keyword"):
+        if self.kind() in ("identifier", "keyword"):
             self.advance()
             while self.at(".") and self.peek(1) is not None:
                 self.advance()
@@ -408,15 +429,14 @@ class _Parser:
     def _skip_declaration(self) -> None:
         """Skip to the end of a declaration: past a balanced brace block or
         the next top-level semicolon, whichever comes first."""
-        while self.cur() is not None:
-            tok = self.cur()
-            if tok.text == ";":
+        while (text := self.cur()) is not None:
+            if text == ";":
                 self.advance()
                 return
-            if tok.text == "{":
+            if text == "{":
                 self._skip_braces()
                 return
-            if tok.text == "}":
+            if text == "}":
                 return  # let the enclosing body loop consume it
             self.advance()
 
@@ -428,7 +448,7 @@ class _Parser:
         """Skip the balanced parentheses starting at the current '('."""
         depth = 0
         while self.cur() is not None:
-            text = self.advance().text
+            text = self.advance()
             if text == "(":
                 depth += 1
             elif text == ")":
@@ -439,14 +459,13 @@ class _Parser:
     # -- declarations ---------------------------------------------------
 
     def _parse_type_decl(self, mods: list[str]) -> ClassDecl | None:
-        kind = self.advance().text  # 'class' | 'interface'
-        name_tok = self.cur()
-        if name_tok is None or name_tok.kind != "identifier":
+        kind = self.advance()  # 'class' | 'interface'
+        if self.kind() != "identifier":
             self.warn(f"malformed {kind} header skipped")
             self._skip_declaration()
             return None
         decl = ClassDecl(
-            name=name_tok.text,
+            name=self.cur(),
             kind=kind,
             visibility=next((m for m in mods
                              if m in ("public", "private", "protected")), ""),
@@ -483,8 +502,8 @@ class _Parser:
 
     def _read_name_list(self, stop: set[str]) -> list[str]:
         names = []
-        while self.cur() is not None and self.cur().text not in stop:
-            if self.cur().kind == "identifier":
+        while self.cur() is not None and self.cur() not in stop:
+            if self.kind() == "identifier":
                 name = self._read_dotted_name()
                 if self.at("<"):
                     self._try_skip_angles()
@@ -496,15 +515,14 @@ class _Parser:
         return names
 
     def _read_dotted_name(self) -> str:
-        parts = [self.advance().text]
-        while self.at(".") and self.peek(1) is not None \
-                and self.peek(1).kind == "identifier":
+        parts = [self.advance()]
+        while self.at(".") and self.kind(1) == "identifier":
             self.advance()
-            parts.append(self.advance().text)
+            parts.append(self.advance())
         return ".".join(parts)
 
     def _parse_class_body(self, decl: ClassDecl) -> None:
-        pending_bodies: list[tuple[MethodDecl, list[Token]]] = []
+        pending_bodies: list[tuple[MethodDecl, Tokens]] = []
         while self.cur() is not None and not self.at("}"):
             self._parse_member(decl, pending_bodies)
         if self.at("}"):
@@ -516,16 +534,16 @@ class _Parser:
             method.body = scan_body(body, own_names)
 
     def _parse_member(self, decl: ClassDecl,
-                      pending: list[tuple[MethodDecl, list[Token]]]) -> None:
+                      pending: list[tuple[MethodDecl, Tokens]]) -> None:
         if self.at(";"):
             self.advance()
             return
         mods = self._collect_modifiers()
-        tok = self.cur()
-        if tok is None:
+        text = self.cur()
+        if text is None:
             return
 
-        if tok.text in ("class", "interface"):
+        if text in ("class", "interface"):
             if self.depth >= MAX_CLASS_NESTING:
                 self.warn(f"class nested deeper than {MAX_CLASS_NESTING}"
                           " levels skipped")
@@ -535,19 +553,19 @@ class _Parser:
             if nested is not None:
                 decl.nested.append(nested)
             return
-        if tok.text == "enum":
+        if text == "enum":
             self.warn("enum declaration skipped")
             self._skip_declaration()
             return
-        if tok.text == "{":
+        if text == "{":
             self.warn("initializer block skipped")
             self._skip_braces()
             return
-        if tok.text == "<":
+        if text == "<":
             self.warn("generic method skipped")
             self._skip_declaration()
             return
-        if tok.text == "}":
+        if text == "}":
             return
 
         type_info = self._read_type()
@@ -566,13 +584,11 @@ class _Parser:
             self._finish_method(decl, method, mods, pending)
             return
 
-        name_tok = self.cur()
-        if name_tok is None or name_tok.kind != "identifier":
+        if self.kind() != "identifier":
             self.warn(f"malformed member in {decl.name} skipped")
             self._skip_declaration()
             return
-        name = name_tok.text
-        self.advance()
+        name = self.advance()
 
         if self.at("("):
             method = MethodDecl(name=name, return_type_name=type_name)
@@ -582,7 +598,7 @@ class _Parser:
 
     def _finish_method(self, decl: ClassDecl, method: MethodDecl,
                        mods: list[str],
-                       pending: list[tuple[MethodDecl, list[Token]]]) -> None:
+                       pending: list[tuple[MethodDecl, Tokens]]) -> None:
         method.parameter_type_names = self._read_parameters()
         if self.at("throws"):
             self.advance()
@@ -620,15 +636,12 @@ class _Parser:
                     self.advance()
                 continue
             type_name, rank = type_info
-            if (self.at(".") and self.peek(1) is not None
-                    and self.peek(1).text == "."
-                    and self.peek(2) is not None
-                    and self.peek(2).text == "."):
+            if self.at(".") and self.peek(1) == "." and self.peek(2) == ".":
                 rank += 1  # varargs behave like one array dimension
                 self.advance()
                 self.advance()
                 self.advance()
-            if self.cur() is not None and self.cur().kind == "identifier":
+            if self.kind() == "identifier":
                 self.advance()  # parameter name
             while self.at("["):
                 self.advance()
@@ -640,7 +653,7 @@ class _Parser:
             self.advance()
         return types
 
-    def _capture_body(self) -> list[Token]:
+    def _capture_body(self) -> Tokens:
         """Capture the tokens between the braces of a method body."""
         start = self.pos + 1
         self._skip_braces()
@@ -672,13 +685,11 @@ class _Parser:
                 self._skip_initializer()
             if self.at(","):
                 self.advance()
-                tok = self.cur()
-                if tok is None or tok.kind != "identifier":
+                if self.kind() != "identifier":
                     self.warn(f"malformed field declarator in {decl.name}")
                     self._skip_declaration()
                     return
-                name = tok.text
-                self.advance()
+                name = self.advance()
                 continue
             if self.at(";"):
                 self.advance()
@@ -692,8 +703,7 @@ class _Parser:
         A brace block (array initializer, anonymous class body) is one
         jump."""
         depth = 0
-        while self.cur() is not None:
-            text = self.cur().text
+        while (text := self.cur()) is not None:
             if text == "{":
                 self._skip_braces()
                 continue
@@ -710,15 +720,13 @@ class _Parser:
     def _read_type(self) -> tuple[str, int] | None:
         """Read a type: primitive or dotted name, optional generic args
         (dropped), optional [] pairs. Returns (base_name, array_rank)."""
-        tok = self.cur()
-        if tok is None:
-            return None
-        if tok.kind == "keyword":
-            if tok.text in PRIMITIVE_TYPES or tok.text == "void":
-                name = self.advance().text
+        kind = self.kind()
+        if kind == "keyword":
+            if self.cur() in PRIMITIVE_TYPES or self.cur() == "void":
+                name = self.advance()
             else:
                 return None
-        elif tok.kind == "identifier":
+        elif kind == "identifier":
             name = self._read_dotted_name()
         else:
             return None
@@ -727,7 +735,7 @@ class _Parser:
             if not self._try_skip_angles():
                 return None
         rank = 0
-        while self.at("[") and self.peek(1) is not None and self.peek(1).text == "]":
+        while self.at("[") and self.peek(1) == "]":
             self.advance()
             self.advance()
             rank += 1
@@ -738,8 +746,7 @@ class _Parser:
         brackets do not balance before a structural token."""
         save = self.pos
         depth = 0
-        while self.cur() is not None:
-            text = self.cur().text
+        while (text := self.cur()) is not None:
             if text == "<":
                 depth += 1
             elif text == ">":

@@ -31,6 +31,13 @@ def dlib_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
+def fixture_paths(dlib_dir) -> list[Path]:
+    """Every bundled dlib file, then every tolerant-parse fixture."""
+    return (sorted(dlib_dir.glob("*.java"))
+            + sorted((FIXTURES / "tolerant").glob("*.java")))
+
+
+@pytest.fixture(scope="session")
 def dlib_units(dlib_dir):
     return [parse_file(p) for p in sorted(dlib_dir.glob("*.java"))]
 

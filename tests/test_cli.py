@@ -374,11 +374,46 @@ def test_readme_lists_the_bundle_files():
     assert tuple(listed) == BUNDLE_FILES
 
 
+def bundle_digests(out):
+    return {p.name: digest(p) for p in out.iterdir() if p.is_file()}
+
+
 def test_bundle_name_held_by_a_directory_exits_3(namedb_trio_dir, tmp_path,
                                                  capsys):
     out = tmp_path / "report"
-    (out / "weyuker.json").mkdir(parents=True)
-    assert run_cli(namedb_trio_dir, "--out", out) == 3
+    assert run_cli(namedb_trio_dir, "--out", out) == 0
+    before = bundle_digests(out)
+    (out / "weyuker.json").mkdir()
+    capsys.readouterr()
+    assert run_cli(namedb_trio_dir, "--out", out, "--format", "csv",
+                   "--moa-policy", "any-class", "--weyuker") == 3
     err = capsys.readouterr().err
     assert err.startswith("error: output directory not writable:")
     assert "weyuker.json" in err and (out / "weyuker.json").is_dir()
+    # Nothing was moved into place, and nothing staged is left behind.
+    assert bundle_digests(out) == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [*before, "weyuker.json"])
+
+
+def test_failed_staging_leaves_previous_bundle_intact(
+        namedb_trio_dir, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "report"
+    assert run_cli(namedb_trio_dir, "--out", out) == 0
+    before = bundle_digests(out)
+    write_bytes = Path.write_bytes
+    written = []
+
+    def fail_on_second_write(path, data):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError(28, "No space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", fail_on_second_write)
+    assert run_cli(namedb_trio_dir, "--out", out, "--moa-policy",
+                   "any-class") == 3
+    assert "No space left on device" in capsys.readouterr().err
+    assert all(p.parent != out for p in written)
+    assert bundle_digests(out) == before
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)

@@ -203,3 +203,78 @@ def test_positions_match_source_lines_property(source):
         assert_positions_match_lines(source)
     except LexError:
         pass  # unterminated literal/comment; no positions to check
+
+
+# The flat path (one findall call plus a kind per distinct text) against
+# the positioned pass that scan() runs: same kinds, texts, positions and
+# LexErrors.
+
+def assert_flat_path_matches_positioned(source):
+    try:
+        expected = scan(source)[0]
+    except LexError as err:
+        with pytest.raises(LexError) as got:
+            tokenize(source)
+        assert (str(got.value), got.value.line, got.value.column) == (
+            str(err), err.line, err.column)
+        return
+    tokens = tokenize(source)
+    assert tokens.kinds == [t.kind for t in expected]
+    assert tokens.texts == [t.text for t in expected]
+    assert list(tokens) == expected
+
+
+def test_flat_path_matches_positioned_on_fixtures(fixture_paths):
+    for path in fixture_paths:
+        assert_flat_path_matches_positioned(path.read_text(encoding="utf-8"))
+
+
+# Fragments that open and close comments, literals and text blocks.
+_JAVA_PIECES = st.sampled_from([
+    "/*", "*/", "//", "/", "*", '"', "'", '"""', '"""\n', "\\", "\n", "\r",
+    " ", "\t", ".", "1", "0x", "e", "L", "f", "x", "class", "if", "{", "}",
+    "(", ")", ";", "?", "&&", ">>", "²", "é"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SOURCE_PIECES, max_size=120).map("".join))
+def test_flat_path_matches_positioned_property(source):
+    assert_flat_path_matches_positioned(source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_JAVA_PIECES, max_size=60).map("".join))
+def test_flat_path_matches_positioned_on_java_fragments(source):
+    assert_flat_path_matches_positioned(source)
+
+
+def test_error_text_raises_whatever_the_kind_cache_holds():
+    for source in ("int a; /* never closed", "int b;\n  /* never closed"):
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert str(err.value).startswith("unterminated block comment")
+    assert err.value.line == 2 and err.value.column == 3
+
+
+def test_kind_cache_stays_bounded(monkeypatch):
+    from classmetrics import lexer
+    monkeypatch.setattr(lexer, "_KIND_CACHE_SIZE", 8)
+    source = " ".join(f'x{i} "s{i}" {i}' for i in range(50))
+    assert_flat_path_matches_positioned(source)
+    assert len(lexer._KIND_OF) <= 8
+
+
+def test_tokens_sequence_view():
+    tokens = tokenize("class A {\n  int f() { return 1; }\n}")
+    assert not tokens.has_positions
+    assert len(tokens) == 13 and tokens.texts[3] == "int"
+    body = tokens[9:11]
+    assert (body.kinds, body.texts) == (["integer-literal", "punctuation"],
+                                        ["1", ";"])
+    assert not tokens.has_positions
+    assert body[-1] == ("punctuation", ";", 2, 21)
+    assert tokens.has_positions and body.has_positions
+    assert tokens[::4] == [tokens[0], tokens[4], tokens[8], tokens[12]]
+    assert list(tokens) == scan("class A {\n  int f() { return 1; }\n}")[0]
+    with pytest.raises(IndexError):
+        tokens[13]
