@@ -251,7 +251,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             source = _read_source(path, digest)
             unit = parse(tokenize(source), path.as_posix())
-        except (LexError, ParseError, UnicodeDecodeError) as exc:
+        except (LexError, ParseError, UnicodeDecodeError, OSError) as exc:
             message = f"{path.as_posix()}: {exc}"
             if strict:
                 print(f"error: {message}", file=sys.stderr)

@@ -11,13 +11,13 @@ their own. Two patterns are built from it:
   single `findall` call yields the token texts with no Python code per
   match. `tokenize` maps each text to its kind through a cache that
   holds each distinct text once, and returns a `Tokens`: two flat lists,
-  `kinds` and `texts`.
+  `kinds` and `texts`, and the source.
 - `_MASTER` names each alternative and is run with `finditer`, as in
   the "Writing a Tokenizer" recipe of the `re` documentation, to give
-  every token its line and column. That positioned pass runs only when
-  something asks for a position (a diagnostic, indexing a `Tokens`,
-  `scan`) and when the source holds an error group, whose `LexError` it
-  raises at the right place.
+  every token its line and column. That positioned pass runs only for
+  `Tokens.positioned()` (which the parser calls to report a warning or
+  a brace error), for `scan`, and when the source holds an error group,
+  whose `LexError` it raises at the right place.
 
 `scan` rebuilds the skipped trivia (whitespace and comment runs) from
 the gaps between tokens so that the original file can be rebuilt byte
@@ -27,8 +27,6 @@ disambiguation is the parser's job.
 
 import re
 from bisect import bisect_right
-from collections.abc import Sequence
-from functools import cache, partial
 from typing import NamedTuple
 
 # Reserved words (JLS set plus assert/enum); true/false/null are reserved
@@ -178,62 +176,23 @@ class _KindOf(dict):
 _KIND_OF = _KindOf()
 
 
-class Tokens(Sequence):
-    """The tokens of one source as two flat lists, `kinds` and `texts`.
+class Tokens:
+    """The tokens of one source as two flat lists, `kinds` and `texts`,
+    and the source they came from."""
 
-    Indexing and iteration give positioned `Token`s. Their lines and
-    columns come from the positioned pass over the whole source, which
-    runs on the first such access and is then kept, shared with every
-    slice. A slice is a `Tokens` over the same source."""
+    __slots__ = ("kinds", "texts", "source")
 
-    __slots__ = ("kinds", "texts", "_whole", "_start")
-
-    def __init__(self, kinds: list[str], texts: list[str], whole,
-                 start: int = 0):
+    def __init__(self, kinds: list[str], texts: list[str], source: str):
         self.kinds = kinds
         self.texts = texts
-        self._whole = whole  # memoised () -> list[Token] of the source
-        self._start = start  # index of kinds[0] in that list
-
-    @classmethod
-    def of(cls, tokens) -> "Tokens":
-        """`tokens` itself if it is a Tokens, else a Tokens over a
-        sequence of positioned `Token`s."""
-        if isinstance(tokens, Tokens):
-            return tokens
-        tokens = list(tokens)
-        return cls([t.kind for t in tokens], [t.text for t in tokens],
-                   cache(lambda: tokens))
-
-    @property
-    def has_positions(self) -> bool:
-        """Whether the positioned pass has run for this source."""
-        return self._whole.cache_info().currsize > 0
+        self.source = source
 
     def __len__(self) -> int:
         return len(self.texts)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            start, _, step = index.indices(len(self.texts))
-            if step != 1:
-                return Tokens.of(list(self)[index])
-            return Tokens(self.kinds[index], self.texts[index], self._whole,
-                          self._start + start)
-        if index < 0:
-            index += len(self.texts)
-        if not 0 <= index < len(self.texts):
-            raise IndexError("token index out of range")
-        return self._whole()[self._start + index]
-
-    def __iter__(self):
-        start = self._start
-        return iter(self._whole()[start:start + len(self.texts)])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
+    def positioned(self) -> list[Token]:
+        """The tokens with their lines and columns (the positioned pass)."""
+        return _positioned(self.source)
 
 
 def tokenize(source: str) -> Tokens:
@@ -248,7 +207,7 @@ def tokenize(source: str) -> Tokens:
     except KeyError:
         _positioned(source)
         raise AssertionError("positioned pass found no lexical error")
-    return Tokens(kinds, texts, cache(partial(_positioned, source)))
+    return Tokens(kinds, texts, source)
 
 
 def _positioned(source: str) -> list[Token]:

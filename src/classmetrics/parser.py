@@ -7,16 +7,15 @@ scanned for structural facts (decision points, returns, call sites).
 Generics, annotations, enums, lambdas and initializer blocks are
 tokenized but reduced to skip-with-warning so mixed codebases still parse.
 
-The parser reads the `kinds` and `texts` lists of a lexer `Tokens`. It
-asks the `Tokens` for a line and column only to report a warning or a
-brace error, so a file that parses cleanly never builds its position
-table. A plain list of `Token`s is converted to a `Tokens` once.
+The parser reads the `kinds` and `texts` lists of a lexer `Tokens`.
+It runs the positioned pass (`Tokens.positioned()`) at most once per
+file, and only to report a warning or a brace error, so a file that
+parses cleanly never builds token positions.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .lexer import PRIMITIVE_TYPES, Token, Tokens
+from .lexer import PRIMITIVE_TYPES, Tokens
 
 MODIFIERS = frozenset(
     ["public", "private", "protected", "static", "final", "abstract",
@@ -100,21 +99,18 @@ class CompilationUnit:
     warnings: list[str] = field(default_factory=list)
 
 
-def parse(tokens: Sequence[Token],
-          file_path: str = "<memory>") -> CompilationUnit:
-    """Parse a token stream, a Tokens or a list of Tokens, into a
-    CompilationUnit (tolerant mode)."""
-    tokens = Tokens.of(tokens)
+def parse(tokens: Tokens, file_path: str = "<memory>") -> CompilationUnit:
+    """Parse one file's tokens into a CompilationUnit (tolerant mode)."""
     closers = _match_braces(tokens, file_path)
     return _Parser(tokens, file_path, closers).parse_unit()
 
 
 # ---------------------------------------------------------------------------
-# Body facts. scan_body walks the balanced token slice of one method body
-# (the text between the outer braces, braces excluded) once; the other
-# functions here are views of its result.
+# Body facts. scan_body walks the kinds and texts of one method body
+# (the tokens between the outer braces, braces excluded) once; the other
+# functions here are views of its result for the body of a Tokens.
 
-def scan_body(body_tokens: Sequence[Token],
+def scan_body(kinds: list[str], texts: list[str],
               own_method_names: set[str]) -> BodyFacts:
     """Collect every BodyFacts field in one pass over the body.
 
@@ -128,8 +124,6 @@ def scan_body(body_tokens: Sequence[Token],
 
     Statements: semicolons plus statement keywords.
     """
-    body = Tokens.of(body_tokens)
-    kinds, texts = body.kinds, body.texts
     new_types: list[str] = []
     decisions = short_circuits = statements = 0
     value_returns = bare_returns = external = internal = 0
@@ -203,35 +197,35 @@ def scan_body(body_tokens: Sequence[Token],
     )
 
 
-def count_decision_points(body_tokens: Sequence[Token],
+def count_decision_points(body: Tokens,
                           count_short_circuit: bool = False) -> int:
     """Decision points of one body; `&&`/`||` only when asked."""
-    facts = scan_body(body_tokens, set())
+    facts = scan_body(body.kinds, body.texts, set())
     return facts.decision_point_count + (
         facts.short_circuit_count if count_short_circuit else 0)
 
 
-def classify_calls(body_tokens: Sequence[Token],
+def classify_calls(body: Tokens,
                    own_method_names: set[str]) -> tuple[int, int]:
     """Classify every call site as (external, internal)."""
-    facts = scan_body(body_tokens, own_method_names)
+    facts = scan_body(body.kinds, body.texts, own_method_names)
     return facts.external_call_count, facts.internal_call_count
 
 
-def count_returns(body_tokens: Sequence[Token]) -> tuple[int, int]:
-    """Return (value_returns, bare_returns) for one body slice."""
-    facts = scan_body(body_tokens, set())
+def count_returns(body: Tokens) -> tuple[int, int]:
+    """Return (value_returns, bare_returns) for one body."""
+    facts = scan_body(body.kinds, body.texts, set())
     return facts.value_return_count, facts.bare_return_count
 
 
 # The two views below have no caller in the package; they stay because
 # bench/tracing.py wraps every body view by name.
-def count_short_circuit_ops(body_tokens: Sequence[Token]) -> int:
-    return scan_body(body_tokens, set()).short_circuit_count
+def count_short_circuit_ops(body: Tokens) -> int:
+    return scan_body(body.kinds, body.texts, set()).short_circuit_count
 
 
-def collect_new_types(body_tokens: Sequence[Token]) -> list[str]:
-    return scan_body(body_tokens, set()).new_expression_type_names
+def collect_new_types(body: Tokens) -> list[str]:
+    return scan_body(body.kinds, body.texts, set()).new_expression_type_names
 
 
 def _call_is_internal(kinds: list[str], texts: list[str], i: int,
@@ -297,12 +291,12 @@ def _match_braces(tokens: Tokens, file_path: str) -> dict[int, int]:
             stack.append(i)
         elif text == "}":
             if not stack:
-                tok = tokens[i]
+                tok = tokens.positioned()[i]
                 raise ParseError(f"unmatched '}}' in {file_path}",
                                  tok.line, tok.column)
             closers[stack.pop()] = i
     if stack:
-        tok = tokens[stack[-1]]
+        tok = tokens.positioned()[stack[-1]]
         raise ParseError(f"unclosed '{{' in {file_path}", tok.line, tok.column)
     return closers
 
@@ -321,6 +315,7 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # class bodies entered and not yet left
         self.unit = CompilationUnit(file_path=file_path)
+        self.lines: list[int] | None = None  # of each token, on first warn
 
     # -- token helpers ------------------------------------------------
 
@@ -348,8 +343,11 @@ class _Parser:
         return self.pos < self.n and self.texts[self.pos] == text
 
     def warn(self, message: str) -> None:
-        where = (f" at line {self.tokens[self.pos].line}"
-                 if self.pos < self.n else "")
+        where = ""
+        if self.pos < self.n:
+            if self.lines is None:
+                self.lines = [t.line for t in self.tokens.positioned()]
+            where = f" at line {self.lines[self.pos]}"
         self.unit.warnings.append(f"{self.unit.file_path}: {message}{where}")
 
     # -- top level ----------------------------------------------------
@@ -522,7 +520,7 @@ class _Parser:
         return ".".join(parts)
 
     def _parse_class_body(self, decl: ClassDecl) -> None:
-        pending_bodies: list[tuple[MethodDecl, Tokens]] = []
+        pending_bodies: list[tuple[MethodDecl, int, int]] = []
         while self.cur() is not None and not self.at("}"):
             self._parse_member(decl, pending_bodies)
         if self.at("}"):
@@ -530,11 +528,12 @@ class _Parser:
         # Bodies are scanned once the full method name set is known, so
         # calls to later-declared methods classify as internal.
         own_names = {m.name for m in decl.methods}
-        for method, body in pending_bodies:
-            method.body = scan_body(body, own_names)
+        for method, start, end in pending_bodies:
+            method.body = scan_body(self.kinds[start:end],
+                                    self.texts[start:end], own_names)
 
     def _parse_member(self, decl: ClassDecl,
-                      pending: list[tuple[MethodDecl, Tokens]]) -> None:
+                      pending: list[tuple[MethodDecl, int, int]]) -> None:
         if self.at(";"):
             self.advance()
             return
@@ -598,7 +597,7 @@ class _Parser:
 
     def _finish_method(self, decl: ClassDecl, method: MethodDecl,
                        mods: list[str],
-                       pending: list[tuple[MethodDecl, Tokens]]) -> None:
+                       pending: list[tuple[MethodDecl, int, int]]) -> None:
         method.parameter_type_names = self._read_parameters()
         if self.at("throws"):
             self.advance()
@@ -606,9 +605,10 @@ class _Parser:
         method.is_abstract = ("abstract" in mods
                               or (decl.kind == "interface" and "default" not in mods))
         if self.at("{"):
-            body = self._capture_body()
+            start = self.pos + 1
+            self._skip_braces()
             method.is_abstract = False
-            pending.append((method, body))
+            pending.append((method, start, self.pos - 1))
         elif self.at(";"):
             self.advance()
         else:
@@ -638,26 +638,14 @@ class _Parser:
             type_name, rank = type_info
             if self.at(".") and self.peek(1) == "." and self.peek(2) == ".":
                 rank += 1  # varargs behave like one array dimension
-                self.advance()
-                self.advance()
-                self.advance()
+                self.pos += 3
             if self.kind() == "identifier":
                 self.advance()  # parameter name
-            while self.at("["):
-                self.advance()
-                if self.at("]"):
-                    self.advance()
-                rank += 1
+            rank += self._read_dims()
             types.append(type_name + "[]" * rank)
         if self.at(")"):
             self.advance()
         return types
-
-    def _capture_body(self) -> Tokens:
-        """Capture the tokens between the braces of a method body."""
-        start = self.pos + 1
-        self._skip_braces()
-        return self.tokens[start:self.pos - 1]
 
     def _finish_fields(self, decl: ClassDecl, mods: list[str],
                        type_name: str, type_rank: int, first_name: str) -> None:
@@ -667,12 +655,7 @@ class _Parser:
         is_static = "static" in mods or decl.kind == "interface"
         name = first_name
         while True:
-            rank = type_rank
-            while self.at("["):
-                self.advance()
-                if self.at("]"):
-                    self.advance()
-                rank += 1
+            rank = type_rank + self._read_dims()
             decl.fields.append(FieldDecl(
                 name=name,
                 declared_type_name=type_name,
@@ -697,6 +680,17 @@ class _Parser:
                 self.warn(f"unterminated field declaration in {decl.name}")
                 self._skip_declaration()
             return
+
+    def _read_dims(self) -> int:
+        """Consume the `[]` pairs after a declarator name and return
+        their number; a `[` without its `]` still counts."""
+        rank = 0
+        while self.at("["):
+            self.advance()
+            if self.at("]"):
+                self.advance()
+            rank += 1
+        return rank
 
     def _skip_initializer(self) -> None:
         """Skip an initializer expression up to a top-level ',' or ';'.
@@ -736,8 +730,7 @@ class _Parser:
                 return None
         rank = 0
         while self.at("[") and self.peek(1) == "]":
-            self.advance()
-            self.advance()
+            self.pos += 2
             rank += 1
         return name, rank
 

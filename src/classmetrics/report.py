@@ -10,7 +10,6 @@ import csv
 import io
 import json
 import statistics
-import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -31,8 +30,7 @@ def format_rational(value: Fraction, significant_digits: int = 14) -> str:
     with localcontext() as ctx:
         ctx.prec = significant_digits
         quotient = Decimal(value.numerator) / Decimal(value.denominator)
-    text = format(quotient.normalize(), "f")
-    return text
+    return format(quotient.normalize(), "f")
 
 
 def format_fixed2(value) -> str:
@@ -118,8 +116,24 @@ def correlations(rows: list[ClassMetricsRow],
 # XML model dump
 
 
+def _escape(text: str) -> str:
+    """Escape `&<>"`, carriage return, line feed and tab as ElementTree
+    does in an attribute value; also safe for character data."""
+    return (text.replace("&", "&amp;").replace("<", "&lt;")
+            .replace(">", "&gt;").replace('"', "&quot;")
+            .replace("\r", "&#13;").replace("\n", "&#10;")
+            .replace("\t", "&#09;"))
+
+
+def _tag(name: str, attrs: dict[str, str], end: str = " />") -> str:
+    """`<name`, its attributes sorted by name, then `end`."""
+    return f"<{name}" + "".join(f' {key}="{_escape(value)}"'
+                                for key, value in sorted(attrs.items())) + end
+
+
 def emit_model_xml(model: ProjectModel) -> bytes:
-    root = ET.Element("model")
+    """Declarations as `class` elements holding `field` and `method`."""
+    lines = []
     for decl in model.ordered_decls():
         attrs = {
             "kind": decl.kind,
@@ -136,7 +150,7 @@ def emit_model_xml(model: ProjectModel) -> bytes:
             attrs["extends"] = ",".join(decl.extended_interface_names)
         if decl.implemented_interface_names:
             attrs["interfaces"] = ",".join(decl.implemented_interface_names)
-        cls_el = ET.SubElement(root, "class", dict(sorted(attrs.items())))
+        members = []
         for f in decl.fields:
             f_attrs = {
                 "name": f.name,
@@ -145,7 +159,7 @@ def emit_model_xml(model: ProjectModel) -> bytes:
             }
             if f.visibility:
                 f_attrs["visibility"] = f.visibility
-            ET.SubElement(cls_el, "field", dict(sorted(f_attrs.items())))
+            members.append("    " + _tag("field", f_attrs))
         for m in decl.methods:
             m_attrs = {
                 "name": m.name,
@@ -171,19 +185,17 @@ def emit_model_xml(model: ProjectModel) -> bytes:
                 if body.new_expression_type_names:
                     m_attrs["new-types"] = ",".join(
                         body.new_expression_type_names)
-            ET.SubElement(cls_el, "method", dict(sorted(m_attrs.items())))
-    tree = ET.ElementTree(root)
-    ET.indent(tree, space="  ")
-    return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
+            members.append("    " + _tag("method", m_attrs))
+        lines.append("  " + _tag("class", attrs, ">" if members else " />"))
+        if members:
+            lines += [*members, "  </class>"]
+    root = ["<model>", *lines, "</model>"] if lines else ["<model />"]
+    return "\n".join(["<?xml version='1.0' encoding='utf-8'?>", *root, ""]
+                     ).encode("utf-8", "xmlcharrefreplace")
 
 
 # ---------------------------------------------------------------------------
 # SVG chart
-
-
-def _escape(text: str) -> str:
-    """Escape &, < and > for XML character data."""
-    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 _SERIES = [("WMC", "#4878a8"), ("CMC", "#e49444"),

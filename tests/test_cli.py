@@ -112,6 +112,32 @@ def test_tolerant_mode_skips_unlexable_file(tmp_path, capsys):
     assert len(lines) == 2 and lines[1].startswith("C,Ok,")
 
 
+def test_unreadable_file_is_skipped_or_fails_strict(tmp_path, capsys,
+                                                    monkeypatch):
+    source_dir = tmp_path / "src"
+    source_dir.mkdir()
+    (source_dir / "B.java").write_text("class B { }")
+    (source_dir / "G.java").write_text("class G { }")
+    read_bytes = Path.read_bytes
+
+    def deny_b(path):
+        if path.name == "B.java":
+            raise PermissionError(13, "Permission denied", str(path))
+        return read_bytes(path)
+
+    monkeypatch.setattr(Path, "read_bytes", deny_b)
+    out = tmp_path / "report"
+    assert run_cli(source_dir, "--out", out) == 0
+    err = capsys.readouterr().err
+    assert "B.java: [Errno 13] Permission denied" in err
+    assert "(file skipped)" in err
+    lines = (out / "metrics.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("C,G,")
+    assert run_cli(source_dir, "--out", tmp_path / "o", "--strict") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Permission denied" in err
+
+
 def test_model_error_exits_1(tmp_path, capsys):
     source_dir = tmp_path / "src"
     source_dir.mkdir()
@@ -212,7 +238,8 @@ def test_input_digest_covers_every_file_read(tmp_path, capsys):
 
 def test_cli_import_skips_network_modules():
     code = ("import sys, classmetrics.cli; print(sorted(m for m in "
-            "('urllib.request', 'http.client', 'email') if m in sys.modules))")
+            "('urllib.request', 'http.client', 'email', "
+            "'xml.etree.ElementTree', 'pyexpat') if m in sys.modules))")
     result = subprocess.run([sys.executable, "-c", code],
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr

@@ -8,11 +8,14 @@ from classmetrics.lexer import LexError, Trivia, reconstruct, scan, tokenize
 
 
 def kinds_and_texts(source):
-    return [(t.kind, t.text) for t in tokenize(source)]
+    tokens = tokenize(source)
+    return list(zip(tokens.kinds, tokens.texts))
 
 
 def test_empty_input():
-    assert tokenize("") == []
+    tokens = tokenize("")
+    assert (len(tokens), tokens.kinds, tokens.texts) == (0, [], [])
+    assert tokens.positioned() == []
 
 
 def test_minimal_class():
@@ -26,8 +29,8 @@ def test_minimal_class():
 
 
 def test_namedb_identifiers(namedb_source):
-    identifiers = {t.text for t in tokenize(namedb_source)
-                   if t.kind == "identifier"}
+    identifiers = {text for kind, text in kinds_and_texts(namedb_source)
+                   if kind == "identifier"}
     assert {"NameDB", "NamedObject", "Hashtable", "FindName",
             "FindNumber", "AddName"} <= identifiers
 
@@ -42,7 +45,7 @@ def test_comments_and_whitespace_are_trivia():
 
 def test_string_and_char_literals():
     source = 'String s = "a\\"b"; char c = \'\\n\';'
-    tokens = tokenize(source)
+    tokens = tokenize(source).positioned()
     strings = [t for t in tokens if t.kind == "string-literal"]
     chars = [t for t in tokens if t.kind == "char-literal"]
     assert strings[0].text == '"a\\"b"'
@@ -50,7 +53,9 @@ def test_string_and_char_literals():
 
 
 def test_numeric_literals():
-    tokens = tokenize("int a = 0x1F; long b = 12L; double d = 1.5e3; float f = .5f;")
+    tokens = tokenize(
+        "int a = 0x1F; long b = 12L; double d = 1.5e3; float f = .5f;"
+    ).positioned()
     kinds = {t.text: t.kind for t in tokens if t.kind.endswith("literal")}
     assert kinds["0x1F"] == "integer-literal"
     assert kinds["12L"] == "integer-literal"
@@ -59,12 +64,12 @@ def test_numeric_literals():
 
 
 def test_operators_longest_match():
-    texts = [t.text for t in tokenize("a >>>= b >>> c >> d && e")]
+    texts = tokenize("a >>>= b >>> c >> d && e").texts
     assert ">>>=" in texts and ">>>" in texts and ">>" in texts and "&&" in texts
 
 
 def test_positions_one_based_and_monotonic():
-    tokens = tokenize("int a;\n  int b;")
+    tokens = tokenize("int a;\n  int b;").positioned()
     assert (tokens[0].line, tokens[0].column) == (1, 1)
     b_decl = tokens[3]
     assert (b_decl.line, b_decl.column) == (2, 3)
@@ -91,7 +96,7 @@ def test_unterminated_string_at_newline():
 
 def test_text_block_is_one_string_literal():
     source = 'String s = """\n  if (x) { f(); }\n  \\"""\n  """;\nint y;'
-    tokens = tokenize(source)
+    tokens = tokenize(source).positioned()
     [block] = [t for t in tokens if t.kind == "string-literal"]
     assert block.text == source[source.index('"""'):source.rindex('"""') + 3]
     assert (block.line, block.column) == (1, 12)
@@ -100,7 +105,7 @@ def test_text_block_is_one_string_literal():
 
 
 def test_three_quotes_without_line_break_are_ordinary_strings():
-    assert [t.text for t in tokenize('s = """ a""";')] == [
+    assert tokenize('s = """ a""";').texts == [
         "s", "=", '""', '" a"', '""', ";"]
 
 
@@ -133,7 +138,7 @@ def assert_positions_match_lines(source):
     # "\r", "\f" and others). A token that spans lines must run to the
     # end of its first line.
     lines = source.split("\n")
-    for tok in tokenize(source):
+    for tok in tokenize(source).positioned():
         first, *rest = tok.text.split("\n")
         tail = lines[tok.line - 1][tok.column - 1:]
         assert tail == first if rest else tail.startswith(first), tok
@@ -174,7 +179,8 @@ def test_idempotence_on_fixture_corpus(dlib_dir):
     for path in sorted(dlib_dir.glob("*.java")):
         source = path.read_text(encoding="utf-8")
         rebuilt = reconstruct(*scan(source))
-        assert tokenize(rebuilt) == tokenize(source), path.name
+        assert (tokenize(rebuilt).positioned()
+                == tokenize(source).positioned()), path.name
 
 
 # Printable ASCII plus the pieces that open text blocks and escapes, a
@@ -193,7 +199,7 @@ def test_round_trip_property(source):
     except LexError:
         return  # unterminated literal/comment; nothing to round-trip
     assert reconstruct(tokens, trivia) == source
-    assert tokenize(reconstruct(tokens, trivia)) == tokens
+    assert tokenize(reconstruct(tokens, trivia)).positioned() == tokens
 
 
 @settings(max_examples=200, deadline=None)
@@ -221,7 +227,8 @@ def assert_flat_path_matches_positioned(source):
     tokens = tokenize(source)
     assert tokens.kinds == [t.kind for t in expected]
     assert tokens.texts == [t.text for t in expected]
-    assert list(tokens) == expected
+    assert len(tokens) == len(expected)
+    assert tokens.positioned() == expected
 
 
 def test_flat_path_matches_positioned_on_fixtures(fixture_paths):
@@ -264,17 +271,11 @@ def test_kind_cache_stays_bounded(monkeypatch):
     assert len(lexer._KIND_OF) <= 8
 
 
-def test_tokens_sequence_view():
-    tokens = tokenize("class A {\n  int f() { return 1; }\n}")
-    assert not tokens.has_positions
-    assert len(tokens) == 13 and tokens.texts[3] == "int"
-    body = tokens[9:11]
-    assert (body.kinds, body.texts) == (["integer-literal", "punctuation"],
-                                        ["1", ";"])
-    assert not tokens.has_positions
-    assert body[-1] == ("punctuation", ";", 2, 21)
-    assert tokens.has_positions and body.has_positions
-    assert tokens[::4] == [tokens[0], tokens[4], tokens[8], tokens[12]]
-    assert list(tokens) == scan("class A {\n  int f() { return 1; }\n}")[0]
-    with pytest.raises(IndexError):
-        tokens[13]
+def test_tokens_are_two_lists_and_the_source():
+    source = "class A {\n  int f() { return 1; }\n}"
+    tokens = tokenize(source)
+    assert len(tokens) == 13 and tokens.source == source
+    assert (tokens.kinds[9:11], tokens.texts[9:11]) == (
+        ["integer-literal", "punctuation"], ["1", ";"])
+    assert tokens.positioned()[10] == ("punctuation", ";", 2, 21)
+    assert tokens.positioned() == scan(source)[0]

@@ -113,18 +113,16 @@ def test_parse_is_deterministic(namedb_source):
 
 
 def test_unbalanced_braces_raise():
-    # A Tokens and a plain Token list give the same error and position.
-    for as_input in (tokenize, lambda source: list(tokenize(source))):
-        with pytest.raises(ParseError) as err:
-            parse(as_input("class A {\n  void f() { }\n} }"), "a.java")
-        assert str(err.value) == "unmatched '}' in a.java at line 3, column 3"
-        assert (err.value.line, err.value.column) == (3, 3)
-        # Reported at the innermost brace still open at the end of the file.
-        with pytest.raises(ParseError) as err:
-            parse(as_input("class A {\n  void f() {\n    if (x) { }\n"),
-                  "a.java")
-        assert str(err.value) == "unclosed '{' in a.java at line 2, column 12"
-        assert (err.value.line, err.value.column) == (2, 12)
+    with pytest.raises(ParseError) as err:
+        parse(tokenize("class A {\n  void f() { }\n} }"), "a.java")
+    assert str(err.value) == "unmatched '}' in a.java at line 3, column 3"
+    assert (err.value.line, err.value.column) == (3, 3)
+    # Reported at the innermost brace still open at the end of the file.
+    with pytest.raises(ParseError) as err:
+        parse(tokenize("class A {\n  void f() {\n    if (x) { }\n"),
+              "a.java")
+    assert str(err.value) == "unclosed '{' in a.java at line 2, column 12"
+    assert (err.value.line, err.value.column) == (2, 12)
 
 
 def test_members_after_skipped_brace_blocks_still_parse():
@@ -341,26 +339,33 @@ def test_text_block_adds_no_decisions_or_calls():
 # Token positions are looked up only for a warning or a brace error.
 
 
-def test_warning_free_parse_builds_no_positions(dlib_dir):
-    tokens = tokenize((dlib_dir / "NameDB.java").read_text(encoding="utf-8"))
-    unit = parse(tokens, "NameDB.java")
-    assert unit.warnings == [] and len(unit.type_decls[0].methods) == 6
-    assert not tokens.has_positions
+def test_warning_free_parse_builds_no_positions(dlib_dir, monkeypatch):
+    from classmetrics import lexer
+
+    def no_positions(source):
+        raise AssertionError("positioned pass ran")
+
+    monkeypatch.setattr(lexer, "_positioned", no_positions)
+    for path in sorted(dlib_dir.glob("*.java")):
+        unit = parse(tokenize(path.read_text(encoding="utf-8")), path.name)
+        assert unit.warnings == [] and unit.type_decls, path.name
+        if path.name == "NameDB.java":
+            assert len(unit.type_decls[0].methods) == 6
 
 
-def test_token_list_and_tokens_parse_alike(fixture_paths):
-    for path in fixture_paths:
-        tokens = tokenize(path.read_text(encoding="utf-8"))
-        assert (repr(parse(list(tokens), path.name))
-                == repr(parse(tokens, path.name)))
-
-
-def test_tolerant_fixture_warnings_keep_their_lines():
+def test_tolerant_fixture_warnings_keep_their_lines(monkeypatch):
+    from classmetrics import lexer
     from conftest import FIXTURES
     source = (FIXTURES / "tolerant" / "Fancy.java").read_text(encoding="utf-8")
-    tokens = tokenize(source)
+    positioned_pass = lexer._positioned
+    passes = []
+
+    def counted_pass(source):
+        passes.append(source)
+        return positioned_pass(source)
+
+    monkeypatch.setattr(lexer, "_positioned", counted_pass)
     expected = ["Fancy.java: annotation skipped at line 7",
                 "Fancy.java: generic method skipped at line 13"]
-    assert parse(tokens, "Fancy.java").warnings == expected
-    assert tokens.has_positions
-    assert parse(list(tokenize(source)), "Fancy.java").warnings == expected
+    assert parse(tokenize(source), "Fancy.java").warnings == expected
+    assert passes == [source]

@@ -14,7 +14,7 @@ from classmetrics.report import (build_bundle, correlations, emit_chart,
                                  emit_model_xml, emit_sheet, format_fixed2,
                                  format_rational, pearson)
 
-from conftest import model_from_sources, parse_source
+from conftest import model_from_sources, parse_file, parse_source
 
 ANY_CLASS = MetricConfig(moa_policy="any-class")
 
@@ -186,9 +186,25 @@ def test_correlations_on_dlib(dlib_model):
 
 
 def test_xml_empty_model():
-    root = ET.fromstring(emit_model_xml(build_model([])))
+    data = emit_model_xml(build_model([]))
+    root = ET.fromstring(data)
     assert root.tag == "model"
     assert len(root) == 0
+    assert data == b"<?xml version='1.0' encoding='utf-8'?>\n<model />\n"
+
+
+def test_xml_layout_is_elementtree_layout(fixture_paths):
+    # Reading model.xml back and writing it with ElementTree (two-space
+    # indent, `<x />` for empty elements) gives the same bytes.
+    models = [build_model([parse_file(p) for p in fixture_paths]),
+              model_from_sources("class A {}", "interface I { void f(); }",
+                                 'class B { String s = "\\t"; int[] a; }')]
+    for model in models:
+        data = emit_model_xml(model)
+        root = ET.fromstring(data)
+        ET.indent(root, space="  ")
+        assert ET.tostring(root, encoding="utf-8",
+                           xml_declaration=True) + b"\n" == data
 
 
 def test_xml_single_empty_class():
@@ -224,8 +240,9 @@ def test_xml_attributes_sorted(dlib_model):
 
 
 def test_xml_escapes_hostile_file_path():
-    # The exact bytes ElementTree writes today; a hand-written model.xml
-    # writer has to reproduce them.
+    # The exact bytes ElementTree writes for this path: entity and
+    # character references for `&"<>`, tab, newline and carriage return,
+    # and a character reference for the lone surrogate.
     path = 'd/a&b"<c>\t\n\r\udcff\u00e9.java'
     model = build_model([parse_source("class A { int x; }", path)])
     assert emit_model_xml(model) == (
