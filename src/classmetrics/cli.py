@@ -16,7 +16,6 @@ output directory or bundle file.
 """
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -252,7 +251,9 @@ def main(argv: list[str] | None = None) -> int:
             source = _read_source(path, digest)
             unit = parse(tokenize(source), path.as_posix())
         except (LexError, ParseError, UnicodeDecodeError, OSError) as exc:
-            message = f"{path.as_posix()}: {exc}"
+            # An OSError's text repeats the path; its strerror does not.
+            reason = getattr(exc, "strerror", None) or exc
+            message = f"{path.as_posix()}: {reason}"
             if strict:
                 print(f"error: {message}", file=sys.stderr)
                 return 1
@@ -281,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
         "tool": "classmetrics",
         "version": __version__,
         "generated": timestamp,
-        "config": dataclasses.asdict(cfg),
+        "config": cfg._asdict(),
         "inputs": {"files": len(files), "sha256": digest.hexdigest()},
     }
     cells = [sheet_cells(row, cfg) for row in rows]

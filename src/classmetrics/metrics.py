@@ -7,13 +7,13 @@ and NCD. AVCC and CCC are exact rationals; everything else is an integer.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .model import ProjectModel, is_user_defined
 from .parser import ClassDecl, MethodDecl
 
 
-@dataclass(frozen=True)
-class MetricConfig:
+class MetricConfig(NamedTuple):
     moa_policy: str = "project"        # 'project' | 'any-class'
     count_short_circuit: bool = False  # && / || add decision points
     count_constructors: bool = True    # constructors count as methods

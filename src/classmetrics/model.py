@@ -7,6 +7,7 @@ inside the set still counts as exactly one ancestor and ends the chain.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lexer import PRIMITIVE_TYPES
 from .parser import ClassDecl, CompilationUnit
@@ -16,8 +17,7 @@ class ModelError(Exception):
     pass
 
 
-@dataclass
-class _Entry:
+class _Entry(NamedTuple):
     qualified: str   # package.Outer.Inner
     display: str     # Outer.Inner
     decl: ClassDecl

@@ -10,9 +10,9 @@ import csv
 import io
 import json
 import statistics
-from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from typing import NamedTuple
 
 from .metrics import ClassMetricsRow, MetricConfig
 from .model import ProjectModel
@@ -296,8 +296,7 @@ def emit_chart(rows: list[ClassMetricsRow],
 # Bundle
 
 
-@dataclass
-class ReportBundle:
+class ReportBundle(NamedTuple):
     files: dict[str, bytes]  # file name -> the exact bytes to write
     correlations: dict[str, float | None]
 

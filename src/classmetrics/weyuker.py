@@ -14,6 +14,15 @@ is tried; when `trial_budget` trials have been counted and a further
 candidate is due, the search stops with no-counterexample-found. A note
 that claims the whole stream was searched is set only when the stream
 ran to its end.
+
+Renaming (property 8) works on a class's name skeleton: its name slots
+in one walk order (methods sorted, each one's parameter types before its
+name, then the sorted fields, name before type, ancestors, subclasses,
+interfaces and imports) and format templates that rebuild the class
+from one name per slot. rename looks every slot up, then fills the
+templates. The P8 check builds an entry's skeleton once per run, so a
+trial is one map of the slots through its mapping and one fill; which
+mappings it draws, and in what order, is unchanged.
 """
 
 import itertools
@@ -21,6 +30,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .metrics import (MetricConfig, ccc_value, included_methods,
                       method_cyclomatic)
@@ -33,8 +43,7 @@ MethodTuple = tuple[str, int, int, int, bool]
 FieldTuple = tuple[str, str, bool]
 
 
-@dataclass(frozen=True)
-class SyntheticClass:
+class SyntheticClass(NamedTuple):
     methods: frozenset = frozenset()
     fields: frozenset = frozenset()
     ancestors: frozenset = frozenset()
@@ -43,8 +52,7 @@ class SyntheticClass:
     imports: frozenset = frozenset()
 
 
-@dataclass(frozen=True)
-class MetricFunction:
+class MetricFunction(NamedTuple):
     name: str
     evaluator: object  # SyntheticClass -> Fraction
 
@@ -52,8 +60,7 @@ class MetricFunction:
         return self.evaluator(cls)
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     ident: str
     cls: SyntheticClass
     equivalence_group: str | None = None
@@ -104,74 +111,72 @@ def concat(p: SyntheticClass, q: SyntheticClass) -> SyntheticClass:
     merged = {m[0]: m for m in sorted(q.methods)}
     for m in sorted(p.methods):
         merged[m[0]] = m
-    return SyntheticClass(
-        methods=frozenset(merged.values()),
-        fields=p.fields | q.fields,
-        ancestors=p.ancestors | q.ancestors,
-        subclasses=p.subclasses | q.subclasses,
-        interfaces=p.interfaces | q.interfaces,
-        imports=p.imports | q.imports,
-    )
+    # Every other part is the union of the two.
+    return SyntheticClass(frozenset(merged.values()),
+                          *[a | b for a, b in zip(p[1:], q[1:])])
 
 
-def _map_names(p: SyntheticClass, fn) -> SyntheticClass:
-    """Apply `fn` to every identifier in p, in a fixed order: the
-    methods in sorted order, each one's parameter types (array suffixes
-    kept) before its name, then the sorted field names and types,
-    ancestors, subclasses, interfaces and imports."""
+def _skeleton(p: SyntheticClass) -> tuple[list[str], tuple]:
+    """p's name skeleton: its name slots in walk order, and the shape
+    that _fill rebuilds p from."""
+    slots: list[str] = []
 
-    def map_type(text: str) -> str:
+    def slot(name: str, suffix: str = "") -> str:
+        slots.append(name)
+        return f"{{0[{len(slots) - 1}]}}{suffix}"
+
+    def type_slot(text: str) -> str:
         base = text
         while base.endswith("[]"):
             base = base[:-2]
-        return fn(base) + text[len(base):]
+        return slot(base, text[len(base):])
 
-    def map_signature(sig: str) -> str:
-        name, _, rest = sig.partition("(")
-        params = [map_type(t) for t in rest.rstrip(")").split(",") if t]
-        return f"{fn(name)}({','.join(params)})"
+    methods = []
+    for sig, *facts in sorted(p.methods):
+        name, _, params = sig.partition("(")
+        params = [type_slot(t) for t in params.rstrip(")").split(",") if t]
+        methods.append((f"{slot(name)}({','.join(params)})", *facts))
+    fields = [(slot(n), type_slot(t), u) for n, t, u in sorted(p.fields)]
+    bounds = [len(slots)]
+    for part in p[2:]:  # ancestors, subclasses, interfaces, imports
+        slots.extend(sorted(part))
+        bounds.append(len(slots))
+    # Columns, so that _fill zips each part's filled templates with the
+    # numbers and flags beside them.
+    return slots, (tuple(zip(*methods)) or ((),) * 5,
+                   tuple(zip(*fields)) or ((),) * 3, tuple(bounds))
 
+
+def _fill(shape: tuple, targets: list[str]) -> SyntheticClass:
+    """The class a skeleton's shape describes, with targets[i] in slot i."""
+    (sigs, *facts), (names, types, users), bounds = shape
+    fill = itertools.repeat(targets)
     return SyntheticClass(
-        methods=frozenset(
-            (map_signature(sig), c, vr, ec, vd)
-            for (sig, c, vr, ec, vd) in sorted(p.methods)),
-        fields=frozenset(
-            (fn(n), map_type(t), u) for (n, t, u) in sorted(p.fields)),
-        ancestors=frozenset(fn(n) for n in sorted(p.ancestors)),
-        subclasses=frozenset(fn(n) for n in sorted(p.subclasses)),
-        interfaces=frozenset(fn(n) for n in sorted(p.interfaces)),
-        imports=frozenset(fn(n) for n in sorted(p.imports)),
-    )
+        frozenset(zip(map(str.format, sigs, fill), *facts)),
+        frozenset(zip(map(str.format, names, fill),
+                      map(str.format, types, fill), users)),
+        *[frozenset(targets[start:end])
+          for start, end in zip(bounds, bounds[1:])])
 
 
 def rename(p: SyntheticClass, mapping: dict[str, str]) -> SyntheticClass:
     """Apply a name bijection to every identifier in p."""
+    slots, shape = _skeleton(p)
     source_of: dict[str, str] = {}  # target -> first name mapped to it
-
-    def lookup(name: str) -> str:
+    for name in slots:
         if name not in mapping:
             raise ValueError(f"mapping does not cover name {name!r}")
-        target = mapping[name]
-        src = source_of.setdefault(target, name)
+        src = source_of.setdefault(mapping[name], name)
         if src != name:
             raise ValueError(
                 f"mapping is not injective: {src!r} and {name!r} "
-                f"both map to {target!r}")
-        return target
-
-    return _map_names(p, lookup)
+                f"both map to {mapping[name]!r}")
+    return _fill(shape, [mapping[name] for name in slots])
 
 
 def collect_names(p: SyntheticClass) -> set[str]:
     """Every identifier that rename looks up."""
-    names: set[str] = set()
-
-    def record(name: str) -> str:
-        names.add(name)
-        return name
-
-    _map_names(p, record)
-    return names
+    return set(_skeleton(p)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -254,16 +259,8 @@ def from_class_model(decl: ClassDecl, model: ProjectModel,
 def fixture_corpus() -> list[CorpusEntry]:
     """Handcrafted classes exercising every property check."""
 
-    def cls(methods=(), fields=(), ancestors=(), subclasses=(),
-            interfaces=(), imports=()):
-        return SyntheticClass(
-            methods=frozenset(methods),
-            fields=frozenset(fields),
-            ancestors=frozenset(ancestors),
-            subclasses=frozenset(subclasses),
-            interfaces=frozenset(interfaces),
-            imports=frozenset(imports),
-        )
+    def cls(**parts):
+        return SyntheticClass(**{k: frozenset(v) for k, v in parts.items()})
 
     name_db = cls(
         methods=[
@@ -314,6 +311,9 @@ _FIELD_TYPES = [("Buffer", True), ("Codec", True), ("Table", True),
                 ("String", False), ("int[]", False)]
 _RELATION_NAMES = ["Base", "Stream", "Panel", "Widget", "Root"]
 _IMPORT_NAMES = ["java.io.*", "java.util.*", "java.awt.*", "java.net.*"]
+# (names, largest sample) for ancestors, subclasses, interfaces, imports
+_NAME_SET_DRAWS = [(_RELATION_NAMES, 3), (_RELATION_NAMES, 2),
+                   (_RELATION_NAMES, 2), (_IMPORT_NAMES, 3)]
 
 
 def random_corpus(seed: int, size: int = 48) -> list[CorpusEntry]:
@@ -335,21 +335,10 @@ def random_corpus(seed: int, size: int = 48) -> list[CorpusEntry]:
         for k in range(rng.randint(0, 4)):
             type_name, user_defined = rng.choice(_FIELD_TYPES)
             fields.add((f"f{k}", type_name, user_defined))
-        entries.append(CorpusEntry(
-            ident=f"rand-{i:03d}",
-            cls=SyntheticClass(
-                methods=frozenset(methods.values()),
-                fields=frozenset(fields),
-                ancestors=frozenset(rng.sample(_RELATION_NAMES,
-                                               rng.randint(0, 3))),
-                subclasses=frozenset(rng.sample(_RELATION_NAMES,
-                                                rng.randint(0, 2))),
-                interfaces=frozenset(rng.sample(_RELATION_NAMES,
-                                                rng.randint(0, 2))),
-                imports=frozenset(rng.sample(_IMPORT_NAMES,
-                                             rng.randint(0, 3))),
-            ),
-        ))
+        entries.append(CorpusEntry(f"rand-{i:03d}", SyntheticClass(
+            frozenset(methods.values()), frozenset(fields),
+            *[frozenset(rng.sample(names, rng.randint(0, most)))
+              for names, most in _NAME_SET_DRAWS])))
     return entries
 
 
@@ -519,10 +508,17 @@ def _check_p6(report, metric, values, rng):
 
 def _check_p8(report, metric, values, rng):
     # Trials visit the entries round-robin, so only the first
-    # trial_budget entries are ever renamed.
-    named = [(entry, value, sorted(collect_names(entry.cls)))
-             for entry, value in values[:report.trial_budget]]
-    for entry, value, names in _trials(report, itertools.cycle(named)):
+    # trial_budget entries are renamed; a skeleton is kept only for an
+    # entry that the budget reaches again.
+    entries = values[:report.trial_budget]
+    revisited = report.trial_budget - len(entries)
+    skeletons = {}
+    for index in _trials(report, itertools.cycle(range(len(entries)))):
+        entry, value = entries[index]
+        slots, shape = skeletons.get(index) or _skeleton(entry.cls)
+        if index < revisited:
+            skeletons[index] = slots, shape
+        names = sorted(set(slots))
         if not names:
             continue
         if rng.random() < 0.5:
@@ -531,7 +527,10 @@ def _check_p8(report, metric, values, rng):
             mapping = dict(zip(names, shuffled))
         else:
             mapping = {n: f"r{i}_{n}" for i, n in enumerate(names)}
-        renamed = rename(entry.cls, mapping)
+        targets = list(map(mapping.__getitem__, slots))
+        if len(set(targets)) != len(names):
+            raise ValueError("renaming is not a bijection")
+        renamed = _fill(shape, targets)
         if metric(renamed) != value:
             return _witness(
                 (entry.ident, value),

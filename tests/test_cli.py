@@ -129,13 +129,13 @@ def test_unreadable_file_is_skipped_or_fails_strict(tmp_path, capsys,
     out = tmp_path / "report"
     assert run_cli(source_dir, "--out", out) == 0
     err = capsys.readouterr().err
-    assert "B.java: [Errno 13] Permission denied" in err
-    assert "(file skipped)" in err
+    denied = f"{(source_dir / 'B.java').as_posix()}: Permission denied"
+    assert f"warning: {denied} (file skipped)\n" in err
+    assert err.count("B.java") == 1  # the path is named once
     lines = (out / "metrics.csv").read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("C,G,")
     assert run_cli(source_dir, "--out", tmp_path / "o", "--strict") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Permission denied" in err
+    assert capsys.readouterr().err == f"error: {denied}\n"
 
 
 def test_model_error_exits_1(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -8,8 +9,11 @@ from math import comb
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import classmetrics
+from classmetrics import weyuker
 from classmetrics.metrics import MetricConfig, compute_rows
 from classmetrics.weyuker import (CCC_METRIC, CMC_METRIC, CorpusEntry,
                                   MetricFunction, SyntheticClass,
@@ -163,6 +167,161 @@ def test_rename_clash_message_ignores_hash_seed():
 def test_rename_requires_full_coverage():
     with pytest.raises(ValueError):
         rename(P_SIMPLE, {})
+
+
+# The reference name walk: every identifier of p through `fn`, in walk
+# order, rebuilding the class part by part.
+def reference_map_names(p, fn):
+    def map_type(text):
+        base = text
+        while base.endswith("[]"):
+            base = base[:-2]
+        return fn(base) + text[len(base):]
+
+    def map_signature(sig):
+        name, _, rest = sig.partition("(")
+        params = [map_type(t) for t in rest.rstrip(")").split(",") if t]
+        return f"{fn(name)}({','.join(params)})"
+
+    return SyntheticClass(
+        methods=frozenset(
+            (map_signature(sig), c, vr, ec, vd)
+            for (sig, c, vr, ec, vd) in sorted(p.methods)),
+        fields=frozenset(
+            (fn(n), map_type(t), u) for (n, t, u) in sorted(p.fields)),
+        ancestors=frozenset(fn(n) for n in sorted(p.ancestors)),
+        subclasses=frozenset(fn(n) for n in sorted(p.subclasses)),
+        interfaces=frozenset(fn(n) for n in sorted(p.interfaces)),
+        imports=frozenset(fn(n) for n in sorted(p.imports)),
+    )
+
+
+def reference_rename(p, mapping):
+    source_of = {}
+
+    def lookup(name):
+        if name not in mapping:
+            raise ValueError(f"mapping does not cover name {name!r}")
+        target = mapping[name]
+        src = source_of.setdefault(target, name)
+        if src != name:
+            raise ValueError(
+                f"mapping is not injective: {src!r} and {name!r} "
+                f"both map to {target!r}")
+        return target
+
+    return reference_map_names(p, lookup)
+
+
+def reference_names(p):
+    names = []
+    reference_map_names(p, lambda name: names.append(name) or name)
+    return names
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# Names built from the characters a signature is parsed by, plus format
+# braces, so that a template that leaked a name would show.
+_NAME = st.text(alphabet="ab(),[]{}0 ", max_size=6)
+_TYPE = st.builds(str.__add__, _NAME, st.sampled_from(["", "[]", "[][]"]))
+_SIGNATURE = st.one_of(_NAME, st.builds(
+    "{}({}{}".format, _NAME, st.lists(_TYPE, max_size=3).map(",".join),
+    st.sampled_from([")", "))", ""])))
+_NUMBER = st.integers(0, 3)
+_SYNTHETIC = st.builds(
+    SyntheticClass,
+    methods=st.frozensets(st.tuples(_SIGNATURE, _NUMBER, _NUMBER, _NUMBER,
+                                    st.booleans()), max_size=4),
+    fields=st.frozensets(st.tuples(_NAME, _TYPE, st.booleans()), max_size=3),
+    ancestors=st.frozensets(_NAME, max_size=3),
+    subclasses=st.frozensets(_NAME, max_size=2),
+    interfaces=st.frozensets(_NAME, max_size=2),
+    imports=st.frozensets(_NAME, max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SYNTHETIC, st.data())
+def test_rename_matches_reference_walk_property(cls, data):
+    names = reference_names(cls)
+    assert collect_names(cls) == set(names)
+    distinct = sorted(set(names))
+    shuffled = data.draw(st.permutations(distinct))
+    mappings = [
+        dict(zip(distinct, shuffled)),  # a bijection
+        {n: data.draw(st.sampled_from("xyz")) for n in distinct},
+        {n: f"t{i}" for i, n in enumerate(distinct)
+         if data.draw(st.booleans())},  # may leave names uncovered
+    ]
+    for mapping in mappings:
+        assert (outcome(rename, cls, mapping)
+                == outcome(reference_rename, cls, mapping))
+
+
+# A metric that reads names: how many method signatures sort before "m".
+EARLY = MetricFunction(
+    "EARLY", lambda cls: Fraction(sum(m[0] < "m" for m in cls.methods)))
+
+
+def replay_p8(metric, corpus, seed, budget):
+    """P8's trial stream rebuilt from its rule: the first `budget`
+    entries round-robin, one trial each, a nameless class tried with no
+    draw, then a shuffle or a prefix renaming drawn from the seeded rng
+    and applied with rename. Returns (witness ident and mapping, trials)."""
+    rng = random.Random(seed * 1000003 + 8)
+    named = [(e, metric(e.cls), sorted(set(reference_names(e.cls))))
+             for e in corpus[:budget]]
+    trials = 0
+    for entry, value, names in itertools.cycle(named):
+        if trials == budget:
+            break
+        trials += 1
+        if not names:
+            continue
+        if rng.random() < 0.5:
+            shuffled = names[:]
+            rng.shuffle(shuffled)
+            mapping = dict(zip(names, shuffled))
+        else:
+            mapping = {n: f"r{i}_{n}" for i, n in enumerate(names)}
+        if metric(rename(entry.cls, mapping)) != value:
+            return (entry.ident, mapping), trials
+    return None, trials
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_p8_replays_its_trial_rule(seed):
+    corpus = generate_corpus(seed)
+    for metric, budget in [(EARLY, 1000), (EARLY, 3), (CCC_METRIC, 1000),
+                           (CCC_METRIC, 7)]:
+        report = check_property(8, metric, corpus, budget, seed)
+        found, trials = replay_p8(metric, corpus, seed, budget)
+        assert report.trials == trials
+        if found is None:
+            assert report.verdict == "no-counterexample-found"
+        else:
+            ident, mapping = found
+            assert report.witness["classes"][0]["ident"] == ident
+            assert report.witness["mapping"] == mapping
+            assert verify_witness(report, metric, corpus)
+    # The name-reading metric is caught, so the witness branch ran.
+    assert check_property(8, EARLY, corpus, 1000, seed).witness
+
+
+def test_p8_builds_one_skeleton_per_entry(monkeypatch):
+    built = []
+    skeleton = weyuker._skeleton
+    monkeypatch.setattr(weyuker, "_skeleton",
+                        lambda cls: built.append(cls) or skeleton(cls))
+    corpus = generate_corpus(42)
+    reports = run_all(CCC_METRIC, corpus, 42, 1000)
+    assert reports[7].trials == 1000
+    assert len(built) == len(corpus) == 60
 
 
 # ---------------------------------------------------------------------------
