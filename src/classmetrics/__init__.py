@@ -5,7 +5,6 @@ The weyuker module evaluates any class metric against Weyuker's
 properties over synthetic or parsed corpora.
 """
 
-from importlib.resources import files as _files
 from pathlib import Path
 
 from .lexer import LexError, Token, tokenize
@@ -40,4 +39,4 @@ __all__ = [
 
 def dlib_fixture_dir() -> Path:
     """Directory holding the bundled 18-class sample corpus."""
-    return Path(str(_files("classmetrics") / "fixtures" / "dlib"))
+    return Path(__file__).with_name("fixtures") / "dlib"

@@ -22,7 +22,7 @@ import os
 import shutil
 import sys
 import tempfile
-from datetime import datetime, timezone
+import time
 from pathlib import Path
 
 from . import __version__
@@ -276,8 +276,7 @@ def main(argv: list[str] | None = None) -> int:
 
     rows = compute_rows(model, cfg)
     timestamp = (_EPOCH if settings["fixed_timestamp"]
-                 else datetime.now(timezone.utc)
-                 .strftime("%Y-%m-%dT%H:%M:%SZ"))
+                 else time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
     metadata = {
         "tool": "classmetrics",
         "version": __version__,

@@ -5,7 +5,6 @@ their composite CCC, the baselines WMC/CMC/CC, and the sheet columns IV
 and NCD. AVCC and CCC are exact rationals; everything else is an integer.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -23,8 +22,7 @@ class MetricConfig(NamedTuple):
 DEFAULT_CONFIG = MetricConfig()
 
 
-@dataclass
-class ClassMetricsRow:
+class ClassMetricsRow(NamedTuple):
     class_name: str
     class_kind: str  # 'class' | 'interface'
     file_path: str

@@ -6,11 +6,10 @@ only to disambiguate duplicates. A superclass that cannot be resolved
 inside the set still counts as exactly one ancestor and ends the chain.
 """
 
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .lexer import PRIMITIVE_TYPES
-from .parser import ClassDecl, CompilationUnit
+from .parser import ClassDecl, CompilationUnit, Record
 
 
 class ModelError(Exception):
@@ -24,18 +23,37 @@ class _Entry(NamedTuple):
     unit: CompilationUnit
 
 
-@dataclass
-class ProjectModel:
-    classes: dict[str, ClassDecl] = field(default_factory=dict)
-    ancestors: dict[str, list[str]] = field(default_factory=dict)
-    immediate_subclasses: dict[str, set[str]] = field(default_factory=dict)
-    interfaces_implemented: dict[str, set[str]] = field(default_factory=dict)
-    user_defined_types: set[str] = field(default_factory=set)
-    unresolved_supers: dict[str, str | None] = field(default_factory=dict)
-    units: dict[str, CompilationUnit] = field(default_factory=dict)
-    _order: list[str] = field(default_factory=list)
-    _qualified_by_id: dict[int, str] = field(default_factory=dict)
-    _display: dict[str, str] = field(default_factory=dict)
+class ProjectModel(Record):
+    __slots__ = ("classes", "ancestors", "immediate_subclasses",
+                 "interfaces_implemented", "user_defined_types",
+                 "unresolved_supers", "units", "_order",
+                 "_qualified_by_id", "_display")
+
+    def __init__(self, classes: dict[str, ClassDecl] | None = None,
+                 ancestors: dict[str, list[str]] | None = None,
+                 immediate_subclasses: dict[str, set[str]] | None = None,
+                 interfaces_implemented: dict[str, set[str]] | None = None,
+                 user_defined_types: set[str] | None = None,
+                 unresolved_supers: dict[str, str | None] | None = None,
+                 units: dict[str, CompilationUnit] | None = None,
+                 _order: list[str] | None = None,
+                 _qualified_by_id: dict[int, str] | None = None,
+                 _display: dict[str, str] | None = None):
+        self.classes = {} if classes is None else classes
+        self.ancestors = {} if ancestors is None else ancestors
+        self.immediate_subclasses = (
+            {} if immediate_subclasses is None else immediate_subclasses)
+        self.interfaces_implemented = (
+            {} if interfaces_implemented is None else interfaces_implemented)
+        self.user_defined_types = (
+            set() if user_defined_types is None else user_defined_types)
+        self.unresolved_supers = (
+            {} if unresolved_supers is None else unresolved_supers)
+        self.units = {} if units is None else units
+        self._order = [] if _order is None else _order
+        self._qualified_by_id = (
+            {} if _qualified_by_id is None else _qualified_by_id)
+        self._display = {} if _display is None else _display
 
     def qualified_name_of(self, decl: ClassDecl) -> str:
         return self._qualified_by_id[id(decl)]

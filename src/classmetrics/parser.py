@@ -13,7 +13,7 @@ file, and only to report a warning or a brace error, so a file that
 parses cleanly never builds token positions.
 """
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .lexer import PRIMITIVE_TYPES, Tokens
 
@@ -40,8 +40,7 @@ class ParseError(Exception):
         self.column = column
 
 
-@dataclass
-class BodyFacts:
+class BodyFacts(NamedTuple):
     decision_point_count: int = 0
     short_circuit_count: int = 0
     value_return_count: int = 0
@@ -49,54 +48,112 @@ class BodyFacts:
     external_call_count: int = 0
     internal_call_count: int = 0
     statement_count: int = 0
-    new_expression_type_names: list[str] = field(default_factory=list)
+    # BodyFacts() shares this empty list; scan_body passes its own.
+    new_expression_type_names: list[str] = []
 
 
-@dataclass
-class FieldDecl:
-    name: str
-    declared_type_name: str  # raw text, array suffix stripped
-    array_rank: int = 0
-    is_static: bool = False
-    visibility: str = ""
+class Record:
+    """Base of the records that are filled in step by step. A subclass
+    lists its fields in `__slots__`; two records of one class are equal
+    when their fields are, in that order, `repr` is `Name(field=value,
+    ...)` in that order, and no record is hashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
 
-@dataclass
-class MethodDecl:
-    name: str
-    is_constructor: bool = False
-    return_type_name: str | None = None
-    parameter_type_names: list[str] = field(default_factory=list)
-    is_abstract: bool = False
-    body: BodyFacts | None = None
+class FieldDecl(Record):
+    __slots__ = ("name", "declared_type_name", "array_rank", "is_static",
+                 "visibility")
+
+    def __init__(self, name: str, declared_type_name: str,
+                 array_rank: int = 0, is_static: bool = False,
+                 visibility: str = ""):
+        self.name = name
+        self.declared_type_name = declared_type_name  # array suffix stripped
+        self.array_rank = array_rank
+        self.is_static = is_static
+        self.visibility = visibility
+
+
+class MethodDecl(Record):
+    __slots__ = ("name", "is_constructor", "return_type_name",
+                 "parameter_type_names", "is_abstract", "body")
+
+    def __init__(self, name: str, is_constructor: bool = False,
+                 return_type_name: str | None = None,
+                 parameter_type_names: list[str] | None = None,
+                 is_abstract: bool = False, body: BodyFacts | None = None):
+        self.name = name
+        self.is_constructor = is_constructor
+        self.return_type_name = return_type_name
+        self.parameter_type_names = (
+            [] if parameter_type_names is None else parameter_type_names)
+        self.is_abstract = is_abstract
+        self.body = body
 
     @property
     def signature(self) -> str:
         return f"{self.name}({','.join(self.parameter_type_names)})"
 
 
-@dataclass
-class ClassDecl:
-    name: str
-    kind: str  # 'class' | 'interface'
-    visibility: str = ""
-    is_abstract: bool = False
-    superclass_name: str | None = None
-    extended_interface_names: list[str] = field(default_factory=list)
-    implemented_interface_names: list[str] = field(default_factory=list)
-    fields: list[FieldDecl] = field(default_factory=list)
-    methods: list[MethodDecl] = field(default_factory=list)
-    nested: list["ClassDecl"] = field(default_factory=list)
-    unit_path: str = ""
+class ClassDecl(Record):
+    __slots__ = ("name", "kind", "visibility", "is_abstract",
+                 "superclass_name", "extended_interface_names",
+                 "implemented_interface_names", "fields", "methods",
+                 "nested", "unit_path")
+
+    def __init__(self, name: str, kind: str, visibility: str = "",
+                 is_abstract: bool = False,
+                 superclass_name: str | None = None,
+                 extended_interface_names: list[str] | None = None,
+                 implemented_interface_names: list[str] | None = None,
+                 fields: list[FieldDecl] | None = None,
+                 methods: list[MethodDecl] | None = None,
+                 nested: list["ClassDecl"] | None = None,
+                 unit_path: str = ""):
+        self.name = name
+        self.kind = kind  # 'class' | 'interface'
+        self.visibility = visibility
+        self.is_abstract = is_abstract
+        self.superclass_name = superclass_name
+        self.extended_interface_names = (
+            [] if extended_interface_names is None
+            else extended_interface_names)
+        self.implemented_interface_names = (
+            [] if implemented_interface_names is None
+            else implemented_interface_names)
+        self.fields = [] if fields is None else fields
+        self.methods = [] if methods is None else methods
+        self.nested = [] if nested is None else nested
+        self.unit_path = unit_path
 
 
-@dataclass
-class CompilationUnit:
-    file_path: str
-    package_name: str = ""
-    imports: list[str] = field(default_factory=list)
-    type_decls: list[ClassDecl] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class CompilationUnit(Record):
+    __slots__ = ("file_path", "package_name", "imports", "type_decls",
+                 "warnings")
+
+    def __init__(self, file_path: str, package_name: str = "",
+                 imports: list[str] | None = None,
+                 type_decls: list[ClassDecl] | None = None,
+                 warnings: list[str] | None = None):
+        self.file_path = file_path
+        self.package_name = package_name
+        self.imports = [] if imports is None else imports
+        self.type_decls = [] if type_decls is None else type_decls
+        self.warnings = [] if warnings is None else warnings
 
 
 def parse(tokens: Tokens, file_path: str = "<memory>") -> CompilationUnit:
@@ -360,7 +417,7 @@ class _Parser:
             elif text == "import":
                 self.advance()
                 self.unit.imports.append(self._read_until_semi())
-            elif text == "@":
+            elif text == "@" and self.peek(1) != "interface":
                 self._skip_annotation()
             elif text == ";":
                 self.advance()
@@ -397,6 +454,9 @@ class _Parser:
             self.warn("enum declaration skipped")
             self._skip_declaration()
             return None
+        if text == "@":
+            self._skip_annotation_type()
+            return None
         self.warn(f"unsupported top-level construct '{text}' skipped")
         self._skip_declaration()
         return None
@@ -404,7 +464,7 @@ class _Parser:
     def _collect_modifiers(self) -> list[str]:
         mods = []
         while self.cur() is not None:
-            if self.at("@"):
+            if self.at("@") and self.peek(1) != "interface":
                 self._skip_annotation()
                 continue
             if self.cur() in MODIFIERS:
@@ -423,6 +483,14 @@ class _Parser:
                 self.advance()
         if self.at("("):
             self._skip_parenthesized()
+
+    def _skip_annotation_type(self) -> None:
+        """Skip an annotation type declaration, `@interface Name { ... }`
+        (JLS 9.6), with one warning. _collect_modifiers stops before its
+        `@`."""
+        self.warn("annotation type declaration"
+                  f" '{self.peek(2) or ''}' skipped")
+        self._skip_declaration()
 
     def _skip_declaration(self) -> None:
         """Skip to the end of a declaration: past a balanced brace block or
@@ -555,6 +623,9 @@ class _Parser:
         if text == "enum":
             self.warn("enum declaration skipped")
             self._skip_declaration()
+            return
+        if text == "@":
+            self._skip_annotation_type()
             return
         if text == "{":
             self.warn("initializer block skipped")

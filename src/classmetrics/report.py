@@ -9,9 +9,9 @@ SVG is assembled by hand with fixed-precision coordinates.
 import csv
 import io
 import json
-import statistics
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
+from math import fsum, sqrt
 from typing import NamedTuple
 
 from .metrics import ClassMetricsRow, MetricConfig
@@ -92,10 +92,19 @@ def pearson(xs, ys) -> float | None:
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise ValueError("need at least two points")
+    # The standard library's correlation formula of Python 3.11, step for
+    # step, so the floats do not depend on the interpreter's version.
+    xs = [float(x) for x in xs]
+    ys = [float(y) for y in ys]
+    n = len(xs)
+    x_mean = fsum(xs) / n
+    y_mean = fsum(ys) / n
+    sxy = fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
+    sxx = fsum((d := x - x_mean) * d for x in xs)
+    syy = fsum((d := y - y_mean) * d for y in ys)
     try:
-        return statistics.correlation([float(x) for x in xs],
-                                      [float(y) for y in ys])
-    except statistics.StatisticsError:
+        return sxy / sqrt(sxx * syy)
+    except ZeroDivisionError:
         return None
 
 

@@ -28,14 +28,13 @@ mappings it draws, and in what order, is unchanged.
 import itertools
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .metrics import (MetricConfig, ccc_value, included_methods,
                       method_cyclomatic)
 from .model import ProjectModel, is_user_defined
-from .parser import ClassDecl
+from .parser import ClassDecl, Record
 
 # (signature, complexity, value_return_count, external_call_count, is_void)
 MethodTuple = tuple[str, int, int, int, bool]
@@ -66,16 +65,22 @@ class CorpusEntry(NamedTuple):
     equivalence_group: str | None = None
 
 
-@dataclass
-class PropertyReport:
-    property_number: int
-    metric_name: str
-    verdict: str  # witnessed | no-counterexample-found | not-applicable
-    witness: dict | None
-    trials: int
-    trial_budget: int
-    seed: int
-    note: str = ""
+class PropertyReport(Record):
+    __slots__ = ("property_number", "metric_name", "verdict", "witness",
+                 "trials", "trial_budget", "seed", "note")
+
+    def __init__(self, property_number: int, metric_name: str, verdict: str,
+                 witness: dict | None, trials: int, trial_budget: int,
+                 seed: int, note: str = ""):
+        self.property_number = property_number
+        self.metric_name = metric_name
+        # witnessed | no-counterexample-found | not-applicable
+        self.verdict = verdict
+        self.witness = witness
+        self.trials = trials
+        self.trial_budget = trial_budget
+        self.seed = seed
+        self.note = note
 
     def to_dict(self) -> dict:
         return {

@@ -246,6 +246,19 @@ def test_cli_import_skips_network_modules():
     assert result.stdout.strip() == "[]"
 
 
+def test_cli_import_skips_start_up_heavy_modules():
+    # -S: no site-packages .pth file gets to import any of them first.
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (f"import sys; sys.path.insert(0, {str(src)!r}); "
+            "import classmetrics.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', 'datetime', 'statistics', "
+            "'importlib.resources') if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-S", "-c", code],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 def test_console_script_module_invocation(namedb_trio_dir, tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "classmetrics", str(namedb_trio_dir),

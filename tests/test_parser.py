@@ -369,3 +369,24 @@ def test_tolerant_fixture_warnings_keep_their_lines(monkeypatch):
                 "Fancy.java: generic method skipped at line 13"]
     assert parse(tokenize(source), "Fancy.java").warnings == expected
     assert passes == [source]
+
+
+def test_top_level_annotation_type_gives_one_warning():
+    unit = parse_source(
+        "public @interface Ann { int v(); }\n@interface Bare { }\nclass B { }")
+    [decl] = unit.type_decls
+    assert (decl.name, decl.visibility) == ("B", "")
+    assert unit.warnings == [
+        "<test>.java: annotation type declaration 'Ann' skipped at line 1",
+        "<test>.java: annotation type declaration 'Bare' skipped at line 2",
+    ]
+
+
+def test_member_annotation_type_gives_one_warning():
+    unit = parse_source(
+        "class C {\n  @interface Inner { int v() default 1; }\n"
+        "  void f() { }\n}")
+    [decl] = unit.type_decls
+    assert decl.nested == [] and [m.name for m in decl.methods] == ["f"]
+    assert unit.warnings == [
+        "<test>.java: annotation type declaration 'Inner' skipped at line 2"]

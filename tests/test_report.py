@@ -3,10 +3,13 @@ import io
 import json
 import math
 import random
+import statistics
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classmetrics import build_model
 from classmetrics.metrics import MetricConfig, compute_rows
@@ -165,6 +168,43 @@ def test_pearson_zero_variance_is_undefined():
     assert pearson([1, 1, 1], [1, 2, 3]) is None
 
 
+_NUMBERS = st.one_of(
+    st.integers(-10**6, 10**6),
+    st.fractions(-10**4, 10**4, max_denominator=1000))
+
+
+def library_correlation(xs, ys):
+    """statistics.correlation on the floats pearson sees; None for a
+    constant input."""
+    try:
+        return statistics.correlation([float(x) for x in xs],
+                                      [float(y) for y in ys])
+    except statistics.StatisticsError:
+        return None
+
+
+def _bits(value):
+    return None if value is None else value.hex()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_NUMBERS, _NUMBERS), min_size=2, max_size=40))
+def test_pearson_is_the_library_correlation_bit_for_bit(pairs):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    assert _bits(pearson(xs, ys)) == _bits(library_correlation(xs, ys))
+
+
+# An integer constant: its float mean is exact. The mean of a constant
+# such as 1/17 is not, so both formulas then see a tiny variance.
+@settings(max_examples=50, deadline=None)
+@given(st.integers(-10**6, 10**6), st.lists(_NUMBERS, min_size=2, max_size=20))
+def test_pearson_of_a_constant_input_is_none(constant, values):
+    same = [constant] * len(values)
+    assert pearson(same, values) is None
+    assert pearson(values, same) is None
+    assert library_correlation(same, values) is None
+
+
 def test_pearson_argument_errors():
     with pytest.raises(ValueError):
         pearson([1, 2], [1, 2, 3])
@@ -298,7 +338,7 @@ def test_chart_ccc_bar_tallest_where_ext_dominates(dlib_model):
 def test_chart_escapes_class_names():
     model = model_from_sources("class A { }")
     rows = compute_rows(model)
-    rows[0].class_name = "A<T>&B"
+    rows[0] = rows[0]._replace(class_name="A<T>&B")
     svg = emit_chart(rows)
     assert 'data-class="A&lt;T&gt;&amp;B"' in svg
     assert ">A&lt;T&gt;&amp;B</text>" in svg
