@@ -2,16 +2,16 @@
 
 One grammar, `_GRAMMAR`: an ordered list of alternatives, one per
 lexical class. Every position matches some alternative, so the matches
-tile the source. The blanks after a token (space, tab, form feed,
-carriage return) ride in that token's match; only runs holding a line
-break, comments and blanks at the start of the file take a match of
-their own. Two patterns are built from it:
+tile the source. Two patterns are built from it:
 
 - `_TEXTS` captures every non-trivia alternative in one group, so a
   single `findall` call yields the token texts with no Python code per
-  match. `tokenize` maps each text to its kind through a cache that
-  holds each distinct text once, and returns a `Tokens`: two flat lists,
-  `kinds` and `texts`, and the source.
+  match. The blanks and line breaks after a token ride in that token's
+  match; only comments and blanks at the start of the file take a match
+  of their own. `tokenize` maps each text to its code, one character
+  naming its kind (see `KIND_OF_CODE`), through a cache that holds each
+  distinct text once, and returns a `Tokens`: the codes as one string,
+  the texts as a list, and the source.
 - `_MASTER` names each alternative and is run with `finditer`, as in
   the "Writing a Tokenizer" recipe of the `re` documentation, to give
   every token its line and column. That positioned pass runs only for
@@ -89,7 +89,8 @@ _GRAMMAR = (
 )
 _TRIVIA_GROUPS = ("space", "comment")
 # The blanks that follow any match are consumed with it, outside the
-# alternatives, so they never form a match alone.
+# alternatives, so they never form a match alone. The positioned pass
+# leaves line breaks out, because it counts lines in the trivia matches.
 _BLANKS = r"[ \t\f\r]*"
 
 # One whitespace or comment run; the gaps between tokens hold only these.
@@ -101,11 +102,11 @@ _MASTER = re.compile(
     + _BLANKS)
 # The same alternatives in the same order, with one capture group round
 # every non-trivia alternative: findall returns each token's text and an
-# empty string for each trivia match.
+# empty string for each trivia match. Line breaks ride with the blanks.
 _TEXTS = re.compile(
     "(?:" + _TRIVIA.pattern + "|(" + "|".join(
         rx for name, rx in _GRAMMAR if name not in _TRIVIA_GROUPS) + "))"
-    + _BLANKS)
+    + r"[ \t\f\r\n]*")
 _LINE_BREAK = re.compile(r"\n")
 
 # Token kind of each group whose match never spans a line break.
@@ -149,46 +150,72 @@ class LexError(Exception):
         self.column = column
 
 
-# Distinct texts the kind cache holds at most; it starts over when full,
+# Token codes: one character per token, naming its kind. The parser
+# tests kinds and counts tokens on these characters, so the texts it
+# looks for have codes of their own: `{ } ( ) [ ] ; , . @` and `?` stand
+# for themselves, `&&` and `||` share "&", and each keyword has its own
+# letter from U+00C0 on. Every other text takes the code of its group;
+# an error group has none. A code is never read from the source: a
+# letter such as U+00C0 outside a literal is punctuation of the `other`
+# group. All codes are below U+0100, so a code string takes one byte per
+# token, and a character class of codes compiles to a small table.
+IDENTIFIER, OPERATOR = "i", "o"
+KEYWORD_CODES = {word: chr(0xC0 + i)
+                 for i, word in enumerate(sorted(KEYWORDS))}
+_TEXT_CODES = {**KEYWORD_CODES, **{c: c for c in "{}()[];,.@?"},
+               "&&": "&", "||": "&"}
+_GROUP_CODES = {"word": IDENTIFIER, "operator": OPERATOR, "other": "x",
+                "float": "f", "integer": "n", "string": "s",
+                "text_block": "s", "char": "c"}
+KIND_OF_CODE = {
+    **dict.fromkeys("{}()[];,.@x", "punctuation"),
+    **dict.fromkeys("?&" + OPERATOR, "operator"),
+    **dict.fromkeys(KEYWORD_CODES.values(), "keyword"),
+    IDENTIFIER: "identifier", "f": "float-literal", "n": "integer-literal",
+    "s": "string-literal", "c": "char-literal",
+}
+
+# Distinct texts the code cache holds at most; it starts over when full,
 # so a tree with many distinct literals cannot grow it without bound.
 _KIND_CACHE_SIZE = 1 << 16
 
 
-class _KindOf(dict):
-    """Token text -> kind, filled on first sight of each text. A text of
+class _CodeOf(dict):
+    """Token text -> code, filled on first sight of each text. A text of
     an error group is never stored, so every occurrence of one raises
     KeyError."""
 
     def __missing__(self, text: str) -> str:
-        group = _MASTER.match(text).lastgroup
-        if group == "word":
-            kind = "keyword" if text in KEYWORDS else "identifier"
-        else:
-            kind = _FLAT_KINDS.get(group) or _SPANNING_KINDS.get(group)
-            if kind is None:
-                raise KeyError(text)
+        code = (_TEXT_CODES.get(text)
+                or _GROUP_CODES[_MASTER.match(text).lastgroup])
         if len(self) >= _KIND_CACHE_SIZE:
             self.clear()
-        self[text] = kind
-        return kind
+        self[text] = code
+        return code
 
 
-_KIND_OF = _KindOf()
+_CODE_OF = _CodeOf()
 
 
 class Tokens:
-    """The tokens of one source as two flat lists, `kinds` and `texts`,
-    and the source they came from."""
+    """The tokens of one source: `codes`, a string with one character
+    per token naming its kind, the list of their `texts`, and the source
+    they came from."""
 
-    __slots__ = ("kinds", "texts", "source")
+    __slots__ = ("codes", "texts", "source")
 
-    def __init__(self, kinds: list[str], texts: list[str], source: str):
-        self.kinds = kinds
+    def __init__(self, codes: str, texts: list[str], source: str):
+        self.codes = codes
         self.texts = texts
         self.source = source
 
     def __len__(self) -> int:
         return len(self.texts)
+
+    @property
+    def kinds(self) -> list[str]:
+        """The kind of each token, built from `codes` on every call."""
+        return [KIND_OF_CODE[code] for code in self.codes]
 
     def positioned(self) -> list[Token]:
         """The tokens with their lines and columns (the positioned pass)."""
@@ -198,16 +225,16 @@ class Tokens:
 def tokenize(source: str) -> Tokens:
     """Tokenize Java source, dropping whitespace and comments.
 
-    One findall call yields the texts; each distinct text's kind is
+    One findall call yields the texts; each distinct text's code is
     looked up once per process. A source holding an error group's text
     takes the positioned pass instead, which raises its LexError."""
     texts = list(filter(None, _TEXTS.findall(source)))
     try:
-        kinds = list(map(_KIND_OF.__getitem__, texts))
+        codes = "".join(map(_CODE_OF.__getitem__, texts))
     except KeyError:
         _positioned(source)
         raise AssertionError("positioned pass found no lexical error")
-    return Tokens(kinds, texts, source)
+    return Tokens(codes, texts, source)
 
 
 def _positioned(source: str) -> list[Token]:

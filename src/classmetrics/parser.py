@@ -2,31 +2,58 @@
 
 Handles the classic Java subset: package/import declarations, class and
 interface declarations with extends/implements, fields, methods and
-constructors. Method bodies are captured as balanced token slices and
+constructors. Method bodies are captured as balanced token ranges and
 scanned for structural facts (decision points, returns, call sites).
 Generics, annotations, enums, lambdas and initializer blocks are
 tokenized but reduced to skip-with-warning so mixed codebases still parse.
 
-The parser reads the `kinds` and `texts` lists of a lexer `Tokens`.
-It runs the positioned pass (`Tokens.positioned()`) at most once per
-file, and only to report a warning or a brace error, so a file that
-parses cleanly never builds token positions.
+The parser reads the `codes` string and the `texts` list of a lexer
+`Tokens`. It tests a token's kind by its code. It finds the braces and
+counts each body's facts with `str` and `re` methods on the codes, and
+runs Python code only at the few tokens whose meaning depends on their
+neighbours. It runs the positioned pass (`Tokens.positioned()`) at most
+once per file, and only to report a warning or a brace error, so a file
+that parses cleanly never builds token positions.
 """
 
+import re
 from typing import NamedTuple
 
-from .lexer import PRIMITIVE_TYPES, Tokens
+from .lexer import (IDENTIFIER, KEYWORD_CODES, OPERATOR, PRIMITIVE_TYPES,
+                    Tokens)
 
 MODIFIERS = frozenset(
     ["public", "private", "protected", "static", "final", "abstract",
      "native", "synchronized", "transient", "volatile", "strictfp", "default"]
 )
 
-# Keywords opening a decision construct; `default:` labels deliberately
-# add nothing, `while` needs do-while pairing (see scan_body).
-_DECISION_KEYWORDS = frozenset(["if", "for", "catch", "case"])
+# Codes that scan_body counts or searches for (see lexer.KEYWORD_CODES).
+_IF, _FOR, _WHILE, _DO, _SWITCH, _TRY = (
+    KEYWORD_CODES[word] for word in "if for while do switch try".split())
+_CATCH, _CASE, _RETURN, _NEW, _THIS, _SUPER = (
+    KEYWORD_CODES[word] for word in "catch case return new this super".split())
+_EXTENDS = KEYWORD_CODES["extends"]
+_BARE_RETURN = _RETURN + ";"
+_SUPER_CALL, _THIS_CALL = _SUPER + "(", _THIS + "("
+# Codes of the name chain before a call: `a.b.f(`, `this.f(`.
+_RECEIVER_CODES = IDENTIFIER + _THIS + _SUPER
+_TYPE_CODES = IDENTIFIER + "".join(KEYWORD_CODES[word]
+                                   for word in sorted(PRIMITIVE_TYPES))
 
-_STATEMENT_KEYWORDS = frozenset(["if", "for", "while", "do", "switch", "try"])
+_BRACE = re.compile("[{}]")
+_CONTROL = re.compile(
+    f"[{_IF}{_FOR}{_WHILE}{_DO}{_SWITCH}{_TRY}{_CATCH}{_CASE}]")
+_CALL = re.compile(IDENTIFIER + r"\(")
+_DO_WHILE = re.compile(f"[{_DO}{_WHILE}]")
+# `new` and its type name (group 1): identifiers and primitive types
+# joined by dots, and the dot after the last one if one follows.
+_NEW_TYPE = re.compile(f"{_NEW}([{_TYPE_CODES}](?:\\.[{_TYPE_CODES}])*\\.?)")
+# A `?` next to these codes may be a generic wildcard (<?>, <? extends
+# X>, Map<String,?>), and its neighbours' texts decide; any other `?` is
+# a ternary.
+_MAYBE_WILDCARD = re.compile(
+    f"\\?(?:(?<=[{OPERATOR},]\\?)|(?=[{OPERATOR},{_EXTENDS}{_SUPER}]))")
+_WILDCARD_NEXT = ("extends", "super", ">", ">>", ",")
 
 # Class and interface declarations nested deeper than this are skipped
 # with a warning; the parser recurses once per level.
@@ -163,13 +190,13 @@ def parse(tokens: Tokens, file_path: str = "<memory>") -> CompilationUnit:
 
 
 # ---------------------------------------------------------------------------
-# Body facts. scan_body walks the kinds and texts of one method body
-# (the tokens between the outer braces, braces excluded) once; the other
+# Body facts. scan_body reads one method body, the tokens start..end of a
+# file (the tokens between the outer braces, braces excluded); the other
 # functions here are views of its result for the body of a Tokens.
 
-def scan_body(kinds: list[str], texts: list[str],
+def scan_body(codes: str, texts: list[str], start: int, end: int,
               own_method_names: set[str]) -> BodyFacts:
-    """Collect every BodyFacts field in one pass over the body.
+    """Collect every BodyFacts field of the body codes[start:end].
 
     Decision points: if/for/while/do, case labels (not default), catch
     clauses and ternaries; `&&`/`||` are counted apart. A `while` that
@@ -181,83 +208,84 @@ def scan_body(kinds: list[str], texts: list[str],
 
     Statements: semicolons plus statement keywords.
     """
-    new_types: list[str] = []
-    decisions = short_circuits = statements = 0
-    value_returns = bare_returns = external = internal = 0
-    depth = 0
-    do_stack: list[int] = []  # brace depth of each pending `do`
-    n = len(texts)
-    for i, kind in enumerate(kinds):
-        text = texts[i]
-        if kind == "punctuation":
-            if text == ";":
-                statements += 1
-            elif text == "{":
-                depth += 1
-            elif text == "}":
-                depth -= 1
-            continue
-        if kind == "operator":
-            if text == "?":
-                decisions += _is_ternary(texts, i)
-            elif text == "&&" or text == "||":
-                short_circuits += 1
-            continue
-        next_text = texts[i + 1] if i + 1 < n else ""
-        if kind == "identifier":
-            if next_text == "(":
-                is_internal = _call_is_internal(kinds, texts, i,
-                                                own_method_names)
-                if is_internal:
-                    internal += 1
-                elif is_internal is not None:
-                    external += 1
-            continue
-        if kind != "keyword":
-            continue
-        if text in _STATEMENT_KEYWORDS:
-            statements += 1
-        if text in _DECISION_KEYWORDS:
-            decisions += 1
-        elif text == "do":
-            do_stack.append(depth)
-            decisions += 1
-        elif text == "while":
-            prev = texts[i - 1] if i else ""
-            if do_stack and do_stack[-1] == depth and prev in ("}", ";"):
-                do_stack.pop()  # tail of a do-while, already counted
+    # Counting on a copy of the range is cheaper than passing the range
+    # to each of the dozen counts below. Most short bodies hold no control
+    # keyword and no return, and one search costs less than the counts it
+    # saves.
+    body = codes[start:end]
+    count = body.count
+    statements = count(";")
+    decisions = bare_returns = 0
+    if _CONTROL.search(body):
+        branches = count(_IF) + count(_FOR)
+        dos = count(_DO)
+        whiles = count(_WHILE)
+        statements += branches + dos + whiles + count(_SWITCH) + count(_TRY)
+        if dos:
+            whiles -= _do_while_tails(body)
+        # `default:` labels deliberately add nothing.
+        decisions = branches + dos + whiles + count(_CATCH) + count(_CASE)
+    if "?" in body:
+        decisions += count("?")
+        for m in _MAYBE_WILDCARD.finditer(body):
+            k = start + m.start()
+            if ((m.start() and texts[k - 1] in ("<", ",")) or (
+                    m.end() < len(body) and texts[k + 1] in _WILDCARD_NEXT)):
+                decisions -= 1  # a generic wildcard, not a ternary
+    returns = count(_RETURN)
+    if returns:
+        bare_returns = count(_BARE_RETURN) + body.endswith(_RETURN)
+    external = count(_SUPER_CALL)
+    internal = count(_THIS_CALL)  # constructor delegation
+    for m in _CALL.finditer(body):
+        i = head = m.start()
+        while (head >= 2 and body[head - 1] == "."
+               and body[head - 2] in _RECEIVER_CODES):
+            head -= 2
+        before = body[head - 1] if head else ""
+        if before == _NEW:
+            continue  # object creation
+        if head == i and before != ".":
+            if texts[start + i] in own_method_names:
+                internal += 1
             else:
-                decisions += 1
-        elif text == "return":
-            if i + 1 < n and next_text != ";":
-                value_returns += 1
-            else:
-                bare_returns += 1
-        elif text == "new":
-            name = _new_type_name(kinds, texts, i + 1)
-            if name:
-                new_types.append(name)
-        elif next_text == "(":
-            if text == "super":
                 external += 1
-            elif text == "this":
-                internal += 1  # constructor delegation
-    return BodyFacts(
-        decision_point_count=decisions,
-        short_circuit_count=short_circuits,
-        value_return_count=value_returns,
-        bare_return_count=bare_returns,
-        external_call_count=external,
-        internal_call_count=internal,
-        statement_count=statements,
-        new_expression_type_names=new_types,
-    )
+        # `this.f()` is internal; any other receiver (named chain or
+        # expression result) is external.
+        elif head == i - 2 and body[head] == _THIS:
+            internal += 1
+        else:
+            external += 1
+    new_types = []
+    if _NEW in body:
+        new_types = ["".join(texts[start + m.start(1):start + m.end(1)])
+                     for m in _NEW_TYPE.finditer(body)]
+    # Positional, in field order: keywords would cost a dict per body.
+    return BodyFacts(decisions, count("&"), returns - bare_returns,
+                     bare_returns, external, internal, statements, new_types)
+
+
+def _do_while_tails(body: str) -> int:
+    """The `while`s in the body codes that close a `do` at the same brace
+    depth."""
+    tails = depth = counted = 0
+    pending: list[int] = []  # brace depth of each open `do`
+    for m in _DO_WHILE.finditer(body):
+        k = m.start()
+        depth += body.count("{", counted, k) - body.count("}", counted, k)
+        counted = k
+        if m[0] == _DO:
+            pending.append(depth)
+        elif pending and pending[-1] == depth and body[k - 1] in "};":
+            pending.pop()
+            tails += 1
+    return tails
 
 
 def count_decision_points(body: Tokens,
                           count_short_circuit: bool = False) -> int:
     """Decision points of one body; `&&`/`||` only when asked."""
-    facts = scan_body(body.kinds, body.texts, set())
+    facts = scan_body(body.codes, body.texts, 0, len(body), set())
     return facts.decision_point_count + (
         facts.short_circuit_count if count_short_circuit else 0)
 
@@ -265,92 +293,41 @@ def count_decision_points(body: Tokens,
 def classify_calls(body: Tokens,
                    own_method_names: set[str]) -> tuple[int, int]:
     """Classify every call site as (external, internal)."""
-    facts = scan_body(body.kinds, body.texts, own_method_names)
+    facts = scan_body(body.codes, body.texts, 0, len(body), own_method_names)
     return facts.external_call_count, facts.internal_call_count
 
 
 def count_returns(body: Tokens) -> tuple[int, int]:
     """Return (value_returns, bare_returns) for one body."""
-    facts = scan_body(body.kinds, body.texts, set())
+    facts = scan_body(body.codes, body.texts, 0, len(body), set())
     return facts.value_return_count, facts.bare_return_count
 
 
 # The two views below have no caller in the package; they stay because
 # bench/tracing.py wraps every body view by name.
 def count_short_circuit_ops(body: Tokens) -> int:
-    return scan_body(body.kinds, body.texts, set()).short_circuit_count
+    return scan_body(body.codes, body.texts, 0, len(body),
+                     set()).short_circuit_count
 
 
 def collect_new_types(body: Tokens) -> list[str]:
-    return scan_body(body.kinds, body.texts, set()).new_expression_type_names
-
-
-def _call_is_internal(kinds: list[str], texts: list[str], i: int,
-                      own_method_names: set[str]) -> bool | None:
-    """Whether the call of the identifier at i is internal; None for an
-    object creation."""
-    chain_head = _chain_head(kinds, texts, i)
-    before = texts[chain_head - 1] if chain_head else ""
-    if before == "new":
-        return None
-    if chain_head == i and before != ".":
-        return texts[i] in own_method_names
-    # `this.f()` is internal; any other receiver (named chain or
-    # expression result) is external.
-    return chain_head == i - 2 and texts[chain_head] == "this"
-
-
-def _new_type_name(kinds: list[str], texts: list[str], j: int) -> str:
-    """Dotted type name of the `new` expression whose type starts at j."""
-    parts = []
-    n = len(texts)
-    while j < n and (kinds[j] == "identifier"
-                     or texts[j] in PRIMITIVE_TYPES):
-        parts.append(texts[j])
-        if j + 1 < n and texts[j + 1] == ".":
-            parts.append(".")
-            j += 2
-        else:
-            break
-    return "".join(parts)
-
-
-def _is_ternary(texts: list[str], i: int) -> bool:
-    # Filter out generic wildcards: <?>, <? extends X>, Map<String,?>.
-    prev = texts[i - 1] if i else ""
-    nxt = texts[i + 1] if i + 1 < len(texts) else ""
-    if prev in ("<", ","):
-        return False
-    if nxt in ("extends", "super", ">", ">>", ","):
-        return False
-    return True
-
-
-def _chain_head(kinds: list[str], texts: list[str], i: int) -> int:
-    """Index of the first token of the dotted name chain ending at i."""
-    j = i
-    while j >= 2 and texts[j - 1] == ".":
-        kind, text = kinds[j - 2], texts[j - 2]
-        if kind == "identifier" or (kind == "keyword"
-                                    and text in ("this", "super")):
-            j -= 2
-        else:
-            break
-    return j
+    return scan_body(body.codes, body.texts, 0, len(body),
+                     set()).new_expression_type_names
 
 
 def _match_braces(tokens: Tokens, file_path: str) -> dict[int, int]:
     """Index of the matching '}' for the index of each '{'."""
     closers = {}
     stack = []
-    for i, text in enumerate(tokens.texts):
-        if text == "{":
+    for m in _BRACE.finditer(tokens.codes):
+        i = m.start()
+        if m[0] == "{":
             stack.append(i)
-        elif text == "}":
-            if not stack:
-                tok = tokens.positioned()[i]
-                raise ParseError(f"unmatched '}}' in {file_path}",
-                                 tok.line, tok.column)
+        elif not stack:
+            tok = tokens.positioned()[i]
+            raise ParseError(f"unmatched '}}' in {file_path}",
+                             tok.line, tok.column)
+        else:
             closers[stack.pop()] = i
     if stack:
         tok = tokens.positioned()[stack[-1]]
@@ -365,7 +342,7 @@ class _Parser:
     def __init__(self, tokens: Tokens, file_path: str,
                  closers: dict[int, int]):
         self.tokens = tokens
-        self.kinds = tokens.kinds
+        self.codes = tokens.codes
         self.texts = tokens.texts
         self.n = len(tokens.texts)
         self.closers = closers  # '{' index -> matching '}' index
@@ -380,10 +357,9 @@ class _Parser:
         """Text of the current token; None at the end."""
         return self.texts[self.pos] if self.pos < self.n else None
 
-    def kind(self, off: int = 0) -> str | None:
-        """Kind of the token `off` places ahead; None past the end."""
-        p = self.pos + off
-        return self.kinds[p] if p < self.n else None
+    def at_identifier(self, off: int = 0) -> bool:
+        """Whether the token `off` places ahead is an identifier."""
+        return self.codes.startswith(IDENTIFIER, self.pos + off)
 
     def peek(self, off: int) -> str | None:
         """Text of the token `off` places ahead; None past the end."""
@@ -476,7 +452,7 @@ class _Parser:
     def _skip_annotation(self) -> None:
         self.warn("annotation skipped")
         self.advance()  # '@'
-        if self.kind() in ("identifier", "keyword"):
+        if self.at_identifier() or self.cur() in KEYWORD_CODES:
             self.advance()
             while self.at(".") and self.peek(1) is not None:
                 self.advance()
@@ -526,7 +502,7 @@ class _Parser:
 
     def _parse_type_decl(self, mods: list[str]) -> ClassDecl | None:
         kind = self.advance()  # 'class' | 'interface'
-        if self.kind() != "identifier":
+        if not self.at_identifier():
             self.warn(f"malformed {kind} header skipped")
             self._skip_declaration()
             return None
@@ -569,7 +545,7 @@ class _Parser:
     def _read_name_list(self, stop: set[str]) -> list[str]:
         names = []
         while self.cur() is not None and self.cur() not in stop:
-            if self.kind() == "identifier":
+            if self.at_identifier():
                 name = self._read_dotted_name()
                 if self.at("<"):
                     self._try_skip_angles()
@@ -582,7 +558,7 @@ class _Parser:
 
     def _read_dotted_name(self) -> str:
         parts = [self.advance()]
-        while self.at(".") and self.kind(1) == "identifier":
+        while self.at(".") and self.at_identifier(1):
             self.advance()
             parts.append(self.advance())
         return ".".join(parts)
@@ -597,8 +573,8 @@ class _Parser:
         # calls to later-declared methods classify as internal.
         own_names = {m.name for m in decl.methods}
         for method, start, end in pending_bodies:
-            method.body = scan_body(self.kinds[start:end],
-                                    self.texts[start:end], own_names)
+            method.body = scan_body(self.codes, self.texts, start, end,
+                                    own_names)
 
     def _parse_member(self, decl: ClassDecl,
                       pending: list[tuple[MethodDecl, int, int]]) -> None:
@@ -654,7 +630,7 @@ class _Parser:
             self._finish_method(decl, method, mods, pending)
             return
 
-        if self.kind() != "identifier":
+        if not self.at_identifier():
             self.warn(f"malformed member in {decl.name} skipped")
             self._skip_declaration()
             return
@@ -710,7 +686,7 @@ class _Parser:
             if self.at(".") and self.peek(1) == "." and self.peek(2) == ".":
                 rank += 1  # varargs behave like one array dimension
                 self.pos += 3
-            if self.kind() == "identifier":
+            if self.at_identifier():
                 self.advance()  # parameter name
             rank += self._read_dims()
             types.append(type_name + "[]" * rank)
@@ -739,7 +715,7 @@ class _Parser:
                 self._skip_initializer()
             if self.at(","):
                 self.advance()
-                if self.kind() != "identifier":
+                if not self.at_identifier():
                     self.warn(f"malformed field declarator in {decl.name}")
                     self._skip_declaration()
                     return
@@ -785,14 +761,10 @@ class _Parser:
     def _read_type(self) -> tuple[str, int] | None:
         """Read a type: primitive or dotted name, optional generic args
         (dropped), optional [] pairs. Returns (base_name, array_rank)."""
-        kind = self.kind()
-        if kind == "keyword":
-            if self.cur() in PRIMITIVE_TYPES or self.cur() == "void":
-                name = self.advance()
-            else:
-                return None
-        elif kind == "identifier":
+        if self.at_identifier():
             name = self._read_dotted_name()
+        elif self.cur() in PRIMITIVE_TYPES or self.at("void"):
+            name = self.advance()
         else:
             return None
         if self.at("<"):

@@ -87,11 +87,16 @@ def emit_sheet(rows: list[ClassMetricsRow], format: str = "csv",
 
 
 def pearson(xs, ys) -> float | None:
-    """Sample Pearson coefficient; None when a variance is zero."""
+    """Sample Pearson coefficient; None when either input is constant
+    or a variance is zero in floating point."""
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise ValueError("need at least two points")
+    # Tested on the exact values: the float mean of a constant such as
+    # 1/17 is inexact, which would leave a tiny variance.
+    if len(set(xs)) == 1 or len(set(ys)) == 1:
+        return None
     # The standard library's correlation formula of Python 3.11, step for
     # step, so the floats do not depend on the interpreter's version.
     xs = [float(x) for x in xs]

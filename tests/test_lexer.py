@@ -268,7 +268,36 @@ def test_kind_cache_stays_bounded(monkeypatch):
     monkeypatch.setattr(lexer, "_KIND_CACHE_SIZE", 8)
     source = " ".join(f'x{i} "s{i}" {i}' for i in range(50))
     assert_flat_path_matches_positioned(source)
-    assert len(lexer._KIND_OF) <= 8
+    assert len(lexer._CODE_OF) <= 8
+
+
+def test_every_code_names_one_kind(fixture_paths):
+    from classmetrics.lexer import KEYWORD_CODES, KEYWORDS, KIND_OF_CODE
+    assert sorted(KEYWORD_CODES) == sorted(KEYWORDS)
+    assert len(set(KEYWORD_CODES.values())) == len(KEYWORDS)
+    assert all(KIND_OF_CODE[code] == "keyword" and 0x7F < ord(code) < 0x100
+               for code in KEYWORD_CODES.values())
+    kinds_of = {}
+    sources = [path.read_text(encoding="utf-8") for path in fixture_paths]
+    for source in sources + ["x = 1.5f + 'c' + \"s\" + a ? b : c || d²;"]:
+        tokens = tokenize(source)
+        for code, token in zip(tokens.codes, tokens.positioned()):
+            kinds_of.setdefault(code, set()).add(token.kind)
+    assert all(len(kinds) == 1 for kinds in kinds_of.values()), kinds_of
+    assert {code: kinds.pop() for code, kinds in kinds_of.items()} == {
+        code: KIND_OF_CODE[code] for code in kinds_of}
+
+
+def test_keyword_code_in_the_source_is_punctuation():
+    # The code of `if` in the source, outside a literal, is a character
+    # of the `other` group and adds no decision.
+    from classmetrics.lexer import KEYWORD_CODES
+    from classmetrics.parser import count_decision_points
+    code_of_if = KEYWORD_CODES["if"]
+    tokens = tokenize(f"x = {code_of_if} (a) ? b : c; {code_of_if}")
+    assert tokens.kinds[2] == tokens.kinds[-1] == "punctuation"
+    assert code_of_if not in tokens.codes
+    assert count_decision_points(tokens) == 1  # the ternary alone
 
 
 def test_tokens_are_two_lists_and_the_source():
@@ -277,5 +306,6 @@ def test_tokens_are_two_lists_and_the_source():
     assert len(tokens) == 13 and tokens.source == source
     assert (tokens.kinds[9:11], tokens.texts[9:11]) == (
         ["integer-literal", "punctuation"], ["1", ";"])
+    assert tokens.codes[9:11] == "n;" and len(tokens.codes) == 13
     assert tokens.positioned()[10] == ("punctuation", ";", 2, 21)
     assert tokens.positioned() == scan(source)[0]

@@ -1,12 +1,19 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from classmetrics.lexer import tokenize
 from classmetrics.parser import (ParseError, classify_calls,
-                                 count_decision_points, count_returns, parse)
+                                 count_decision_points, count_returns, parse,
+                                 scan_body)
 
 from conftest import parse_source
 
-from cfg_oracle import Switch, While, cyclomatic_from_cfg
+import body_oracle
+from cfg_oracle import (Switch, While, cyclomatic_from_cfg, random_body,
+                        to_java)
 
 
 def body_tokens(body_source):
@@ -390,3 +397,81 @@ def test_member_annotation_type_gives_one_warning():
     assert decl.nested == [] and [m.name for m in decl.methods] == ["f"]
     assert unit.warnings == [
         "<test>.java: annotation type declaration 'Inner' skipped at line 2"]
+
+
+# ---------------------------------------------------------------------------
+# scan_body against the token-walk reference in body_oracle.py. Each body
+# is also scanned as a range inside a longer code string, between tokens
+# that would change its facts if the scan looked past its ends.
+
+_OWN_NAMES = ["f", "g", "helper", "run", "make", "Foo", "x", "A"]
+_PREFIXES = ["", "a .", "this .", "new", "do {", "Map < String ,", "return"]
+_SUFFIXES = ["", ";", "( )", "extends T", "while ( a ) ;", ". f ( )"]
+
+
+def assert_scan_matches_oracle(source, own, prefix, suffix):
+    body = tokenize(source)
+    assert scan_body(body.codes, body.texts, 0, len(body), own) == (
+        body_oracle.scan_body(body.kinds, body.texts, own))
+    start, after = len(tokenize(prefix)), len(tokenize(suffix))
+    whole = tokenize(f"{prefix} {source} {suffix}")
+    assert whole.texts[start:len(whole) - after] == body.texts
+    assert scan_body(whole.codes, whole.texts, start, len(whole) - after,
+                     own) == body_oracle.scan_body(body.kinds, body.texts, own)
+
+
+# Bodies whose facts depend on their first or last token.
+_EDGE_BODIES = ["? x ,", "x ?", "? - x", "a + ?", ", ? x", "x ? super",
+                "? extends", ", ? >", "f ( ) a .", "a . f ( )",
+                "this . f ( )", "super . f ( )", "new super . f ( )",
+                "return", "x return", "return ;", "new Foo ( )", "new a .",
+                "do ; while ( a ) ;", "} while ( a ) ;", "case 1 :",
+                "catch ( e )"]
+
+
+@pytest.mark.parametrize("prefix", _PREFIXES)
+def test_scan_body_matches_token_walk_at_range_edges(prefix):
+    for source in _EDGE_BODIES:
+        for suffix in _SUFFIXES:
+            for own in (set(), {"f"}):
+                assert_scan_matches_oracle(source, own, prefix, suffix)
+
+
+_STATEMENTS = st.sampled_from([
+    "f(x);", "helper(a, b);", "this.helper();", "this.f(g(x));",
+    "obj.run();", "a.b.c.d();", "super.f();", "super(x);", "this(1);",
+    "make().helper();", "return;", "return x;", "return a ? b : c;",
+    "x = new Foo();", "x = new a.b.Foo(1);", "int[] v = new int[3];",
+    "List<?> l = q;", "Map<String,?> m = null;", "Box<? extends T> b = z;",
+    "Box<? super T> c = z;", "y = new java.util.ArrayList<String>();",
+    "Object o = new Object() { void f() { g(); } };",
+    "y = a && b || c ? d : e;", "do f(); while (a);", "x = new a.;",
+])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.lists(_STATEMENTS, max_size=8),
+       st.sets(st.sampled_from(_OWN_NAMES)), st.sampled_from(_PREFIXES),
+       st.sampled_from(_SUFFIXES))
+def test_scan_body_matches_token_walk_on_structured_bodies(
+        seed, inserted, own, prefix, suffix):
+    lines = to_java(random_body(random.Random(seed))).splitlines()
+    rng = random.Random(seed)
+    for statement in inserted:
+        lines.insert(rng.randint(0, len(lines)), statement)
+    assert_scan_matches_oracle("\n".join(lines), own, prefix, suffix)
+
+
+_SOUP = st.sampled_from(
+    "if for while do switch try catch case default else ? < > >> , . ( ) "
+    "{ } ; && || a b f helper x this super new return int extends "
+    "String 1".split())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_SOUP, max_size=40).map(" ".join),
+       st.sets(st.sampled_from(_OWN_NAMES)), st.sampled_from(_PREFIXES),
+       st.sampled_from(_SUFFIXES))
+def test_scan_body_matches_token_walk_on_token_soup(source, own, prefix,
+                                                    suffix):
+    assert_scan_matches_oracle(source, own, prefix, suffix)

@@ -191,11 +191,15 @@ def _bits(value):
 @given(st.lists(st.tuples(_NUMBERS, _NUMBERS), min_size=2, max_size=40))
 def test_pearson_is_the_library_correlation_bit_for_bit(pairs):
     xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
-    assert _bits(pearson(xs, ys)) == _bits(library_correlation(xs, ys))
+    # An exactly constant input has no correlation, whatever its floats
+    # give the library formula (see the 1/17 test below).
+    constant = len(set(xs)) == 1 or len(set(ys)) == 1
+    expected = None if constant else library_correlation(xs, ys)
+    assert _bits(pearson(xs, ys)) == _bits(expected)
 
 
-# An integer constant: its float mean is exact. The mean of a constant
-# such as 1/17 is not, so both formulas then see a tiny variance.
+# An integer constant: its float mean is exact, so the library formula
+# sees a zero variance too.
 @settings(max_examples=50, deadline=None)
 @given(st.integers(-10**6, 10**6), st.lists(_NUMBERS, min_size=2, max_size=20))
 def test_pearson_of_a_constant_input_is_none(constant, values):
@@ -203,6 +207,15 @@ def test_pearson_of_a_constant_input_is_none(constant, values):
     assert pearson(same, values) is None
     assert pearson(values, same) is None
     assert library_correlation(same, values) is None
+
+
+def test_pearson_of_an_inexact_constant_is_none():
+    # The float mean of 1/17 is inexact: the library formula gives a
+    # tiny non-zero coefficient for this pair of lists.
+    constant, values = [Fraction(1, 17)] * 11, [0] * 10 + [1]
+    assert library_correlation(constant, values) not in (None, 0.0)
+    assert pearson(constant, values) is None
+    assert pearson(values, constant) is None
 
 
 def test_pearson_argument_errors():
