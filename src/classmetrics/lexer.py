@@ -2,31 +2,25 @@
 
 One grammar, `_GRAMMAR`: an ordered list of alternatives, one per
 lexical class. Every position matches some alternative, so the matches
-tile the source. Two patterns are built from it:
+tile the source. `_TEXTS` captures every non-trivia alternative in one
+group, so a single `findall` call yields the token texts with no Python
+code per match. The blanks and line breaks after a token ride in that
+token's match; only comments and blanks at the start of the file take a
+match of their own. `tokenize` maps each text to its code, one character
+naming its kind (see `KIND_OF_CODE`), through a cache that holds each
+distinct text once, and returns a `Tokens`: the codes as one string, the
+texts as a list, and the source.
 
-- `_TEXTS` captures every non-trivia alternative in one group, so a
-  single `findall` call yields the token texts with no Python code per
-  match. The blanks and line breaks after a token ride in that token's
-  match; only comments and blanks at the start of the file take a match
-  of their own. `tokenize` maps each text to its code, one character
-  naming its kind (see `KIND_OF_CODE`), through a cache that holds each
-  distinct text once, and returns a `Tokens`: the codes as one string,
-  the texts as a list, and the source.
-- `_MASTER` names each alternative and is run with `finditer`, as in
-  the "Writing a Tokenizer" recipe of the `re` documentation, to give
-  every token its line and column. That positioned pass runs only for
-  `Tokens.positioned()` (which the parser calls to report a warning or
-  a brace error), for `scan`, and when the source holds an error group,
-  whose `LexError` it raises at the right place.
-
-`scan` rebuilds the skipped trivia (whitespace and comment runs) from
-the gaps between tokens so that the original file can be rebuilt byte
-for byte. Generic angle brackets are emitted as plain operators;
-disambiguation is the parser's job.
+The positioned pass runs `finditer` over the same pattern and takes each
+token's kind from the same codes, adding its line and column. It runs
+only for `Tokens.positioned()` (which the parser calls to report a
+warning or a brace error) and when the source holds a text of an error
+group, whose `LexError` it raises at the right place. Generic angle
+brackets are emitted as plain operators; disambiguation is the parser's
+job.
 """
 
 import re
-from bisect import bisect_right
 from typing import NamedTuple
 
 # Reserved words (JLS set plus assert/enum); true/false/null are reserved
@@ -88,38 +82,21 @@ _GRAMMAR = (
     ("other", r"[\s\S]"),
 )
 _TRIVIA_GROUPS = ("space", "comment")
-# The blanks that follow any match are consumed with it, outside the
-# alternatives, so they never form a match alone. The positioned pass
-# leaves line breaks out, because it counts lines in the trivia matches.
-_BLANKS = r"[ \t\f\r]*"
 
-# One whitespace or comment run; the gaps between tokens hold only these.
-_TRIVIA = re.compile("|".join(rx for name, rx in _GRAMMAR
-                              if name in _TRIVIA_GROUPS))
-# One named group per alternative, for the positioned pass.
-_MASTER = re.compile(
-    "(?:" + "|".join(f"(?P<{name}>{rx})" for name, rx in _GRAMMAR) + ")"
-    + _BLANKS)
-# The same alternatives in the same order, with one capture group round
-# every non-trivia alternative: findall returns each token's text and an
-# empty string for each trivia match. Line breaks ride with the blanks.
+# One whitespace or comment run.
+_TRIVIA = "|".join(rx for name, rx in _GRAMMAR if name in _TRIVIA_GROUPS)
+# The alternatives in order, with one capture group round every
+# non-trivia alternative: findall returns each token's text and an empty
+# string for each trivia match. The blanks and line breaks that follow
+# a match are consumed with it, so they never form a match alone.
 _TEXTS = re.compile(
-    "(?:" + _TRIVIA.pattern + "|(" + "|".join(
+    "(?:" + _TRIVIA + "|(" + "|".join(
         rx for name, rx in _GRAMMAR if name not in _TRIVIA_GROUPS) + "))"
     + r"[ \t\f\r\n]*")
-_LINE_BREAK = re.compile(r"\n")
+# One named group per alternative: the group that matches a token's text
+# alone names the token's lexical class.
+_MASTER = re.compile("|".join(f"(?P<{name}>{rx})" for name, rx in _GRAMMAR))
 
-# Token kind of each group whose match never spans a line break.
-_FLAT_KINDS = {
-    "punctuation": "punctuation", "operator": "operator",
-    "float": "float-literal", "integer": "integer-literal",
-    "other": "punctuation",
-}
-# Token kind of each group whose match may span line breaks.
-_SPANNING_KINDS = {
-    "string": "string-literal", "char": "char-literal",
-    "text_block": "string-literal",
-}
 _ERRORS = {
     "bad_comment": "unterminated block comment",
     "bad_text_block": "unterminated text block",
@@ -130,14 +107,6 @@ _ERRORS = {
 
 class Token(NamedTuple):
     kind: str  # keyword | identifier | punctuation | operator | *-literal
-    text: str
-    line: int
-    column: int
-
-
-class Trivia(NamedTuple):
-    """Whitespace or comment run, kept only for position bookkeeping."""
-
     text: str
     line: int
     column: int
@@ -238,56 +207,30 @@ def tokenize(source: str) -> Tokens:
 
 
 def _positioned(source: str) -> list[Token]:
-    """Positioned tokens of the source. Columns count from the offset of
-    the current line start."""
+    """Positioned tokens of the source, from the matches `tokenize`
+    takes its texts from. A token's line counts the line breaks since
+    the previous token's start; its column counts from the offset of the
+    current line start. The first text of an error group raises its
+    LexError."""
     tokens: list[Token] = []
     emit = tokens.append
     new = tuple.__new__
     line = 1
-    line_start = 0
-    for m in _MASTER.finditer(source):
-        group = m.lastgroup
-        if group == "word":
-            text = m[group]
-            kind = "keyword" if text in KEYWORDS else "identifier"
-            emit(new(Token, (kind, text, line, m.start() - line_start + 1)))
-            continue
-        kind = _FLAT_KINDS.get(group)
-        if kind is not None:
-            emit(new(Token,
-                     (kind, m[group], line, m.start() - line_start + 1)))
+    line_start = last = 0
+    for m in _TEXTS.finditer(source):
+        text = m[1]
+        if not text:
             continue
         start = m.start()
-        if group in _ERRORS:
-            raise LexError(_ERRORS[group], line, start - line_start + 1)
-        text = m[group]
-        kind = _SPANNING_KINDS.get(group)
-        if kind is not None:
-            emit(new(Token, (kind, text, line, start - line_start + 1)))
-        breaks = text.count("\n")
+        breaks = source.count("\n", last, start)
         if breaks:
             line += breaks
-            line_start = start + text.rindex("\n") + 1
+            line_start = source.rindex("\n", last, start) + 1
+        last = start
+        try:
+            kind = KIND_OF_CODE[_CODE_OF[text]]
+        except KeyError:
+            raise LexError(_ERRORS[_MASTER.match(text).lastgroup], line,
+                           start - line_start + 1) from None
+        emit(new(Token, (kind, text, line, start - line_start + 1)))
     return tokens
-
-
-def scan(source: str) -> tuple[list[Token], list[Trivia]]:
-    """Tokenize and also return the trivia runs in source order, rebuilt
-    from the gaps between the tokens."""
-    tokens = _positioned(source)
-    line_starts = [0] + [m.end() for m in _LINE_BREAK.finditer(source)]
-    trivia: list[Trivia] = []
-    starts = [line_starts[t.line - 1] + t.column - 1 for t in tokens]
-    gap_starts = [0] + [s + len(t.text) for s, t in zip(starts, tokens)]
-    for gap_start, gap_end in zip(gap_starts, starts + [len(source)]):
-        for m in _TRIVIA.finditer(source, gap_start, gap_end):
-            line = bisect_right(line_starts, m.start())
-            trivia.append(Trivia(m.group(), line,
-                                 m.start() - line_starts[line - 1] + 1))
-    return tokens, trivia
-
-
-def reconstruct(tokens: list[Token], trivia: list[Trivia]) -> str:
-    """Rebuild the exact source text from a scan() result."""
-    pieces = sorted(tokens + trivia, key=lambda t: (t.line, t.column))
-    return "".join(p.text for p in pieces)

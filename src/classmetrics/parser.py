@@ -24,7 +24,8 @@ from .lexer import (IDENTIFIER, KEYWORD_CODES, OPERATOR, PRIMITIVE_TYPES,
 
 MODIFIERS = frozenset(
     ["public", "private", "protected", "static", "final", "abstract",
-     "native", "synchronized", "transient", "volatile", "strictfp", "default"]
+     "native", "synchronized", "transient", "volatile", "strictfp", "default",
+     "sealed"]
 )
 
 # Codes that scan_body counts or searches for (see lexer.KEYWORD_CODES).
@@ -446,6 +447,11 @@ class _Parser:
             if self.cur() in MODIFIERS:
                 mods.append(self.advance())
                 continue
+            if (self.at("non") and self.peek(1) == "-"
+                    and self.peek(2) == "sealed"):
+                self.pos += 3
+                mods.append("non-sealed")
+                continue
             break
         return mods
 
@@ -523,14 +529,18 @@ class _Parser:
 
         if self.at("extends"):
             self.advance()
-            names = self._read_name_list(stop={"implements", "{"})
+            names = self._read_name_list(stop={"implements", "permits", "{"})
             if kind == "interface":
                 decl.extended_interface_names = names
             elif names:
                 decl.superclass_name = names[0]
         if self.at("implements"):
             self.advance()
-            decl.implemented_interface_names = self._read_name_list(stop={"{"})
+            decl.implemented_interface_names = self._read_name_list(
+                stop={"permits", "{"})
+        if self.at("permits"):
+            self.advance()
+            self._read_name_list(stop={"{"})
 
         if not self.at("{"):
             self.warn(f"malformed {kind} body for {decl.name}; declaration skipped")

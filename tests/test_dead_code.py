@@ -1,6 +1,7 @@
 """Dead-code guard for the package: every import in a module is used
 there, and every top-level function or class is named somewhere in the
-package, the tests or the benchmark other than by its own definition."""
+package, the tests or the benchmark other than by its own definition.
+One that only the tests name belongs in the tests, unless it is public."""
 
 import ast
 import re
@@ -10,10 +11,10 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "classmetrics"
 
 
-def _names_in(node: ast.AST) -> set[str]:
+def _names_in(node: ast.AST, strings: bool = True) -> set[str]:
     """Identifiers that `node` refers to: names, attributes, imported
-    names, and identifiers inside string constants (the benchmark's
-    tracer names what it wraps as strings)."""
+    names, and, when `strings` is set, identifiers inside string
+    constants (the benchmark's tracer names what it wraps as strings)."""
     found = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
@@ -22,7 +23,8 @@ def _names_in(node: ast.AST) -> set[str]:
             found.add(sub.attr)
         elif isinstance(sub, ast.alias):
             found.add(sub.name.rpartition(".")[2])
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+        elif (strings and isinstance(sub, ast.Constant)
+              and isinstance(sub.value, str)):
             found.update(re.findall(r"[A-Za-z_]\w*", sub.value))
     return found
 
@@ -51,20 +53,44 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _references(path: Path, strings: bool = True) -> set[str]:
+    """What the top-level statements of `path` name (see `_names_in`)."""
+    found = set()
+    for node in _parse(path).body:
+        names = _names_in(node, strings)
+        # A definition's mention of itself (recursion) does not count.
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.discard(node.name)
+        found |= names
+    return found
+
+
+def _unnamed(referenced: set[str]) -> list[str]:
+    """The package's top-level functions and classes not in `referenced`."""
+    return [f"{path.name}: {node.name}"
+            for path in sorted(PACKAGE.glob("*.py"))
+            for node in _parse(path).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name not in referenced]
+
+
 def test_every_top_level_definition_is_named():
     referenced = set()
     for folder in ("src", "tests", "bench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
-            for node in _parse(path).body:
-                names = _names_in(node)
-                # A definition's mention of itself (recursion) does not
-                # count.
-                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    names.discard(node.name)
-                referenced |= names
-    unnamed = [f"{path.name}: {node.name}"
-               for path in sorted(PACKAGE.glob("*.py"))
-               for node in _parse(path).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-               and node.name not in referenced]
-    assert unnamed == []
+            referenced |= _references(path)
+    assert _unnamed(referenced) == []
+
+
+def test_every_top_level_definition_serves_the_program():
+    # Code in the package names it (not a docstring, and not __init__,
+    # which only re-exports), or the benchmark does (string constants
+    # count there), or it is public.
+    import classmetrics
+    referenced = set(classmetrics.__all__)
+    for path in sorted((ROOT / "bench").rglob("*.py")):
+        referenced |= _references(path)
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "__init__.py":
+            referenced |= _references(path, strings=False)
+    assert _unnamed(referenced) == []

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from classmetrics.lexer import LexError, Trivia, reconstruct, scan, tokenize
+from classmetrics.lexer import LexError, tokenize
+from lexer_oracle import Trivia, positioned, reconstruct, scan
 
 
 def kinds_and_texts(source):
@@ -116,6 +117,56 @@ def test_unterminated_text_block_raises_at_its_opening():
     assert (err.value.line, err.value.column) == (2, 14)
 
 
+# Sources whose last line closes a token or comment that spans lines,
+# with the positioned tokens of each followed by ` t = 1;` on that line.
+# Positions after it count the line breaks inside it.
+_SPANNING_SOURCES = {
+    "text block": ('s = """\n  a\n  """;', [
+        ("identifier", "s", 1, 1), ("operator", "=", 1, 3),
+        ("string-literal", '"""\n  a\n  """', 1, 5),
+        ("punctuation", ";", 3, 6), ("identifier", "t", 3, 8),
+        ("operator", "=", 3, 10), ("integer-literal", "1", 3, 12),
+        ("punctuation", ";", 3, 13)]),
+    "block comment": ("int s; /* one\n   two */ int u;", [
+        ("keyword", "int", 1, 1), ("identifier", "s", 1, 5),
+        ("punctuation", ";", 1, 6), ("keyword", "int", 2, 11),
+        ("identifier", "u", 2, 15), ("punctuation", ";", 2, 16),
+        ("identifier", "t", 2, 18), ("operator", "=", 2, 20),
+        ("integer-literal", "1", 2, 22), ("punctuation", ";", 2, 23)]),
+    "escaped line break": ('s = "a\\\n  b";', [
+        ("identifier", "s", 1, 1), ("operator", "=", 1, 3),
+        ("string-literal", '"a\\\n  b"', 1, 5), ("punctuation", ";", 2, 5),
+        ("identifier", "t", 2, 7), ("operator", "=", 2, 9),
+        ("integer-literal", "1", 2, 11), ("punctuation", ";", 2, 12)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SPANNING_SOURCES))
+def test_positions_after_a_token_that_spans_lines(name):
+    source, expected = _SPANNING_SOURCES[name]
+    source += " t = 1;"
+    assert tokenize(source).positioned() == expected
+    assert_flat_path_matches_positioned(source)
+
+
+@pytest.mark.parametrize("name", sorted(_SPANNING_SOURCES))
+@pytest.mark.parametrize("opener, message", [
+    ("/*", "unterminated block comment"),
+    ('"', "unterminated string literal"),
+    ("'", "unterminated char literal"),
+])
+def test_lex_error_after_a_token_that_spans_lines(name, opener, message):
+    # The opener stands where ` t = 1;` has its `1`.
+    source, expected = _SPANNING_SOURCES[name]
+    source += f" t = {opener}x"
+    with pytest.raises(LexError) as err:
+        tokenize(source)
+    line, column = expected[-2][2:]
+    assert str(err.value) == f"{message} at line {line}, column {column}"
+    assert (err.value.line, err.value.column) == (line, column)
+    assert_flat_path_matches_positioned(source)
+
+
 def test_digit_outside_decimal_digits_is_punctuation():
     # str.isdigit() holds for these, but \d (Unicode Nd) does not match.
     found = []
@@ -211,13 +262,13 @@ def test_positions_match_source_lines_property(source):
         pass  # unterminated literal/comment; no positions to check
 
 
-# The flat path (one findall call plus a kind per distinct text) against
-# the positioned pass that scan() runs: same kinds, texts, positions and
-# LexErrors.
+# The lexer (one findall call plus a code per distinct text, and the
+# positioned pass over the same matches) against the reference lexer in
+# lexer_oracle.py: same kinds, texts, positions and LexErrors.
 
 def assert_flat_path_matches_positioned(source):
     try:
-        expected = scan(source)[0]
+        expected = positioned(source)
     except LexError as err:
         with pytest.raises(LexError) as got:
             tokenize(source)
@@ -281,7 +332,7 @@ def test_every_code_names_one_kind(fixture_paths):
     sources = [path.read_text(encoding="utf-8") for path in fixture_paths]
     for source in sources + ["x = 1.5f + 'c' + \"s\" + a ? b : c || d²;"]:
         tokens = tokenize(source)
-        for code, token in zip(tokens.codes, tokens.positioned()):
+        for code, token in zip(tokens.codes, positioned(source)):
             kinds_of.setdefault(code, set()).add(token.kind)
     assert all(len(kinds) == 1 for kinds in kinds_of.values()), kinds_of
     assert {code: kinds.pop() for code, kinds in kinds_of.items()} == {

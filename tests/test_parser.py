@@ -399,6 +399,37 @@ def test_member_annotation_type_gives_one_warning():
         "<test>.java: annotation type declaration 'Inner' skipped at line 2"]
 
 
+def test_sealed_types_are_declarations():
+    unit = parse_source(
+        "sealed interface S permits A, B {}\n"
+        "public final class A implements S { }\n"
+        "public non-sealed class B extends A { int x; }\n"
+        "public abstract sealed class C extends D implements S, T\n"
+        "    permits E { class F { } }")
+    s, a, b, c = unit.type_decls
+    assert (s.name, s.kind, s.is_abstract) == ("S", "interface", True)
+    assert s.extended_interface_names == []
+    assert (a.visibility, a.implemented_interface_names) == ("public", ["S"])
+    assert (b.visibility, b.superclass_name) == ("public", "A")
+    assert [f.name for f in b.fields] == ["x"]
+    assert (c.superclass_name, c.implemented_interface_names) == (
+        "D", ["S", "T"])
+    assert c.is_abstract and [n.name for n in c.nested] == ["F"]
+    assert unit.warnings == []
+
+
+def test_sealed_words_stay_names_where_they_are_not_modifiers():
+    unit = parse_source(
+        "class G { boolean sealed; non x; int permits, non; sealed y; }")
+    [decl] = unit.type_decls
+    assert [(f.name, f.declared_type_name) for f in decl.fields] == [
+        ("sealed", "boolean"), ("x", "non"), ("permits", "int"),
+        ("non", "int")]
+    # Since Java 17 `sealed` names no type; it is read as a modifier.
+    assert unit.warnings == ["<test>.java: malformed member in G skipped"
+                             " at line 1"]
+
+
 # ---------------------------------------------------------------------------
 # scan_body against the token-walk reference in body_oracle.py. Each body
 # is also scanned as a range inside a longer code string, between tokens

@@ -17,12 +17,11 @@ from classmetrics import weyuker
 from classmetrics.metrics import MetricConfig, compute_rows
 from classmetrics.weyuker import (CCC_METRIC, CMC_METRIC, CorpusEntry,
                                   MetricFunction, SyntheticClass,
-                                  check_property, collect_names, concat,
-                                  fixture_corpus, from_class_model,
-                                  generate_corpus, project_corpus,
-                                  random_corpus, rename, reports_to_json,
-                                  reports_to_text, run_all, submetrics_of,
-                                  verify_witness)
+                                  check_property, concat, fixture_corpus,
+                                  from_class_model, generate_corpus,
+                                  project_corpus, random_corpus, rename,
+                                  reports_to_json, reports_to_text, run_all)
+from weyuker_oracle import collect_names, submetrics_of, verify_witness
 
 
 def make(methods=(), **kwargs):
