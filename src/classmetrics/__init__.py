@@ -8,9 +8,8 @@ properties over synthetic or parsed corpora.
 from pathlib import Path
 
 from .lexer import LexError, Token, tokenize
-from .metrics import (ClassMetricsRow, MetricConfig, cc_balasubramanian,
-                      ccc_total, cmc, compute_row, compute_rows,
-                      method_cyclomatic, wmc)
+from .metrics import (ClassMetricsRow, MetricConfig, compute_row,
+                      compute_rows, method_cyclomatic)
 from .model import ModelError, ProjectModel, build_model, is_user_defined
 from .parser import (BodyFacts, ClassDecl, CompilationUnit, FieldDecl,
                      MethodDecl, ParseError, classify_calls,
@@ -28,12 +27,12 @@ __all__ = [
     "CompilationUnit", "CorpusEntry", "FieldDecl", "LexError",
     "MethodDecl", "MetricConfig", "MetricFunction", "ModelError",
     "ParseError", "ProjectModel", "PropertyReport", "SyntheticClass",
-    "Token", "build_bundle", "build_model", "cc_balasubramanian",
-    "ccc_total", "check_property", "classify_calls", "cmc", "compute_row",
-    "compute_rows", "concat", "count_decision_points", "dlib_fixture_dir",
-    "emit_chart", "emit_model_xml", "emit_sheet", "generate_corpus",
-    "is_user_defined", "method_cyclomatic", "parse", "pearson", "rename",
-    "run_all", "tokenize", "wmc", "__version__",
+    "Token", "build_bundle", "build_model", "check_property",
+    "classify_calls", "compute_row", "compute_rows", "concat",
+    "count_decision_points", "dlib_fixture_dir", "emit_chart",
+    "emit_model_xml", "emit_sheet", "generate_corpus", "is_user_defined",
+    "method_cyclomatic", "parse", "pearson", "rename", "run_all",
+    "tokenize", "__version__",
 ]
 
 

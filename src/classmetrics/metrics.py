@@ -76,34 +76,6 @@ def ccc_value(int_sum: int, complexity_sum: int, nomt: int) -> Fraction:
     return Fraction(int_sum * nomt + complexity_sum, nomt)
 
 
-def ccc_total(nomt: int, avcc: Fraction, moa: int, ext: int, nsup: int,
-              nsub: int, intr: int, pack: int, nqu: int) -> Fraction:
-    """CCC = NOMT + AVCC + MOA + EXT + NSUP + NSUB + INTR + PACK + NQU."""
-    return ccc_value(nomt + moa + ext + nsup + nsub + intr + pack + nqu,
-                     avcc.numerator, avcc.denominator)
-
-
-def wmc(decl: ClassDecl, cfg: MetricConfig = DEFAULT_CONFIG) -> int:
-    methods = included_methods(decl, cfg)
-    if cfg.wmc_mode == "unity":
-        return len(methods)
-    if cfg.wmc_mode == "weighted":
-        return sum(method_cyclomatic(m, cfg) for m in methods)
-    raise ValueError(f"unknown WMC mode: {cfg.wmc_mode!r}")
-
-
-def cmc(decl: ClassDecl, cfg: MetricConfig = DEFAULT_CONFIG) -> int:
-    """Sum of method complexities, visibility ignored."""
-    return sum(method_cyclomatic(m, cfg) for m in included_methods(decl, cfg))
-
-
-def cc_balasubramanian(decl: ClassDecl,
-                       cfg: MetricConfig = DEFAULT_CONFIG) -> int:
-    """Instance-variable count plus CMC."""
-    iv = sum(1 for f in decl.fields if not f.is_static)
-    return iv + cmc(decl, cfg)
-
-
 def compute_row(decl: ClassDecl, model: ProjectModel,
                 cfg: MetricConfig = DEFAULT_CONFIG) -> ClassMetricsRow:
     methods = included_methods(decl, cfg)

@@ -23,6 +23,10 @@ class _Entry(NamedTuple):
     unit: CompilationUnit
 
 
+# qualified name -> [(written super name, the entry it resolves to), ...]
+_Supers = dict[str, list[tuple[str, _Entry | None]]]
+
+
 class ProjectModel(Record):
     __slots__ = ("classes", "ancestors", "immediate_subclasses",
                  "interfaces_implemented", "user_defined_types",
@@ -120,35 +124,32 @@ def build_model(units: list[CompilationUnit]) -> ProjectModel:
         by_simple.setdefault(entry.decl.name, []).append(entry)
     model.user_defined_types = set(by_simple)
 
-    def resolve(name: str | None, from_package: str) -> _Entry | None:
-        if not name:
-            return None
-        simple = name.split(".")[-1]
-        candidates = by_simple.get(simple, [])
-        if len(candidates) == 1:
-            return candidates[0]
-        for cand in candidates:
-            if cand.unit.package_name == from_package:
-                return cand
-        return candidates[0] if candidates else None
+    # Each entry's written direct supers, each with the entry it names: the
+    # first of that simple name in the writer's package, else the first of
+    # that name; None for a name outside the analyzed set.
+    supers: _Supers = {}
+    for entry in entries:
+        decl, package = entry.decl, entry.unit.package_name
+        written = (decl.extended_interface_names if decl.kind == "interface"
+                   else [decl.superclass_name] if decl.superclass_name else [])
+        resolved = supers[entry.qualified] = []
+        for name in written:
+            candidates = by_simple.get(name.split(".")[-1], [])
+            resolved.append((name, next(
+                (c for c in candidates if c.unit.package_name == package),
+                candidates[0] if candidates else None)))
 
-    def direct_supers(entry: _Entry) -> list[str]:
-        if entry.decl.kind == "interface":
-            return list(entry.decl.extended_interface_names)
-        return [entry.decl.superclass_name] if entry.decl.superclass_name else []
-
-    _check_acyclic(entries, resolve, direct_supers)
+    _check_acyclic(entries, supers)
 
     for entry in entries:
         model.immediate_subclasses.setdefault(entry.qualified, set())
-    model.ancestors = _all_ancestors(entries, resolve, direct_supers)
+    model.ancestors = _all_ancestors(entries, supers)
     for entry in entries:
         model.interfaces_implemented[entry.qualified] = {
             n.split(".")[-1] for n in entry.decl.implemented_interface_names
         }
         model.unresolved_supers[entry.qualified] = None
-        for written in direct_supers(entry):
-            target = resolve(written, entry.unit.package_name)
+        for written, target in supers[entry.qualified]:
             if target is not None:
                 model.immediate_subclasses[target.qualified].add(entry.display)
             elif entry.decl.kind == "class":
@@ -188,8 +189,8 @@ def _flatten(decl: ClassDecl, unit: CompilationUnit, prefix: str,
         _flatten(nested, unit, f"{display}.", out)
 
 
-def _all_ancestors(entries: list[_Entry], resolve,
-                   direct_supers) -> dict[str, list[str]]:
+def _all_ancestors(entries: list[_Entry],
+                   supers: _Supers) -> dict[str, list[str]]:
     """Ancestor names of every entry, as _collect_ancestors gives them.
 
     An entry with exactly one resolved direct super t extends t's list,
@@ -201,12 +202,10 @@ def _all_ancestors(entries: list[_Entry], resolve,
     for entry in entries:
         chain = []  # (entry, its one resolved super), child first
         while entry.qualified not in out:
-            supers = direct_supers(entry)
-            target = (resolve(supers[0], entry.unit.package_name)
-                      if len(supers) == 1 else None)
+            ups = supers[entry.qualified]
+            target = ups[0][1] if len(ups) == 1 else None
             if target is None:
-                out[entry.qualified] = _collect_ancestors(
-                    entry, resolve, direct_supers)
+                out[entry.qualified] = _collect_ancestors(entry, supers)
                 break
             chain.append((entry, target))
             entry = target
@@ -214,20 +213,19 @@ def _all_ancestors(entries: list[_Entry], resolve,
             above = out[target.qualified]
             out[entry.qualified] = (
                 [target.display] + above if target.display not in above
-                else _collect_ancestors(entry, resolve, direct_supers))
+                else _collect_ancestors(entry, supers))
     return out
 
 
-def _collect_ancestors(entry: _Entry, resolve, direct_supers) -> list[str]:
+def _collect_ancestors(entry: _Entry, supers: _Supers) -> list[str]:
     """Breadth-first ancestor names; an external name counts once and ends
     its branch."""
     seen: set[str] = set()
     out: list[str] = []
-    frontier = [(entry, written) for written in direct_supers(entry)]
+    frontier = supers[entry.qualified]
     while frontier:
         next_frontier = []
-        for origin, written in frontier:
-            target = resolve(written, origin.unit.package_name)
+        for written, target in frontier:
             if target is None:
                 simple = written.split(".")[-1]
                 if simple not in seen:
@@ -238,13 +236,12 @@ def _collect_ancestors(entry: _Entry, resolve, direct_supers) -> list[str]:
                 continue
             seen.add(target.display)
             out.append(target.display)
-            next_frontier.extend(
-                (target, up) for up in direct_supers(target))
+            next_frontier.extend(supers[target.qualified])
         frontier = next_frontier
     return out
 
 
-def _check_acyclic(entries: list[_Entry], resolve, direct_supers) -> None:
+def _check_acyclic(entries: list[_Entry], supers: _Supers) -> None:
     """Depth-first search for a cycle in the resolved super relation. The
     stack is explicit, so a deep hierarchy cannot exhaust the recursion
     limit."""
@@ -256,11 +253,10 @@ def _check_acyclic(entries: list[_Entry], resolve, direct_supers) -> None:
             continue
         color[root.qualified] = GRAY
         path = [root.display]
-        stack = [(root, iter(direct_supers(root)))]
+        stack = [(root, iter(supers[root.qualified]))]
         while stack:
-            entry, supers = stack[-1]
-            for written in supers:
-                target = resolve(written, entry.unit.package_name)
+            entry, ups = stack[-1]
+            for _, target in ups:
                 if target is None:
                     continue
                 state = color[target.qualified]
@@ -271,7 +267,7 @@ def _check_acyclic(entries: list[_Entry], resolve, direct_supers) -> None:
                 if state == WHITE:
                     color[target.qualified] = GRAY
                     path.append(target.display)
-                    stack.append((target, iter(direct_supers(target))))
+                    stack.append((target, iter(supers[target.qualified])))
                     break
             else:
                 stack.pop()

@@ -4,8 +4,9 @@ Handles the classic Java subset: package/import declarations, class and
 interface declarations with extends/implements, fields, methods and
 constructors. Method bodies are captured as balanced token ranges and
 scanned for structural facts (decision points, returns, call sites).
-Generics, annotations, enums, lambdas and initializer blocks are
-tokenized but reduced to skip-with-warning so mixed codebases still parse.
+Generics, annotations, enums, records, lambdas and initializer blocks
+are tokenized but reduced to skip-with-warning so mixed codebases still
+parse.
 
 The parser reads the `codes` string and the `texts` list of a lexer
 `Tokens`. It tests a token's kind by its code. It finds the braces and
@@ -384,6 +385,11 @@ class _Parser:
             where = f" at line {self.lines[self.pos]}"
         self.unit.warnings.append(f"{self.unit.file_path}: {message}{where}")
 
+    def _skip(self, message: str) -> None:
+        """Warn, then skip the declaration at the current token."""
+        self.warn(message)
+        self._skip_declaration()
+
     # -- top level ----------------------------------------------------
 
     def parse_unit(self) -> CompilationUnit:
@@ -400,9 +406,12 @@ class _Parser:
                 self.advance()
             else:
                 before = self.pos
-                decl = self._parse_type_decl_or_skip()
-                if decl is not None:
-                    self.unit.type_decls.append(decl)
+                mods = self._collect_modifiers()
+                text = self.cur()
+                if text is not None and not self._parse_type_member(
+                        mods, text, self.unit.type_decls):
+                    self._skip(f"unsupported top-level construct '{text}'"
+                               " skipped")
                 if self.pos == before:
                     self.advance()  # never stall on unexpected tokens
         return self.unit
@@ -419,24 +428,6 @@ class _Parser:
                 out.append(" ")
             out.append(p)
         return "".join(out)
-
-    def _parse_type_decl_or_skip(self) -> ClassDecl | None:
-        mods = self._collect_modifiers()
-        text = self.cur()
-        if text is None:
-            return None
-        if text in ("class", "interface"):
-            return self._parse_type_decl(mods)
-        if text == "enum":
-            self.warn("enum declaration skipped")
-            self._skip_declaration()
-            return None
-        if text == "@":
-            self._skip_annotation_type()
-            return None
-        self.warn(f"unsupported top-level construct '{text}' skipped")
-        self._skip_declaration()
-        return None
 
     def _collect_modifiers(self) -> list[str]:
         mods = []
@@ -465,14 +456,6 @@ class _Parser:
                 self.advance()
         if self.at("("):
             self._skip_parenthesized()
-
-    def _skip_annotation_type(self) -> None:
-        """Skip an annotation type declaration, `@interface Name { ... }`
-        (JLS 9.6), with one warning. _collect_modifiers stops before its
-        `@`."""
-        self.warn("annotation type declaration"
-                  f" '{self.peek(2) or ''}' skipped")
-        self._skip_declaration()
 
     def _skip_declaration(self) -> None:
         """Skip to the end of a declaration: past a balanced brace block or
@@ -506,11 +489,34 @@ class _Parser:
 
     # -- declarations ---------------------------------------------------
 
+    def _parse_type_member(self, mods: list[str], text: str,
+                           into: list[ClassDecl]) -> bool:
+        """Parse the class or interface at `text` into `into`, or skip an
+        enum, an annotation type (`@interface`, JLS 9.6; _collect_modifiers
+        stops before its `@`) or a record (JLS 8.10), each with one
+        warning. False if `text` starts none of them."""
+        if text in ("class", "interface"):
+            if self.depth >= MAX_CLASS_NESTING:
+                self._skip(f"class nested deeper than {MAX_CLASS_NESTING}"
+                           " levels skipped")
+            elif (decl := self._parse_type_decl(mods)) is not None:
+                into.append(decl)
+        elif text == "enum":
+            self._skip("enum declaration skipped")
+        elif text == "@":
+            self._skip(f"annotation type declaration '{self.peek(2) or ''}'"
+                       " skipped")
+        elif (text == "record" and self.at_identifier(1)
+              and self.peek(2) in ("(", "<")):
+            self._skip("record declaration skipped")
+        else:
+            return False
+        return True
+
     def _parse_type_decl(self, mods: list[str]) -> ClassDecl | None:
         kind = self.advance()  # 'class' | 'interface'
         if not self.at_identifier():
-            self.warn(f"malformed {kind} header skipped")
-            self._skip_declaration()
+            self._skip(f"malformed {kind} header skipped")
             return None
         decl = ClassDecl(
             name=self.cur(),
@@ -543,8 +549,8 @@ class _Parser:
             self._read_name_list(stop={"{"})
 
         if not self.at("{"):
-            self.warn(f"malformed {kind} body for {decl.name}; declaration skipped")
-            self._skip_declaration()
+            self._skip(f"malformed {kind} body for {decl.name};"
+                       " declaration skipped")
             return None
         self.advance()
         self.depth += 1
@@ -593,41 +599,19 @@ class _Parser:
             return
         mods = self._collect_modifiers()
         text = self.cur()
-        if text is None:
-            return
-
-        if text in ("class", "interface"):
-            if self.depth >= MAX_CLASS_NESTING:
-                self.warn(f"class nested deeper than {MAX_CLASS_NESTING}"
-                          " levels skipped")
-                self._skip_declaration()
-                return
-            nested = self._parse_type_decl(mods)
-            if nested is not None:
-                decl.nested.append(nested)
-            return
-        if text == "enum":
-            self.warn("enum declaration skipped")
-            self._skip_declaration()
-            return
-        if text == "@":
-            self._skip_annotation_type()
+        if (text is None or text == "}"
+                or self._parse_type_member(mods, text, decl.nested)):
             return
         if text == "{":
-            self.warn("initializer block skipped")
-            self._skip_braces()
+            self._skip("initializer block skipped")
             return
         if text == "<":
-            self.warn("generic method skipped")
-            self._skip_declaration()
-            return
-        if text == "}":
+            self._skip("generic method skipped")
             return
 
         type_info = self._read_type()
-        if type_info is None:
-            self.warn(f"malformed member in {decl.name} skipped")
-            self._skip_declaration()
+        if type_info is None or not (self.at("(") or self.at_identifier()):
+            self._skip(f"malformed member in {decl.name} skipped")
             return
         type_name, type_rank = type_info
 
@@ -638,11 +622,6 @@ class _Parser:
             method = MethodDecl(name=type_name,
                                 is_constructor=type_name == decl.name)
             self._finish_method(decl, method, mods, pending)
-            return
-
-        if not self.at_identifier():
-            self.warn(f"malformed member in {decl.name} skipped")
-            self._skip_declaration()
             return
         name = self.advance()
 
@@ -669,8 +648,7 @@ class _Parser:
         elif self.at(";"):
             self.advance()
         else:
-            self.warn(f"malformed method {method.name} in {decl.name}")
-            self._skip_declaration()
+            self._skip(f"malformed method {method.name} in {decl.name}")
         decl.methods.append(method)
 
     def _read_parameters(self) -> list[str]:
@@ -726,16 +704,14 @@ class _Parser:
             if self.at(","):
                 self.advance()
                 if not self.at_identifier():
-                    self.warn(f"malformed field declarator in {decl.name}")
-                    self._skip_declaration()
+                    self._skip(f"malformed field declarator in {decl.name}")
                     return
                 name = self.advance()
                 continue
             if self.at(";"):
                 self.advance()
             else:
-                self.warn(f"unterminated field declaration in {decl.name}")
-                self._skip_declaration()
+                self._skip(f"unterminated field declaration in {decl.name}")
             return
 
     def _read_dims(self) -> int:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import fsum, sqrt
 from typing import NamedTuple
 
-from .metrics import ClassMetricsRow, MetricConfig
+from .metrics import DEFAULT_CONFIG, ClassMetricsRow, MetricConfig
 from .model import ProjectModel
 
 SHEET_COLUMNS = ["CT", "CL", "NM", "AVCC", "MOA", "IV", "EMC", "NS",
@@ -43,9 +43,8 @@ def format_fixed2(value) -> str:
 
 
 def sheet_cells(row: ClassMetricsRow,
-                cfg: MetricConfig | None = None) -> list[str | int]:
+                cfg: MetricConfig = DEFAULT_CONFIG) -> list[str | int]:
     """One row of the sheet: counts as ints, the rest as text."""
-    cfg = cfg or MetricConfig()
     return [
         "C" if row.class_kind == "class" else "I",
         row.class_name,
@@ -67,12 +66,11 @@ def sheet_cells(row: ClassMetricsRow,
 
 
 def emit_sheet(rows: list[ClassMetricsRow], format: str = "csv",
-               cfg: MetricConfig | None = None,
+               cfg: MetricConfig = DEFAULT_CONFIG,
                cells: list[list[str | int]] | None = None) -> str:
     """The metric sheet in `format`. `cells` holds each row's sheet_cells
     when the caller has them already; otherwise they are computed here."""
     if cells is None:
-        cfg = cfg or MetricConfig()
         cells = [sheet_cells(row, cfg) for row in rows]
     if format == "csv":
         out = io.StringIO()
@@ -113,9 +111,9 @@ def pearson(xs, ys) -> float | None:
         return None
 
 
-def correlations(rows: list[ClassMetricsRow],
-                 cfg: MetricConfig | None = None) -> dict[str, float | None]:
-    cfg = cfg or MetricConfig()
+def correlations(
+        rows: list[ClassMetricsRow],
+        cfg: MetricConfig = DEFAULT_CONFIG) -> dict[str, float | None]:
     if len(rows) < 2:
         return {"WMC": None, "CMC": None, "CC": None}
     ccc = [row.ccc for row in rows]
@@ -217,9 +215,8 @@ _SERIES = [("WMC", "#4878a8"), ("CMC", "#e49444"),
 
 
 def emit_chart(rows: list[ClassMetricsRow],
-               cfg: MetricConfig | None = None) -> str:
+               cfg: MetricConfig = DEFAULT_CONFIG) -> str:
     """Grouped bars (WMC, CMC, CC, CCC) per class, deterministic layout."""
-    cfg = cfg or MetricConfig()
     margin_left, margin_right = 70, 150
     margin_top, margin_bottom = 40, 120
     group_width = 72
@@ -316,12 +313,11 @@ class ReportBundle(NamedTuple):
 
 
 def build_bundle(model: ProjectModel, rows: list[ClassMetricsRow],
-                 cfg: MetricConfig | None = None,
+                 cfg: MetricConfig = DEFAULT_CONFIG,
                  formats: tuple[str, ...] = ("csv", "json"),
                  cells: list[list[str | int]] | None = None) -> ReportBundle:
     """Render model.xml, metrics.<fmt> for each of `formats` and
     chart.svg. `cells` is passed on to emit_sheet."""
-    cfg = cfg or MetricConfig()
     files = {"model.xml": emit_model_xml(model)}
     for fmt in formats:
         files[f"metrics.{fmt}"] = emit_sheet(rows, fmt, cfg, cells).encode()

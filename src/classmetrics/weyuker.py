@@ -31,18 +31,16 @@ import random
 from fractions import Fraction
 from typing import NamedTuple
 
-from .metrics import (MetricConfig, ccc_value, included_methods,
-                      method_cyclomatic)
+from .metrics import (DEFAULT_CONFIG, MetricConfig, ccc_value,
+                      included_methods, method_cyclomatic)
 from .model import ProjectModel, is_user_defined
 from .parser import ClassDecl, Record
 
-# (signature, complexity, value_return_count, external_call_count, is_void)
-MethodTuple = tuple[str, int, int, int, bool]
-# (name, type_name, is_user_defined)
-FieldTuple = tuple[str, str, bool]
-
 
 class SyntheticClass(NamedTuple):
+    # Each method is (signature, complexity, value_return_count,
+    # external_call_count, is_void); each field is (name, type_name,
+    # is_user_defined).
     methods: frozenset = frozenset()
     fields: frozenset = frozenset()
     ancestors: frozenset = frozenset()
@@ -196,18 +194,12 @@ def _ccc_of(cls: SyntheticClass) -> Fraction:
     return ccc_value(int_sum, complexity, len(methods))
 
 
-def _cmc_of(cls: SyntheticClass) -> Fraction:
-    return Fraction(sum(m[1] for m in cls.methods))
-
-
 CCC_METRIC = MetricFunction("CCC", _ccc_of)
-CMC_METRIC = MetricFunction("CMC", _cmc_of)
 
 
 def from_class_model(decl: ClassDecl, model: ProjectModel,
-                     cfg: MetricConfig | None = None) -> SyntheticClass:
+                     cfg: MetricConfig = DEFAULT_CONFIG) -> SyntheticClass:
     """Lossless (for metric purposes) mapping of a parsed class."""
-    cfg = cfg or MetricConfig()
     methods = []
     for m in included_methods(decl, cfg):
         body = m.body
@@ -330,7 +322,7 @@ def generate_corpus(seed: int, size: int = 60) -> list[CorpusEntry]:
 
 
 def project_corpus(model: ProjectModel,
-                   cfg: MetricConfig | None = None) -> list[CorpusEntry]:
+                   cfg: MetricConfig = DEFAULT_CONFIG) -> list[CorpusEntry]:
     return [
         CorpusEntry(model.display_name_of(decl),
                     from_class_model(decl, model, cfg))

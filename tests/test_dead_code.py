@@ -1,7 +1,8 @@
 """Dead-code guard for the package: every import in a module is used
-there, and every top-level function or class is named somewhere in the
-package, the tests or the benchmark other than by its own definition.
-One that only the tests name belongs in the tests, unless it is public."""
+there, and every top-level function, class or assigned name is named
+somewhere in the package, the tests or the benchmark other than by its
+own definition. One that only the tests name belongs in the tests,
+unless it is public."""
 
 import ast
 import re
@@ -12,12 +13,12 @@ PACKAGE = ROOT / "src" / "classmetrics"
 
 
 def _names_in(node: ast.AST, strings: bool = True) -> set[str]:
-    """Identifiers that `node` refers to: names, attributes, imported
-    names, and, when `strings` is set, identifiers inside string
+    """Identifiers that `node` refers to: names it reads, attributes,
+    imported names, and, when `strings` is set, identifiers inside string
     constants (the benchmark's tracer names what it wraps as strings)."""
     found = set()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             found.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             found.add(sub.attr)
@@ -65,13 +66,25 @@ def _references(path: Path, strings: bool = True) -> set[str]:
     return found
 
 
+def _defined(node: ast.stmt) -> list[str]:
+    """What a top-level statement defines: a function, a class, or the
+    names an assignment binds, `__all__` aside."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target])
+        return [sub.id for target in targets for sub in ast.walk(target)
+                if isinstance(sub, ast.Name) and sub.id != "__all__"]
+    return []
+
+
 def _unnamed(referenced: set[str]) -> list[str]:
-    """The package's top-level functions and classes not in `referenced`."""
-    return [f"{path.name}: {node.name}"
+    """The package's top-level definitions not in `referenced`."""
+    return [f"{path.name}: {name}"
             for path in sorted(PACKAGE.glob("*.py"))
             for node in _parse(path).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and node.name not in referenced]
+            for name in _defined(node) if name not in referenced]
 
 
 def test_every_top_level_definition_is_named():

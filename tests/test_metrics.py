@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
 
-from classmetrics.metrics import (MetricConfig, cc_balasubramanian, ccc_total,
-                                  cmc, compute_row, compute_rows,
-                                  method_cyclomatic, wmc)
-from classmetrics.parser import BodyFacts, ClassDecl, MethodDecl
+from classmetrics.metrics import (MetricConfig, ccc_value, compute_row,
+                                  compute_rows, method_cyclomatic)
+from classmetrics.model import build_model
+from classmetrics.parser import (BodyFacts, ClassDecl, CompilationUnit,
+                                 FieldDecl, MethodDecl)
+from classmetrics.report import format_fixed2
 
 from conftest import model_from_sources
 from synth import random_project
@@ -21,6 +23,12 @@ def method_with(decisions=0, short_circuits=0):
 def row_for(model, name, cfg=MetricConfig()):
     decl = next(d for d in model.ordered_decls()
                 if model.display_name_of(d) == name)
+    return compute_row(decl, model, cfg)
+
+
+def lone_row(decl, cfg=MetricConfig()):
+    """The row of `decl` as the only class of a one-file model."""
+    model = build_model([CompilationUnit(decl.unit_path, type_decls=[decl])])
     return compute_row(decl, model, cfg)
 
 
@@ -103,51 +111,50 @@ def test_constructor_exclusion_flag(dlib_model):
 
 
 # ---------------------------------------------------------------------------
-# ccc / wmc / cmc / cc operations
+# ccc / wmc / cmc / cc operations: each is a field of the row
 
 
 def test_ccc_zero():
-    assert ccc_total(0, Fraction(0), 0, 0, 0, 0, 0, 0, 0) == 0
+    assert ccc_value(0, 0, 0) == 0
+    assert lone_row(ClassDecl(name="E", kind="class")).ccc == 0
 
 
-def test_ccc_namedb_arithmetic():
-    assert ccc_total(6, Fraction(1), 1, 8, 2, 0, 0, 1, 3) == 22
+def test_ccc_namedb_arithmetic(dlib_model):
+    # NOMT 6, MOA 1, EXT 8, NSUP 2, NSUB 0, INTR 0, PACK 1, NQU 3; AVCC 6/6
+    assert ccc_value(6 + 1 + 8 + 2 + 0 + 0 + 1 + 3, 6, 6) == 22
+    assert row_for(dlib_model, "NameDB", ANY_CLASS).ccc == 22
 
 
 def test_ccc_rational_arithmetic_and_rendering():
-    value = ccc_total(10, Fraction(7, 5), 0, 4, 1, 0, 0, 3, 7)
+    # NOMT 10, AVCC 7/5, MOA 0, EXT 4, NSUP 1, NSUB 0, INTR 0, PACK 3, NQU 7
+    value = ccc_value(10 + 0 + 4 + 1 + 0 + 0 + 3 + 7, 14, 10)
     assert value == Fraction(132, 5)
-    from classmetrics.report import format_fixed2
     assert format_fixed2(value) == "26.40"
 
 
 def test_wmc_modes(dlib_model):
-    namedb = next(d for d in dlib_model.ordered_decls()
-                  if d.name == "NameDB")
-    assert wmc(namedb, MetricConfig(wmc_mode="unity")) == 6
-    assert wmc(namedb, MetricConfig(wmc_mode="weighted")) == 6
-    empty = ClassDecl(name="E", kind="class")
-    assert wmc(empty) == 0
+    for mode in ("unity", "weighted"):
+        row = row_for(dlib_model, "NameDB", MetricConfig(wmc_mode=mode))
+        assert row.wmc(mode) == 6
+    empty = lone_row(ClassDecl(name="E", kind="class"))
+    assert empty.wmc() == 0
 
 
 def test_cmc_sums_all_visibilities():
     decl = ClassDecl(name="A", kind="class", methods=[
         method_with(decisions=0), method_with(decisions=2),
         method_with(decisions=4)])
-    assert cmc(decl) == 9
-    assert cmc(ClassDecl(name="E", kind="class")) == 0
+    assert lone_row(decl).cmc == 9
+    assert lone_row(ClassDecl(name="E", kind="class")).cmc == 0
 
 
 def test_cc_is_iv_plus_cmc(dlib_model):
-    namedb = next(d for d in dlib_model.ordered_decls()
-                  if d.name == "NameDB")
-    assert cc_balasubramanian(namedb) == 7
-    from classmetrics.parser import FieldDecl
+    assert row_for(dlib_model, "NameDB").cc == 7
     decl = ClassDecl(name="A", kind="class",
                      fields=[FieldDecl(f"f{i}", "int") for i in range(3)],
                      methods=[method_with(decisions=1),
                               method_with(decisions=1)])
-    assert cc_balasubramanian(decl) == 7
+    assert lone_row(decl).cc == 7
 
 
 # ---------------------------------------------------------------------------
@@ -167,11 +174,11 @@ def test_formula_identity_over_500_synthetic_classes():
                           + row.nsup + row.nsub + row.intr + row.pack
                           + row.nqu)
             assert row.ccc == recomputed
-            assert row.ccc == ccc_total(row.nomt, row.avcc, row.moa, row.ext,
-                                        row.nsup, row.nsub, row.intr,
-                                        row.pack, row.nqu)
-            assert row.cmc == cmc(decl, cfg)
-            assert row.cc == cc_balasubramanian(decl, cfg)
+            # CMC and IV, recomputed from the declaration.
+            cmc = sum(method_cyclomatic(m, cfg) for m in decl.methods)
+            iv = sum(1 for f in decl.fields if not f.is_static)
+            assert row.cmc == cmc and row.iv == iv
+            assert row.wmc("weighted") == cmc
             assert row.cc == row.iv + row.cmc
             assert row.wmc_unity == row.nomt
             checked += 1
@@ -191,7 +198,6 @@ def test_ccc_at_least_nomt_even_for_bodyless_classes():
 
 def test_adding_cheap_user_typed_field_bumps_ccc_by_one():
     rng = random.Random(5)
-    from classmetrics.parser import FieldDecl
     for _ in range(25):
         model = random_project(rng, 6)
         decl = model.ordered_decls()[0]

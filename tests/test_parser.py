@@ -208,6 +208,87 @@ def test_enum_and_initializer_blocks_skip():
     assert any("initializer" in w for w in unit.warnings)
 
 
+
+_DEEP = "".join(f"class C{i} {{\n" for i in range(101)) + "}" * 101
+
+# Every warning the parser gives, at top level and as a member: a source
+# and its exact `unit.warnings`, line numbers included.
+WARNING_CASES = [
+    ("enum E { A }", ["enum declaration skipped at line 1"]),
+    ("class A {\n enum E { X }\n}", ["enum declaration skipped at line 2"]),
+    ("@interface Ann { }",
+     ["annotation type declaration 'Ann' skipped at line 1"]),
+    ("class A {\n @interface Inner { }\n}",
+     ["annotation type declaration 'Inner' skipped at line 2"]),
+    ("int x;", ["unsupported top-level construct 'int' skipped at line 1"]),
+    ("@Deprecated class A { }", ["annotation skipped at line 1"]),
+    ("class A {\n @Override void f() { }\n}",
+     ["annotation skipped at line 2"]),
+    ("class A {\n void f(@Nullable String s) { }\n}",
+     ["annotation skipped at line 2"]),
+    ("class { }", ["malformed class header skipped at line 1"]),
+    ("interface ;", ["malformed interface header skipped at line 1"]),
+    ("class A {\n class { }\n}", ["malformed class header skipped at line 2"]),
+    ("class A<T> { }", ["type parameters on A ignored at line 1"]),
+    ("class A<T { }", ["type parameters on A ignored at line 1"]),
+    ("class A {\n interface I<T> { }\n}",
+     ["type parameters on I ignored at line 2"]),
+    ("class A extends B ;",
+     ["malformed class body for A; declaration skipped at line 1"]),
+    ("class A {\n interface B extends C ;\n int x;\n}",
+     ["malformed interface body for B; declaration skipped at line 2"]),
+    (_DEEP, ["class nested deeper than 100 levels skipped at line 101"]),
+    ("class A {\n static { }\n { }\n}",
+     ["initializer block skipped at line 2",
+      "initializer block skipped at line 3"]),
+    ("class A {\n <T> void f() { }\n}", ["generic method skipped at line 2"]),
+    ("class A {\n );\n}", ["malformed member in A skipped at line 2"]),
+    ("class A {\n int 3;\n}", ["malformed member in A skipped at line 2"]),
+    ("class A {\n f() { }\n}", ["method 'f' without return type at line 2"]),
+    ("class A {\n void f() = 3;\n}", ["malformed method f in A at line 2"]),
+    ("class A {\n int a, 3;\n}",
+     ["malformed field declarator in A at line 2"]),
+    ("class A {\n int a b;\n}",
+     ["unterminated field declaration in A at line 2"]),
+    ("class A {\n List<String> xs;\n void f(Map<K, V> m) { }\n}",
+     ["generic type arguments on List ignored at line 2",
+      "generic type arguments on Map ignored at line 3"]),
+    ("class A {\n List<String xs;\n}",
+     ["generic type arguments on List ignored at line 2",
+      "malformed member in A skipped at line 2"]),
+]
+
+
+@pytest.mark.parametrize("source, expected", WARNING_CASES)
+def test_every_warning_text_and_line(source, expected):
+    assert parse_source(source, "W.java").warnings == [
+        f"W.java: {text}" for text in expected]
+
+
+def test_record_declarations_are_skipped_with_one_warning():
+    unit = parse_source(
+        "class A {\n"
+        "  record R(int x) { int f() { if (a) return 1; return 0; } }\n"
+        "  static record G<T>(T x) {}\n"
+        "  void f() {}\n"
+        "}\n"
+        "public record Top(int y) implements I { }\n"
+        "class B { public void record (Object item) {} int record; record r; }")
+    a, b = unit.type_decls
+    assert [m.signature for m in a.methods] == ["f()"]
+    assert a.methods[0].body.decision_point_count == 0
+    assert a.fields == [] and a.nested == []
+    # Where no record header follows, `record` stays a name.
+    assert [(m.name, m.return_type_name) for m in b.methods] == [
+        ("record", "void")]
+    assert [(f.name, f.declared_type_name) for f in b.fields] == [
+        ("record", "int"), ("r", "record")]
+    assert unit.warnings == [
+        "<test>.java: record declaration skipped at line 2",
+        "<test>.java: record declaration skipped at line 3",
+        "<test>.java: record declaration skipped at line 6",
+    ]
+
 # ---------------------------------------------------------------------------
 # Decision points
 

@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 import classmetrics
 from classmetrics import weyuker
 from classmetrics.metrics import MetricConfig, compute_rows
-from classmetrics.weyuker import (CCC_METRIC, CMC_METRIC, CorpusEntry,
+from classmetrics.weyuker import (CCC_METRIC, CorpusEntry,
                                   MetricFunction, SyntheticClass,
                                   check_property, concat, fixture_corpus,
                                   from_class_model, generate_corpus,
                                   project_corpus, random_corpus, rename,
                                   reports_to_json, reports_to_text, run_all)
-from weyuker_oracle import collect_names, submetrics_of, verify_witness
+from weyuker_oracle import (CMC_METRIC, collect_names, submetrics_of,
+                            verify_witness)
 
 
 def make(methods=(), **kwargs):

@@ -1,6 +1,6 @@
 """Views of the Weyuker harness that only the tests use: the names a
-renaming looks up, each sub-metric of CCC on its own, and a
-re-evaluation of a stored witness."""
+renaming looks up, each sub-metric of CCC on its own, CMC over a
+SyntheticClass, and a re-evaluation of a stored witness."""
 
 from fractions import Fraction
 
@@ -30,6 +30,13 @@ def submetrics_of(cls: SyntheticClass) -> dict[str, Fraction]:
         "PACK": Fraction(len(cls.imports)),
         "NQU": Fraction(sum(m[2] for m in cls.methods)),
     }
+
+
+def _cmc_of(cls: SyntheticClass) -> Fraction:
+    return Fraction(sum(m[1] for m in cls.methods))
+
+
+CMC_METRIC = MetricFunction("CMC", _cmc_of)
 
 
 def verify_witness(report: PropertyReport, metric: MetricFunction,
