@@ -27,34 +27,37 @@ from pathlib import Path
 
 from . import __version__
 from .lexer import LexError, tokenize
-from .metrics import MetricConfig, compute_rows
+from .metrics import DEFAULT_CONFIG, MetricConfig, compute_rows
 from .model import ModelError, build_model
 from .parser import ParseError, parse
 from .report import SHEET_COLUMNS, build_bundle, sheet_cells
 from .weyuker import (CCC_METRIC, generate_corpus, project_corpus,
                       reports_to_json, reports_to_text, run_all)
 
-_DEFAULTS = {
-    "out": "out",
-    "format": "all",
-    "moa_policy": "project",
-    "wmc": "unity",
-    "count_short_circuit": False,
-    "count_constructors": True,
-    "strict": False,
-    "weyuker": False,
-    "weyuker_corpus": "synthetic",
-    "seed": 42,
-    "trials": 1000,
-    "fixed_timestamp": False,
-}
 
-# Allowed values of the choice settings, for flags and config file alike.
-_CHOICES = {
-    "format": ("csv", "json", "all"),
-    "moa_policy": ("project", "any-class"),
-    "wmc": ("unity", "weighted"),
-    "weyuker_corpus": ("synthetic", "project", "both"),
+# Every setting, in --help order: its default, its help text and, for a
+# choice setting, its allowed values (for flag and config file alike). A
+# flag's help text ends with its default, unless the default is False.
+_SETTINGS = {
+    "out": ("out", "output directory", None),
+    "format": ("all", "metric sheet format(s) to write",
+               ("csv", "json", "all")),
+    "moa_policy": (DEFAULT_CONFIG.moa_policy,
+                   "which field types count for MOA",
+                   ("project", "any-class")),
+    "wmc": (DEFAULT_CONFIG.wmc_mode, "WMC column mode", ("unity", "weighted")),
+    "count_short_circuit": (DEFAULT_CONFIG.count_short_circuit,
+                            "count && and || as decision points", None),
+    "count_constructors": (DEFAULT_CONFIG.count_constructors,
+                           "count constructors as methods", None),
+    "strict": (False, "fail (exit 1) on any parse warning or error", None),
+    "weyuker": (False, "also run the Weyuker property harness", None),
+    "weyuker_corpus": ("synthetic", "corpus for the harness",
+                       ("synthetic", "project", "both")),
+    "seed": (42, "seed for the synthetic corpus", None),
+    "trials": (1000, "trial budget per property", None),
+    "fixed_timestamp": (
+        False, "pin the run timestamp for byte-identical output", None),
 }
 
 _EPOCH = "1970-01-01T00:00:00Z"
@@ -71,30 +74,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     ap.add_argument("inputs", nargs="+", metavar="PATH",
                     help="source files and/or directories (searched "
                          "recursively for *.java)")
-    ap.add_argument("--out", metavar="DIR",
-                    help="output directory (default: out)")
-    ap.add_argument("--format", choices=_CHOICES["format"],
-                    help="metric sheet format(s) to write (default: all)")
-    ap.add_argument("--moa-policy", choices=_CHOICES["moa_policy"],
-                    help="which field types count for MOA (default: project)")
-    ap.add_argument("--wmc", choices=_CHOICES["wmc"],
-                    help="WMC column mode (default: unity)")
-    ap.add_argument("--count-short-circuit", action="store_true",
-                    help="count && and || as decision points")
-    ap.add_argument("--count-constructors", action=argparse.BooleanOptionalAction,
-                    help="count constructors as methods (default: yes)")
-    ap.add_argument("--strict", action="store_true",
-                    help="fail (exit 1) on any parse warning or error")
-    ap.add_argument("--weyuker", action="store_true",
-                    help="also run the Weyuker property harness")
-    ap.add_argument("--weyuker-corpus", choices=_CHOICES["weyuker_corpus"],
-                    help="corpus for the harness (default: synthetic)")
-    ap.add_argument("--seed", type=int,
-                    help="seed for the synthetic corpus (default: 42)")
-    ap.add_argument("--trials", type=int,
-                    help="trial budget per property (default: 1000)")
-    ap.add_argument("--fixed-timestamp", action="store_true",
-                    help="pin the run timestamp for byte-identical output")
+    for key, (default, text, choices) in _SETTINGS.items():
+        flag = "--" + key.replace("_", "-")
+        if default is False:
+            ap.add_argument(flag, action="store_true", help=text)
+        elif default is True:
+            ap.add_argument(flag, action=argparse.BooleanOptionalAction,
+                            help=f"{text} (default: yes)")
+        else:
+            ap.add_argument(flag, type=type(default), choices=choices,
+                            metavar="DIR" if key == "out" else None,
+                            help=f"{text} (default: {default})")
     ap.add_argument("--config", metavar="FILE",
                     help="key=value config file; command-line flags win")
     ap.add_argument("--version", action="version",
@@ -115,9 +105,9 @@ def load_config_file(path: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
         value = value.strip()
-        if key not in _DEFAULTS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
-        default = _DEFAULTS[key]
+        default, _, choices = _SETTINGS[key]
         if isinstance(default, bool):
             if value.lower() in ("1", "true", "yes", "on"):
                 settings[key] = True
@@ -131,20 +121,20 @@ def load_config_file(path: str) -> dict:
             except ValueError:
                 raise ValueError(
                     f"{path}:{lineno}: bad integer {value!r}") from None
-        elif key in _CHOICES and value not in _CHOICES[key]:
+        elif choices and value not in choices:
             raise ValueError(f"{path}:{lineno}: bad {key} {value!r} "
-                             f"(choose from {', '.join(_CHOICES[key])})")
+                             f"(choose from {', '.join(choices)})")
         else:
             settings[key] = value
     return settings
 
 
 def _effective_settings(args: argparse.Namespace) -> dict:
-    settings = dict(_DEFAULTS)
+    settings = {key: row[0] for key, row in _SETTINGS.items()}
     if "config" in args:
         settings.update(load_config_file(args.config))
     settings.update((key, value) for key, value in vars(args).items()
-                    if key in _DEFAULTS)
+                    if key in _SETTINGS)
     if settings["trials"] < 1:
         raise ValueError(f"trials must be at least 1, got {settings['trials']}")
     return settings

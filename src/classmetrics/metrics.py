@@ -37,17 +37,15 @@ class ClassMetricsRow(NamedTuple):
     pack: int
     nqu: int
     ncd: int
-    wmc_unity: int
-    wmc_weighted: int
     cmc: int
     cc: int
     ccc: Fraction
 
     def wmc(self, mode: str = "unity") -> int:
         if mode == "unity":
-            return self.wmc_unity
+            return self.nomt
         if mode == "weighted":
-            return self.wmc_weighted
+            return self.cmc
         raise ValueError(f"unknown WMC mode: {mode!r}")
 
 
@@ -89,7 +87,7 @@ def compute_row(decl: ClassDecl, model: ProjectModel,
     nsup = len(model.ancestors_of(decl))
     nsub = len(model.subclasses_of(decl))
     intr = 0 if decl.kind == "interface" else len(model.implemented_of(decl))
-    pack = len(model.unit_of(decl).imports)
+    pack = len(set(model.unit_of(decl).imports))
     nqu = sum(m.body.value_return_count for m in methods if m.body)
     ncd = sum(1 for m in methods
               if m.is_constructor or m.return_type_name == "void")
@@ -109,8 +107,6 @@ def compute_row(decl: ClassDecl, model: ProjectModel,
         pack=pack,
         nqu=nqu,
         ncd=ncd,
-        wmc_unity=nomt,
-        wmc_weighted=complexity_sum,
         cmc=complexity_sum,
         cc=iv + complexity_sum,
         ccc=ccc_value(nomt + moa + ext + nsup + nsub + intr + pack + nqu,

@@ -29,8 +29,7 @@ _Supers = dict[str, list[tuple[str, _Entry | None]]]
 
 class ProjectModel(Record):
     __slots__ = ("classes", "ancestors", "immediate_subclasses",
-                 "interfaces_implemented", "user_defined_types",
-                 "unresolved_supers", "units", "_order",
+                 "interfaces_implemented", "user_defined_types", "units",
                  "_qualified_by_id", "_display")
 
     def __init__(self, classes: dict[str, ClassDecl] | None = None,
@@ -38,9 +37,7 @@ class ProjectModel(Record):
                  immediate_subclasses: dict[str, set[str]] | None = None,
                  interfaces_implemented: dict[str, set[str]] | None = None,
                  user_defined_types: set[str] | None = None,
-                 unresolved_supers: dict[str, str | None] | None = None,
                  units: dict[str, CompilationUnit] | None = None,
-                 _order: list[str] | None = None,
                  _qualified_by_id: dict[int, str] | None = None,
                  _display: dict[str, str] | None = None):
         self.classes = {} if classes is None else classes
@@ -51,10 +48,7 @@ class ProjectModel(Record):
             {} if interfaces_implemented is None else interfaces_implemented)
         self.user_defined_types = (
             set() if user_defined_types is None else user_defined_types)
-        self.unresolved_supers = (
-            {} if unresolved_supers is None else unresolved_supers)
         self.units = {} if units is None else units
-        self._order = [] if _order is None else _order
         self._qualified_by_id = (
             {} if _qualified_by_id is None else _qualified_by_id)
         self._display = {} if _display is None else _display
@@ -79,18 +73,17 @@ class ProjectModel(Record):
 
     def ordered_decls(self) -> list[ClassDecl]:
         """Declarations in (file path, source declaration) order."""
-        return [self.classes[q] for q in self._order]
+        return list(self.classes.values())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjectModel):
             return NotImplemented
         return (
-            self._order == other._order
+            list(self.classes) == list(other.classes)
             and self.ancestors == other.ancestors
             and self.immediate_subclasses == other.immediate_subclasses
             and self.interfaces_implemented == other.interfaces_implemented
             and self.user_defined_types == other.user_defined_types
-            and self.unresolved_supers == other.unresolved_supers
             and self.classes == other.classes
         )
 
@@ -114,7 +107,6 @@ def build_model(units: list[CompilationUnit]) -> ProjectModel:
             )
         by_qualified[entry.qualified] = entry
         model.classes[entry.qualified] = entry.decl
-        model._order.append(entry.qualified)
         model._qualified_by_id[id(entry.decl)] = entry.qualified
         model._display[entry.qualified] = entry.display
         model.units.setdefault(entry.unit.file_path, entry.unit)
@@ -148,12 +140,9 @@ def build_model(units: list[CompilationUnit]) -> ProjectModel:
         model.interfaces_implemented[entry.qualified] = {
             n.split(".")[-1] for n in entry.decl.implemented_interface_names
         }
-        model.unresolved_supers[entry.qualified] = None
-        for written, target in supers[entry.qualified]:
+        for _, target in supers[entry.qualified]:
             if target is not None:
                 model.immediate_subclasses[target.qualified].add(entry.display)
-            elif entry.decl.kind == "class":
-                model.unresolved_supers[entry.qualified] = written.split(".")[-1]
     return model
 
 

@@ -93,15 +93,22 @@ class PropertyReport(Record):
         }
 
 
-# Claimed verdict table this harness cross-checks empirically; divergences
-# are reported, never forced into agreement.
-REFERENCE_VERDICTS = {
-    1: "holds", 2: "holds", 3: "holds", 4: "holds", 5: "holds",
-    6: "holds", 7: "n/a", 8: "holds", 9: "fails",
+# Per property: the claimed verdict this harness cross-checks (divergences
+# are reported, never forced into agreement), then the (outcome,
+# agreement) reported with a witness and without one. A witness shows
+# that an existential property holds and that a universal one (P5, P8)
+# fails. P2 and P7 are never tried.
+_PROPERTIES = {
+    1: ("holds", ("holds", "agree"), ("not shown", "inconclusive")),
+    2: ("holds", None, ("n/a", "untested (structural note)")),
+    3: ("holds", ("holds", "agree"), ("not shown", "inconclusive")),
+    4: ("holds", ("holds", "agree"), ("not shown", "inconclusive")),
+    5: ("holds", ("fails", "DIVERGES"), ("no violation", "consistent")),
+    6: ("holds", ("holds", "agree"), ("not shown", "inconclusive")),
+    7: ("n/a", None, ("n/a", "agree")),
+    8: ("holds", ("fails", "DIVERGES"), ("no violation", "consistent")),
+    9: ("fails", ("holds", "DIVERGES"), ("not shown", "consistent")),
 }
-
-_EXISTENTIAL = {1, 3, 4, 6, 9}
-_UNIVERSAL = {5, 8}
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +350,7 @@ def check_property(k: int, metric: MetricFunction,
     them already; otherwise the corpus is evaluated here."""
     if trial_budget <= 0:
         raise ValueError("trial budget must be positive")
-    if k not in range(1, 10):
+    if k not in _PROPERTIES:
         raise ValueError(f"property number must be 1..9, got {k}")
 
     report = PropertyReport(
@@ -382,7 +389,7 @@ def run_all(metric: MetricFunction, corpus: list[CorpusEntry],
     values = [(e, metric(e.cls)) for e in corpus]
     return [check_property(k, metric, corpus, trial_budget, seed,
                            values=values)
-            for k in range(1, 10)]
+            for k in _PROPERTIES]
 
 
 def _witness(*pairs: tuple[str, Fraction], **extra) -> dict:
@@ -535,32 +542,12 @@ def _check_p9(report, metric, values, rng):
 # Report rendering
 
 
-def _outcome(report: PropertyReport) -> str:
-    k = report.property_number
-    if report.verdict == "not-applicable":
-        return "n/a"
-    if k in _EXISTENTIAL:
-        return "holds" if report.verdict == "witnessed" else "not shown"
-    if k in _UNIVERSAL:
-        return "fails" if report.verdict == "witnessed" else "no violation"
-    return "n/a"
-
-
-def _agreement(report: PropertyReport) -> str:
-    reference = REFERENCE_VERDICTS[report.property_number]
-    outcome = _outcome(report)
-    if outcome == "n/a" and report.property_number == 2:
-        return "untested (structural note)"
-    if outcome == "n/a":
-        return "agree"
-    if outcome == "holds":
-        return "agree" if reference == "holds" else "DIVERGES"
-    if outcome == "fails":
-        return "DIVERGES" if reference == "holds" else "agree"
-    if outcome == "no violation":
-        return "consistent" if reference == "holds" else "DIVERGES"
-    # existential property with no witness found
-    return "consistent" if reference == "fails" else "inconclusive"
+def _verdicts(report: PropertyReport) -> dict[str, str]:
+    """The report's outcome, reference and agreement, from _PROPERTIES."""
+    reference, witnessed, unwitnessed = _PROPERTIES[report.property_number]
+    outcome, agreement = (witnessed if report.verdict == "witnessed"
+                          else unwitnessed)
+    return dict(outcome=outcome, reference=reference, agreement=agreement)
 
 
 def reports_to_json(reports: list[PropertyReport], corpus_size: int) -> str:
@@ -571,9 +558,7 @@ def reports_to_json(reports: list[PropertyReport], corpus_size: int) -> str:
         "trial_budget": first.trial_budget,
         "corpus_size": corpus_size,
         "properties": [
-            dict(r.to_dict(), outcome=_outcome(r),
-                 reference=REFERENCE_VERDICTS[r.property_number],
-                 agreement=_agreement(r))
+            dict(r.to_dict(), **_verdicts(r))
             for r in reports
         ],
     }
@@ -582,17 +567,16 @@ def reports_to_json(reports: list[PropertyReport], corpus_size: int) -> str:
 
 def reports_to_text(reports: list[PropertyReport], corpus_size: int) -> str:
     first = reports[0]
+    row = "{:>2}  {:<26} {:<13} {:<10} {}".format
     lines = [
         f"Weyuker property evaluation for {first.metric_name} "
         f"(seed={first.seed}, budget={first.trial_budget}, "
         f"corpus={corpus_size} classes)",
         "",
-        f"{'P':>2}  {'verdict':<26} {'outcome':<13} {'reference':<10} agreement",
+        row("P", "verdict", "outcome", "reference", "agreement"),
     ]
     for r in reports:
-        lines.append(
-            f"{r.property_number:>2}  {r.verdict:<26} {_outcome(r):<13} "
-            f"{REFERENCE_VERDICTS[r.property_number]:<10} {_agreement(r)}")
+        lines.append(row(r.property_number, r.verdict, *_verdicts(r).values()))
     lines.append("")
     for r in reports:
         if r.witness:

@@ -414,6 +414,64 @@ def test_readme_lists_the_bundle_files():
     assert tuple(listed) == BUNDLE_FILES
 
 
+HELP_TEXT = """\
+usage: classmetrics [-h] [--out DIR] [--format {csv,json,all}]
+                    [--moa-policy {project,any-class}]
+                    [--wmc {unity,weighted}] [--count-short-circuit]
+                    [--count-constructors | --no-count-constructors]
+                    [--strict] [--weyuker]
+                    [--weyuker-corpus {synthetic,project,both}] [--seed SEED]
+                    [--trials TRIALS] [--fixed-timestamp] [--config FILE]
+                    [--version]
+                    PATH [PATH ...]
+
+Class-level complexity metrics for Java source trees.
+
+positional arguments:
+  PATH                  source files and/or directories (searched recursively
+                        for *.java)
+
+options:
+  -h, --help            show this help message and exit
+  --out DIR             output directory (default: out)
+  --format {csv,json,all}
+                        metric sheet format(s) to write (default: all)
+  --moa-policy {project,any-class}
+                        which field types count for MOA (default: project)
+  --wmc {unity,weighted}
+                        WMC column mode (default: unity)
+  --count-short-circuit
+                        count && and || as decision points
+  --count-constructors, --no-count-constructors
+                        count constructors as methods (default: yes)
+  --strict              fail (exit 1) on any parse warning or error
+  --weyuker             also run the Weyuker property harness
+  --weyuker-corpus {synthetic,project,both}
+                        corpus for the harness (default: synthetic)
+  --seed SEED           seed for the synthetic corpus (default: 42)
+  --trials TRIALS       trial budget per property (default: 1000)
+  --fixed-timestamp     pin the run timestamp for byte-identical output
+  --config FILE         key=value config file; command-line flags win
+  --version             show program's version number and exit
+"""
+
+
+def test_help_text_is_unchanged(monkeypatch):
+    # The settings table must render the flags exactly as the hand-written
+    # add_argument calls did (argparse's layout at 80 columns).
+    monkeypatch.setenv("COLUMNS", "80")
+    assert build_arg_parser().format_help() == HELP_TEXT
+
+
+def test_readme_lists_every_flag():
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    flags = {flag for action in build_arg_parser()._actions
+             for flag in action.option_strings if flag.startswith("--")}
+    assert "--no-count-constructors" in flags
+    assert flags <= set(re.findall(r"--[a-z][a-z-]*", readme))
+
+
 def bundle_digests(out):
     return {p.name: digest(p) for p in out.iterdir() if p.is_file()}
 

@@ -73,7 +73,7 @@ def test_namedb_full_row_any_class(dlib_model):
     assert row.pack == 1
     assert row.nqu == 3
     assert row.ncd == 3
-    assert row.wmc_unity == 6 and row.wmc_weighted == 6
+    assert row.wmc("unity") == 6 and row.wmc("weighted") == 6
     assert row.cmc == 6
     assert row.cc == 7
     assert row.ccc == 22
@@ -91,7 +91,7 @@ def test_empty_class_row_is_all_zero():
     assert (row.nomt, row.moa, row.iv, row.ext, row.nsup, row.nsub,
             row.intr, row.pack, row.nqu, row.ncd) == (0,) * 10
     assert row.avcc == 0 and row.ccc == 0
-    assert row.wmc_unity == 0 and row.cmc == 0 and row.cc == 0
+    assert row.wmc("unity") == 0 and row.cmc == 0 and row.cc == 0
 
 
 def test_interface_row_counts_bodyless_methods(dlib_model):
@@ -180,7 +180,7 @@ def test_formula_identity_over_500_synthetic_classes():
             assert row.cmc == cmc and row.iv == iv
             assert row.wmc("weighted") == cmc
             assert row.cc == row.iv + row.cmc
-            assert row.wmc_unity == row.nomt
+            assert row.wmc("unity") == row.nomt
             checked += 1
     assert checked >= 500
 

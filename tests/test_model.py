@@ -26,7 +26,7 @@ def test_external_superclass_counts_one_hop():
     model = model_from_sources("package p; class B extends X {}")
     [b] = model.ordered_decls()
     assert model.ancestors_of(b) == ["X"]
-    assert model.unresolved_supers[model.qualified_name_of(b)] == "X"
+    assert "X" not in model.user_defined_types
 
 
 def test_subclass_map_is_inverse_of_super_relation(dlib_model):
@@ -39,7 +39,7 @@ def test_subclass_map_is_inverse_of_super_relation(dlib_model):
     internal_supers = sum(
         1 for d in dlib_model.ordered_decls()
         if d.kind == "class" and d.superclass_name
-        and dlib_model.unresolved_supers[dlib_model.qualified_name_of(d)] is None)
+        and d.superclass_name.split(".")[-1] in dlib_model.user_defined_types)
     assert internal_supers == sum(
         len(s) for s in dlib_model.immediate_subclasses.values())
 

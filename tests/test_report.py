@@ -168,9 +168,12 @@ def test_pearson_zero_variance_is_undefined():
     assert pearson([1, 1, 1], [1, 2, 3]) is None
 
 
+# Fractions of magnitude at most 10**4 with denominators at most 1000,
+# built from integers: st.fractions draws the same values far slower.
 _NUMBERS = st.one_of(
     st.integers(-10**6, 10**6),
-    st.fractions(-10**4, 10**4, max_denominator=1000))
+    st.integers(1, 1000).flatmap(lambda d: st.integers(
+        -10**4 * d, 10**4 * d).map(lambda n: Fraction(n, d))))
 
 
 def library_correlation(xs, ys):

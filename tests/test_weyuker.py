@@ -13,14 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import classmetrics
-from classmetrics import weyuker
-from classmetrics.metrics import MetricConfig, compute_rows
+from classmetrics import build_model, weyuker
+from classmetrics.metrics import MetricConfig, compute_row, compute_rows
 from classmetrics.weyuker import (CCC_METRIC, CorpusEntry,
                                   MetricFunction, SyntheticClass,
                                   check_property, concat, fixture_corpus,
                                   from_class_model, generate_corpus,
                                   project_corpus, random_corpus, rename,
                                   reports_to_json, reports_to_text, run_all)
+from conftest import FIXTURES, model_from_sources, parse_file
 from weyuker_oracle import (CMC_METRIC, collect_names, submetrics_of,
                             verify_witness)
 
@@ -334,6 +335,27 @@ def test_synthetic_mapping_reproduces_engine_ccc(dlib_model):
         for entry in project_corpus(dlib_model, cfg):
             assert CCC_METRIC(entry.cls) == rows[entry.ident].ccc, entry.ident
             assert CMC_METRIC(entry.cls) == rows[entry.ident].cmc
+
+
+# Legal Java: a repeated import is ignored (JLS 7.5.1-7.5.4).
+REPEATED_IMPORTS = (
+    "package p; import java.util.*; import java.util.*; "
+    "import static java.lang.Math.max; import static java.lang.Math.max; "
+    "class A { int f() { return max(1, 2); } }")
+
+
+def test_harness_ccc_is_the_sheet_ccc_for_every_class(dlib_model):
+    tolerant = sorted((FIXTURES / "tolerant").glob("*.java"))
+    repeated = model_from_sources(REPEATED_IMPORTS)
+    models = [dlib_model, build_model([parse_file(p) for p in tolerant]),
+              repeated]
+    for model in models:
+        for decl in model.ordered_decls():
+            assert (CCC_METRIC(from_class_model(decl, model))
+                    == compute_row(decl, model).ccc), decl.name
+    [decl] = repeated.ordered_decls()
+    row = compute_row(decl, repeated)
+    assert (row.pack, row.ccc) == (2, 6)
 
 
 def test_ccc_metric_equals_submetric_sum(dlib_model):
