@@ -7,7 +7,7 @@ properties over synthetic or parsed corpora.
 
 from pathlib import Path
 
-from .lexer import LexError, Token, tokenize
+from .lexer import LexError, tokenize
 from .metrics import (ClassMetricsRow, MetricConfig, compute_row,
                       compute_rows, method_cyclomatic)
 from .model import ModelError, ProjectModel, build_model, is_user_defined
@@ -27,7 +27,7 @@ __all__ = [
     "CompilationUnit", "CorpusEntry", "FieldDecl", "LexError",
     "MethodDecl", "MetricConfig", "MetricFunction", "ModelError",
     "ParseError", "ProjectModel", "PropertyReport", "SyntheticClass",
-    "Token", "build_bundle", "build_model", "check_property",
+    "build_bundle", "build_model", "check_property",
     "classify_calls", "compute_row", "compute_rows", "concat",
     "count_decision_points", "dlib_fixture_dir", "emit_chart",
     "emit_model_xml", "emit_sheet", "generate_corpus", "is_user_defined",

@@ -11,17 +11,16 @@ naming its kind (see `KIND_OF_CODE`), through a cache that holds each
 distinct text once, and returns a `Tokens`: the codes as one string, the
 texts as a list, and the source.
 
-The positioned pass runs `finditer` over the same pattern and takes each
-token's kind from the same codes, adding its line and column. It runs
-only for `Tokens.positioned()` (which the parser calls to report a
-warning or a brace error) and when the source holds a text of an error
-group, whose `LexError` it raises at the right place. Generic angle
-brackets are emitted as plain operators; disambiguation is the parser's
-job.
+Positions follow one rule, `Tokens.position`: a token's line and column
+come from its start offset, which `finditer` over the same pattern
+gives, and from the offsets of the line starts. Both are computed only
+when a position is first asked for: to report a warning, a brace error
+or a `LexError`. Generic angle brackets are emitted as plain operators;
+disambiguation is the parser's job.
 """
 
 import re
-from typing import NamedTuple
+from bisect import bisect_right
 
 # Reserved words (JLS set plus assert/enum); true/false/null are reserved
 # literals and are classified as keywords here for simplicity.
@@ -105,13 +104,6 @@ _ERRORS = {
 }
 
 
-class Token(NamedTuple):
-    kind: str  # keyword | identifier | punctuation | operator | *-literal
-    text: str
-    line: int
-    column: int
-
-
 class LexError(Exception):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{message} at line {line}, column {column}")
@@ -171,12 +163,13 @@ class Tokens:
     per token naming its kind, the list of their `texts`, and the source
     they came from."""
 
-    __slots__ = ("codes", "texts", "source")
+    __slots__ = ("codes", "texts", "source", "_offset_lists")
 
     def __init__(self, codes: str, texts: list[str], source: str):
         self.codes = codes
         self.texts = texts
         self.source = source
+        self._offset_lists: tuple[list[int], list[int]] | None = None
 
     def __len__(self) -> int:
         return len(self.texts)
@@ -186,51 +179,35 @@ class Tokens:
         """The kind of each token, built from `codes` on every call."""
         return [KIND_OF_CODE[code] for code in self.codes]
 
-    def positioned(self) -> list[Token]:
-        """The tokens with their lines and columns (the positioned pass)."""
-        return _positioned(self.source)
+    def position(self, i: int) -> tuple[int, int]:
+        """Line and column of token `i`, both counted from 1. The first
+        call finds the offsets of every token and every line."""
+        if self._offset_lists is None:
+            self._offset_lists = _offsets(self.source)
+        starts, line_starts = self._offset_lists
+        line = bisect_right(line_starts, starts[i])
+        return line, starts[i] - line_starts[line - 1] + 1
+
+
+def _offsets(source: str) -> tuple[list[int], list[int]]:
+    """The start offset of each token of the source, from the matches
+    `tokenize` takes its texts from, and of each line."""
+    return ([m.start() for m in _TEXTS.finditer(source) if m[1]],
+            [0] + [m.end() for m in re.finditer("\n", source)])
 
 
 def tokenize(source: str) -> Tokens:
     """Tokenize Java source, dropping whitespace and comments.
 
     One findall call yields the texts; each distinct text's code is
-    looked up once per process. A source holding an error group's text
-    takes the positioned pass instead, which raises its LexError."""
+    looked up once per process. A text of an error group has no code;
+    the first one raises its LexError."""
     texts = list(filter(None, _TEXTS.findall(source)))
     try:
         codes = "".join(map(_CODE_OF.__getitem__, texts))
     except KeyError:
-        _positioned(source)
-        raise AssertionError("positioned pass found no lexical error")
+        groups = [_MASTER.match(text).lastgroup for text in texts]
+        i = next(i for i, group in enumerate(groups) if group in _ERRORS)
+        where = Tokens("", texts, source).position(i)
+        raise LexError(_ERRORS[groups[i]], *where) from None
     return Tokens(codes, texts, source)
-
-
-def _positioned(source: str) -> list[Token]:
-    """Positioned tokens of the source, from the matches `tokenize`
-    takes its texts from. A token's line counts the line breaks since
-    the previous token's start; its column counts from the offset of the
-    current line start. The first text of an error group raises its
-    LexError."""
-    tokens: list[Token] = []
-    emit = tokens.append
-    new = tuple.__new__
-    line = 1
-    line_start = last = 0
-    for m in _TEXTS.finditer(source):
-        text = m[1]
-        if not text:
-            continue
-        start = m.start()
-        breaks = source.count("\n", last, start)
-        if breaks:
-            line += breaks
-            line_start = source.rindex("\n", last, start) + 1
-        last = start
-        try:
-            kind = KIND_OF_CODE[_CODE_OF[text]]
-        except KeyError:
-            raise LexError(_ERRORS[_MASTER.match(text).lastgroup], line,
-                           start - line_start + 1) from None
-        emit(new(Token, (kind, text, line, start - line_start + 1)))
-    return tokens

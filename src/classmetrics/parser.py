@@ -12,9 +12,9 @@ The parser reads the `codes` string and the `texts` list of a lexer
 `Tokens`. It tests a token's kind by its code. It finds the braces and
 counts each body's facts with `str` and `re` methods on the codes, and
 runs Python code only at the few tokens whose meaning depends on their
-neighbours. It runs the positioned pass (`Tokens.positioned()`) at most
-once per file, and only to report a warning or a brace error, so a file
-that parses cleanly never builds token positions.
+neighbours. It asks for a token's position (`Tokens.position`) only to
+report a warning or a brace error, so a file that parses cleanly never
+computes token offsets.
 """
 
 import re
@@ -326,14 +326,13 @@ def _match_braces(tokens: Tokens, file_path: str) -> dict[int, int]:
         if m[0] == "{":
             stack.append(i)
         elif not stack:
-            tok = tokens.positioned()[i]
             raise ParseError(f"unmatched '}}' in {file_path}",
-                             tok.line, tok.column)
+                             *tokens.position(i))
         else:
             closers[stack.pop()] = i
     if stack:
-        tok = tokens.positioned()[stack[-1]]
-        raise ParseError(f"unclosed '{{' in {file_path}", tok.line, tok.column)
+        raise ParseError(f"unclosed '{{' in {file_path}",
+                         *tokens.position(stack[-1]))
     return closers
 
 
@@ -351,7 +350,6 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # class bodies entered and not yet left
         self.unit = CompilationUnit(file_path=file_path)
-        self.lines: list[int] | None = None  # of each token, on first warn
 
     # -- token helpers ------------------------------------------------
 
@@ -380,9 +378,7 @@ class _Parser:
     def warn(self, message: str) -> None:
         where = ""
         if self.pos < self.n:
-            if self.lines is None:
-                self.lines = [t.line for t in self.tokens.positioned()]
-            where = f" at line {self.lines[self.pos]}"
+            where = f" at line {self.tokens.position(self.pos)[0]}"
         self.unit.warnings.append(f"{self.unit.file_path}: {message}{where}")
 
     def _skip(self, message: str) -> None:
@@ -581,8 +577,11 @@ class _Parser:
 
     def _parse_class_body(self, decl: ClassDecl) -> None:
         pending_bodies: list[tuple[MethodDecl, int, int]] = []
+        # The field names and the (is_constructor, signature) pairs of the
+        # methods declared so far; a repeat of either is skipped.
+        seen: set[str | tuple[bool, str]] = set()
         while self.cur() is not None and not self.at("}"):
-            self._parse_member(decl, pending_bodies)
+            self._parse_member(decl, pending_bodies, seen)
         if self.at("}"):
             self.advance()
         # Bodies are scanned once the full method name set is known, so
@@ -593,7 +592,8 @@ class _Parser:
                                     own_names)
 
     def _parse_member(self, decl: ClassDecl,
-                      pending: list[tuple[MethodDecl, int, int]]) -> None:
+                      pending: list[tuple[MethodDecl, int, int]],
+                      seen: set) -> None:
         if self.at(";"):
             self.advance()
             return
@@ -621,23 +621,30 @@ class _Parser:
                 self.warn(f"method '{type_name}' without return type")
             method = MethodDecl(name=type_name,
                                 is_constructor=type_name == decl.name)
-            self._finish_method(decl, method, mods, pending)
+            self._finish_method(decl, method, mods, pending, seen)
             return
         name = self.advance()
 
         if self.at("("):
             method = MethodDecl(name=name, return_type_name=type_name)
-            self._finish_method(decl, method, mods, pending)
+            self._finish_method(decl, method, mods, pending, seen)
         else:
-            self._finish_fields(decl, mods, type_name, type_rank, name)
+            self._finish_fields(decl, mods, type_name, type_rank, name, seen)
 
     def _finish_method(self, decl: ClassDecl, method: MethodDecl,
                        mods: list[str],
-                       pending: list[tuple[MethodDecl, int, int]]) -> None:
+                       pending: list[tuple[MethodDecl, int, int]],
+                       seen: set) -> None:
         method.parameter_type_names = self._read_parameters()
         if self.at("throws"):
             self.advance()
             self._read_name_list(stop={"{", ";"})
+        key = (method.is_constructor, method.signature)
+        if key in seen:
+            self._skip(f"repeated method '{method.signature}' in {decl.name}"
+                       " skipped")
+            return
+        seen.add(key)
         method.is_abstract = ("abstract" in mods
                               or (decl.kind == "interface" and "default" not in mods))
         if self.at("{"):
@@ -683,7 +690,8 @@ class _Parser:
         return types
 
     def _finish_fields(self, decl: ClassDecl, mods: list[str],
-                       type_name: str, type_rank: int, first_name: str) -> None:
+                       type_name: str, type_rank: int, first_name: str,
+                       seen: set) -> None:
         visibility = next((m for m in mods
                            if m in ("public", "private", "protected")), "")
         # Interface fields are implicitly static constants.
@@ -691,13 +699,17 @@ class _Parser:
         name = first_name
         while True:
             rank = type_rank + self._read_dims()
-            decl.fields.append(FieldDecl(
-                name=name,
-                declared_type_name=type_name,
-                array_rank=rank,
-                is_static=is_static,
-                visibility=visibility,
-            ))
+            if name in seen:
+                self.warn(f"repeated field '{name}' in {decl.name} skipped")
+            else:
+                seen.add(name)
+                decl.fields.append(FieldDecl(
+                    name=name,
+                    declared_type_name=type_name,
+                    array_rank=rank,
+                    is_static=is_static,
+                    visibility=visibility,
+                ))
             if self.at("="):
                 self.advance()
                 self._skip_initializer()

@@ -1,8 +1,9 @@
 """Reference lexer: one named group per alternative of the lexer's
 grammar, run with `finditer` as in the "Writing a Tokenizer" recipe of
 the `re` documentation. Each group's kind is decided here by its name,
-not by the lexer's code table, so `tokenize(s).positioned()` and its
-LexErrors can be compared with `positioned(s)`.
+not by the lexer's code table, so the kinds of `tokenize(s)`, the
+positions `Tokens.position` gives, and the LexErrors can be compared
+with `positioned(s)`.
 
 `scan` also returns the skipped trivia (whitespace and comment runs),
 rebuilt from the gaps between tokens, and `reconstruct` rebuilds the
@@ -12,8 +13,7 @@ import re
 from bisect import bisect_right
 from typing import NamedTuple
 
-from classmetrics.lexer import (_ERRORS, _GRAMMAR, _TRIVIA, KEYWORDS,
-                                LexError, Token)
+from classmetrics.lexer import _ERRORS, _GRAMMAR, _TRIVIA, KEYWORDS, LexError
 
 # The blanks that follow any match are consumed with it, outside the
 # alternatives, so they never form a match alone. The positioned pass
@@ -38,6 +38,13 @@ _SPANNING_KINDS = {
     "string": "string-literal", "char": "char-literal",
     "text_block": "string-literal",
 }
+
+
+class Token(NamedTuple):
+    kind: str  # keyword | identifier | punctuation | operator | *-literal
+    text: str
+    line: int
+    column: int
 
 
 class Trivia(NamedTuple):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classmetrics.lexer import LexError, tokenize
-from lexer_oracle import Trivia, positioned, reconstruct, scan
+from lexer_oracle import Token, Trivia, positioned, reconstruct, scan
 
 
 def kinds_and_texts(source):
@@ -13,10 +13,17 @@ def kinds_and_texts(source):
     return list(zip(tokens.kinds, tokens.texts))
 
 
+def with_positions(tokens):
+    """The tokens as the oracle's `Token`s, each at the line and column
+    `Tokens.position` gives."""
+    return [Token(kind, text, *tokens.position(i))
+            for i, (kind, text) in enumerate(zip(tokens.kinds, tokens.texts))]
+
+
 def test_empty_input():
     tokens = tokenize("")
     assert (len(tokens), tokens.kinds, tokens.texts) == (0, [], [])
-    assert tokens.positioned() == []
+    assert with_positions(tokens) == []
 
 
 def test_minimal_class():
@@ -46,7 +53,7 @@ def test_comments_and_whitespace_are_trivia():
 
 def test_string_and_char_literals():
     source = 'String s = "a\\"b"; char c = \'\\n\';'
-    tokens = tokenize(source).positioned()
+    tokens = with_positions(tokenize(source))
     strings = [t for t in tokens if t.kind == "string-literal"]
     chars = [t for t in tokens if t.kind == "char-literal"]
     assert strings[0].text == '"a\\"b"'
@@ -54,9 +61,8 @@ def test_string_and_char_literals():
 
 
 def test_numeric_literals():
-    tokens = tokenize(
-        "int a = 0x1F; long b = 12L; double d = 1.5e3; float f = .5f;"
-    ).positioned()
+    tokens = with_positions(tokenize(
+        "int a = 0x1F; long b = 12L; double d = 1.5e3; float f = .5f;"))
     kinds = {t.text: t.kind for t in tokens if t.kind.endswith("literal")}
     assert kinds["0x1F"] == "integer-literal"
     assert kinds["12L"] == "integer-literal"
@@ -70,7 +76,7 @@ def test_operators_longest_match():
 
 
 def test_positions_one_based_and_monotonic():
-    tokens = tokenize("int a;\n  int b;").positioned()
+    tokens = with_positions(tokenize("int a;\n  int b;"))
     assert (tokens[0].line, tokens[0].column) == (1, 1)
     b_decl = tokens[3]
     assert (b_decl.line, b_decl.column) == (2, 3)
@@ -97,7 +103,7 @@ def test_unterminated_string_at_newline():
 
 def test_text_block_is_one_string_literal():
     source = 'String s = """\n  if (x) { f(); }\n  \\"""\n  """;\nint y;'
-    tokens = tokenize(source).positioned()
+    tokens = with_positions(tokenize(source))
     [block] = [t for t in tokens if t.kind == "string-literal"]
     assert block.text == source[source.index('"""'):source.rindex('"""') + 3]
     assert (block.line, block.column) == (1, 12)
@@ -145,7 +151,7 @@ _SPANNING_SOURCES = {
 def test_positions_after_a_token_that_spans_lines(name):
     source, expected = _SPANNING_SOURCES[name]
     source += " t = 1;"
-    assert tokenize(source).positioned() == expected
+    assert with_positions(tokenize(source)) == expected
     assert_flat_path_matches_positioned(source)
 
 
@@ -189,7 +195,7 @@ def assert_positions_match_lines(source):
     # "\r", "\f" and others). A token that spans lines must run to the
     # end of its first line.
     lines = source.split("\n")
-    for tok in tokenize(source).positioned():
+    for tok in with_positions(tokenize(source)):
         first, *rest = tok.text.split("\n")
         tail = lines[tok.line - 1][tok.column - 1:]
         assert tail == first if rest else tail.startswith(first), tok
@@ -230,8 +236,8 @@ def test_idempotence_on_fixture_corpus(dlib_dir):
     for path in sorted(dlib_dir.glob("*.java")):
         source = path.read_text(encoding="utf-8")
         rebuilt = reconstruct(*scan(source))
-        assert (tokenize(rebuilt).positioned()
-                == tokenize(source).positioned()), path.name
+        assert (with_positions(tokenize(rebuilt))
+                == with_positions(tokenize(source))), path.name
 
 
 # Printable ASCII plus the pieces that open text blocks and escapes, a
@@ -250,7 +256,7 @@ def test_round_trip_property(source):
     except LexError:
         return  # unterminated literal/comment; nothing to round-trip
     assert reconstruct(tokens, trivia) == source
-    assert tokenize(reconstruct(tokens, trivia)).positioned() == tokens
+    assert with_positions(tokenize(reconstruct(tokens, trivia))) == tokens
 
 
 @settings(max_examples=200, deadline=None)
@@ -279,7 +285,8 @@ def assert_flat_path_matches_positioned(source):
     assert tokens.kinds == [t.kind for t in expected]
     assert tokens.texts == [t.text for t in expected]
     assert len(tokens) == len(expected)
-    assert tokens.positioned() == expected
+    assert [tokens.position(i) for i in range(len(tokens))] == [
+        (t.line, t.column) for t in expected]
 
 
 def test_flat_path_matches_positioned_on_fixtures(fixture_paths):
@@ -358,5 +365,49 @@ def test_tokens_are_two_lists_and_the_source():
     assert (tokens.kinds[9:11], tokens.texts[9:11]) == (
         ["integer-literal", "punctuation"], ["1", ";"])
     assert tokens.codes[9:11] == "n;" and len(tokens.codes) == 13
-    assert tokens.positioned()[10] == ("punctuation", ";", 2, 21)
-    assert tokens.positioned() == scan(source)[0]
+    assert with_positions(tokens)[10] == ("punctuation", ";", 2, 21)
+    assert with_positions(tokens) == scan(source)[0]
+
+
+def _dlib_source(name):
+    from classmetrics import dlib_fixture_dir
+    return (dlib_fixture_dir() / name).read_text(encoding="utf-8")
+
+
+_NAMEDB, _QUEUE = _dlib_source("NameDB.java"), _dlib_source("Queue.java")
+
+
+# A source, the index of one of its tokens (-1 for the last) and that
+# token's line and column. Where the source does not lex, the position
+# is its LexError's; where the token is a brace, it is also the position
+# of the ParseError that brace raises.
+@pytest.mark.parametrize("source, i, where", [
+    ("class A {}", 0, (1, 1)),  # the first token, at offset 0
+    ("int\tx;", 1, (1, 5)),  # a tab is one column
+    ("int a;\r\n b;\rc", 3, (2, 2)),  # "\r" stays on the line before
+    ("int a;\r\n b;\rc", 5, (2, 5)),  # a lone "\r" breaks no line
+    ("int a;\nint b", -1, (2, 5)),  # no line break at the end
+    ("int a;\n  b = 'x", -1, (2, 7)),  # a LexError at the end of the file
+    # Unmatched '}': NameDB without the class header and its '{'.
+    (_NAMEDB[_NAMEDB.index("{") + 1:], -1, (39, 1)),
+    # Unclosed '{': Queue cut after the '{' of its last method body.
+    (_QUEUE[:_QUEUE.rindex("{") + 1], -1, (36, 5)),
+])
+def test_position_edge_cases(source, i, where):
+    from classmetrics.parser import ParseError, parse
+    try:
+        expected = positioned(source)
+    except LexError as err:
+        with pytest.raises(LexError) as got:
+            tokenize(source)
+        assert (got.value.line, got.value.column) == (
+            err.line, err.column) == where
+        return
+    i %= len(expected)
+    tokens = tokenize(source)
+    assert tokens.position(i) == (
+        expected[i].line, expected[i].column) == where
+    if expected[i].text in ("{", "}"):
+        with pytest.raises(ParseError) as err:
+            parse(tokens)
+        assert (err.value.line, err.value.column) == where

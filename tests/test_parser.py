@@ -256,6 +256,13 @@ WARNING_CASES = [
     ("class A {\n List<String xs;\n}",
      ["generic type arguments on List ignored at line 2",
       "malformed member in A skipped at line 2"]),
+    ("class A {\n int x;\n long y,\n x;\n}",
+     ["repeated field 'x' in A skipped at line 4"]),
+    ("class A {\n void f(int a) { }\n int f;\n void f(int b)\n { }\n}",
+     ["repeated method 'f(int)' in A skipped at line 5"]),
+    # A method may share its constructor's name and parameters.
+    ("class A {\n A() { }\n void A() { }\n A()\n ;\n}",
+     ["repeated method 'A()' in A skipped at line 5"]),
 ]
 
 
@@ -263,6 +270,22 @@ WARNING_CASES = [
 def test_every_warning_text_and_line(source, expected):
     assert parse_source(source, "W.java").warnings == [
         f"W.java: {text}" for text in expected]
+
+
+def test_repeated_members_keep_the_first_declaration():
+    unit = parse_source(
+        "class A {\n int x; String x;\n void f() { }\n"
+        " void f() { if (a) g(); }\n}")
+    [decl] = unit.type_decls
+    assert [(f.name, f.declared_type_name) for f in decl.fields] == [
+        ("x", "int")]
+    [method] = decl.methods
+    body = method.body
+    assert (body.decision_point_count, body.external_call_count) == (0, 0)
+    assert unit.warnings == [
+        "<test>.java: repeated field 'x' in A skipped at line 2",
+        "<test>.java: repeated method 'f()' in A skipped at line 4",
+    ]
 
 
 def test_record_declarations_are_skipped_with_one_warning():
@@ -430,10 +453,10 @@ def test_text_block_adds_no_decisions_or_calls():
 def test_warning_free_parse_builds_no_positions(dlib_dir, monkeypatch):
     from classmetrics import lexer
 
-    def no_positions(source):
-        raise AssertionError("positioned pass ran")
+    def no_offsets(source):
+        raise AssertionError("token offsets computed")
 
-    monkeypatch.setattr(lexer, "_positioned", no_positions)
+    monkeypatch.setattr(lexer, "_offsets", no_offsets)
     for path in sorted(dlib_dir.glob("*.java")):
         unit = parse(tokenize(path.read_text(encoding="utf-8")), path.name)
         assert unit.warnings == [] and unit.type_decls, path.name
@@ -445,18 +468,18 @@ def test_tolerant_fixture_warnings_keep_their_lines(monkeypatch):
     from classmetrics import lexer
     from conftest import FIXTURES
     source = (FIXTURES / "tolerant" / "Fancy.java").read_text(encoding="utf-8")
-    positioned_pass = lexer._positioned
-    passes = []
+    offsets = lexer._offsets
+    computed = []
 
-    def counted_pass(source):
-        passes.append(source)
-        return positioned_pass(source)
+    def counted_offsets(source):
+        computed.append(source)
+        return offsets(source)
 
-    monkeypatch.setattr(lexer, "_positioned", counted_pass)
+    monkeypatch.setattr(lexer, "_offsets", counted_offsets)
     expected = ["Fancy.java: annotation skipped at line 7",
                 "Fancy.java: generic method skipped at line 13"]
     assert parse(tokenize(source), "Fancy.java").warnings == expected
-    assert passes == [source]
+    assert computed == [source]
 
 
 def test_top_level_annotation_type_gives_one_warning():

@@ -347,8 +347,11 @@ REPEATED_IMPORTS = (
 def test_harness_ccc_is_the_sheet_ccc_for_every_class(dlib_model):
     tolerant = sorted((FIXTURES / "tolerant").glob("*.java"))
     repeated = model_from_sources(REPEATED_IMPORTS)
+    # Invalid Java (JLS 8.3, 8.4.2): the parser keeps the first of each.
+    repeated_members = model_from_sources(
+        "class A { int x; int x; void f() {} void f() {} }")
     models = [dlib_model, build_model([parse_file(p) for p in tolerant]),
-              repeated]
+              repeated, repeated_members]
     for model in models:
         for decl in model.ordered_decls():
             assert (CCC_METRIC(from_class_model(decl, model))
