@@ -2,14 +2,15 @@
 correlations and a grouped-bar SVG chart.
 
 Every emitter is byte-deterministic for identical inputs: rationals are
-rendered through decimal arithmetic, XML attributes are sorted, and the
-SVG is assembled by hand with fixed-precision coordinates.
+rounded exactly (integer arithmetic for two decimals, one fixed decimal
+context for significant digits), XML attributes are written in name
+order, and the SVG is assembled by hand with fixed-precision coordinates.
 """
 
 import csv
 import io
 import json
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from math import fsum, sqrt
 from typing import NamedTuple
@@ -20,49 +21,48 @@ from .model import ProjectModel
 SHEET_COLUMNS = ["CT", "CL", "NM", "AVCC", "MOA", "IV", "EMC", "NS",
                  "NSB", "NPI", "NQ", "NCD", "WMC", "CMC", "CC", "CCC"]
 
+SIGNIFICANT_DIGITS = 14  # of AVCC
+# Each division sets this context's Inexact and Rounded flags, which
+# nothing reads; no trap is enabled for either.
+_SIGNIFICANT = Context(prec=SIGNIFICANT_DIGITS, rounding=ROUND_HALF_EVEN)
 
-def format_rational(value: Fraction, significant_digits: int = 14) -> str:
-    """Plain decimal rendering with at most `significant_digits` digits
-    and no trailing zeros ("1", "1.4", "1.2121212121212")."""
-    value = Fraction(value)
+
+def format_rational(value: int | Fraction) -> str:
+    """An int or Fraction in plain decimal with at most SIGNIFICANT_DIGITS
+    digits and no trailing zeros ("1", "1.4", "1.2121212121212")."""
     if value.denominator == 1:
         return str(value.numerator)
-    with localcontext() as ctx:
-        ctx.prec = significant_digits
-        quotient = Decimal(value.numerator) / Decimal(value.denominator)
-    return format(quotient.normalize(), "f")
+    quotient = _SIGNIFICANT.divide(value.numerator, value.denominator)
+    return format(_SIGNIFICANT.normalize(quotient), "f")
 
 
-def format_fixed2(value) -> str:
-    """Exact two-decimal rendering (banker's rounding), e.g. "26.40"."""
-    value = Fraction(value)
-    with localcontext() as ctx:
-        ctx.prec = 50
-        quotient = Decimal(value.numerator) / Decimal(value.denominator)
-        return str(quotient.quantize(Decimal("0.01"), rounding=ROUND_HALF_EVEN))
+def format_fixed2(value: int | Fraction) -> str:
+    """An int or Fraction to exactly two decimals, rounded half-to-even,
+    e.g. "26.40"; a negative value keeps its sign ("-0.00")."""
+    numerator, denominator = value.numerator, value.denominator
+    if denominator == 1:
+        return f"{numerator}.00"
+    hundredths, rest = divmod(abs(numerator) * 100, denominator)
+    if 2 * rest > denominator or (2 * rest == denominator and hundredths & 1):
+        hundredths += 1
+    whole, cents = divmod(hundredths, 100)
+    return f"{'-' if numerator < 0 else ''}{whole}.{cents:02d}"
 
 
 def sheet_cells(row: ClassMetricsRow,
                 cfg: MetricConfig = DEFAULT_CONFIG) -> list[str | int]:
     """One row of the sheet: counts as ints, the rest as text."""
-    return [
-        "C" if row.class_kind == "class" else "I",
-        row.class_name,
-        row.nomt,
-        format_rational(row.avcc),
-        row.moa,
-        row.iv,
-        row.ext,
-        row.nsup,
-        row.nsub,
-        row.pack,
-        row.nqu,
-        row.ncd,
-        format_fixed2(row.wmc(cfg.wmc_mode)),
-        format_fixed2(row.cmc),
-        format_fixed2(row.cc),
-        format_fixed2(row.ccc),
-    ]
+    return ["C" if row.class_kind == "class" else "I", row.class_name,
+            row.nomt, format_rational(row.avcc), row.moa, row.iv, row.ext,
+            row.nsup, row.nsub, row.pack, row.nqu, row.ncd,
+            format_fixed2(row.wmc(cfg.wmc_mode)), format_fixed2(row.cmc),
+            format_fixed2(row.cc), format_fixed2(row.ccc)]
+
+
+# One sheet row as `json.dumps(record, indent=2)` lays it out inside the
+# list, with a `%s` for each cell's JSON text.
+_JSON_RECORD = "  {\n" + ",\n".join(
+    f"    {json.dumps(column)}: %s" for column in SHEET_COLUMNS) + "\n  }"
 
 
 def emit_sheet(rows: list[ClassMetricsRow], format: str = "csv",
@@ -79,8 +79,11 @@ def emit_sheet(rows: list[ClassMetricsRow], format: str = "csv",
         writer.writerows(cells)
         return out.getvalue()
     if format == "json":
-        records = [dict(zip(SHEET_COLUMNS, row_cells)) for row_cells in cells]
-        return json.dumps(records, indent=2) + "\n"
+        records = ",\n".join(
+            _JSON_RECORD % tuple(json.dumps(cell) if isinstance(cell, str)
+                                 else repr(cell) for cell in row_cells)
+            for row_cells in cells)
+        return f"[\n{records}\n]\n" if cells else "[]\n"
     raise ValueError(f"unknown sheet format: {format!r}")
 
 
@@ -137,68 +140,64 @@ def _escape(text: str) -> str:
             .replace("\t", "&#09;"))
 
 
-def _tag(name: str, attrs: dict[str, str], end: str = " />") -> str:
-    """`<name`, its attributes sorted by name, then `end`."""
-    return f"<{name}" + "".join(f' {key}="{_escape(value)}"'
-                                for key, value in sorted(attrs.items())) + end
+def _optional(key: str, value: str | list[str] | None) -> str:
+    """` key="value"`, a list joined by commas; nothing if `value` is empty."""
+    if not value:
+        return ""
+    if not isinstance(value, str):
+        value = ",".join(value)
+    return f' {key}="{_escape(value)}"'
 
 
 def emit_model_xml(model: ProjectModel) -> bytes:
-    """Declarations as `class` elements holding `field` and `method`."""
+    """Declarations as `class` elements holding `field` and `method`.
+    Each element's attributes are written in name order; every text
+    value is escaped, counts and `true`/`false` flags need no escaping."""
     lines = []
     for decl in model.ordered_decls():
-        attrs = {
-            "kind": decl.kind,
-            "name": model.display_name_of(decl),
-            "file": decl.unit_path,
-        }
-        if decl.visibility:
-            attrs["visibility"] = decl.visibility
-        if decl.is_abstract and decl.kind == "class":
-            attrs["abstract"] = "true"
-        if decl.superclass_name:
-            attrs["super"] = decl.superclass_name
-        if decl.extended_interface_names:
-            attrs["extends"] = ",".join(decl.extended_interface_names)
-        if decl.implemented_interface_names:
-            attrs["interfaces"] = ",".join(decl.implemented_interface_names)
         members = []
         for f in decl.fields:
-            f_attrs = {
-                "name": f.name,
-                "type": f.declared_type_name + "[]" * f.array_rank,
-                "static": "true" if f.is_static else "false",
-            }
-            if f.visibility:
-                f_attrs["visibility"] = f.visibility
-            members.append("    " + _tag("field", f_attrs))
+            members.append(
+                f'    <field name="{_escape(f.name)}"'
+                f' static="{"true" if f.is_static else "false"}"'
+                f' type="{_escape(f.declared_type_name)}{"[]" * f.array_rank}"'
+                f'{_optional("visibility", f.visibility)} />')
         for m in decl.methods:
-            m_attrs = {
-                "name": m.name,
-                "params": ",".join(m.parameter_type_names),
-            }
-            if m.is_constructor:
-                m_attrs["constructor"] = "true"
-            elif m.return_type_name:
-                m_attrs["returns"] = m.return_type_name
-            if m.is_abstract:
-                m_attrs["abstract"] = "true"
-            if m.body is not None:
-                body = m.body
-                m_attrs.update({
-                    "decisions": str(body.decision_point_count),
-                    "short-circuit-ops": str(body.short_circuit_count),
-                    "value-returns": str(body.value_return_count),
-                    "bare-returns": str(body.bare_return_count),
-                    "external-calls": str(body.external_call_count),
-                    "internal-calls": str(body.internal_call_count),
-                    "statements": str(body.statement_count),
-                })
-                if body.new_expression_type_names:
-                    m_attrs["new-types"] = ",".join(
-                        body.new_expression_type_names)
-            members.append("    " + _tag("method", m_attrs))
-        lines.append("  " + _tag("class", attrs, ">" if members else " />"))
+            body = m.body
+            abstract = ' abstract="true"' if m.is_abstract else ""
+            constructor = ' constructor="true"' if m.is_constructor else ""
+            new_types = ("" if body is None else
+                         _optional("new-types", body.new_expression_type_names))
+            returns = ("" if m.is_constructor
+                       else _optional("returns", m.return_type_name))
+            named = (f' name="{_escape(m.name)}"{new_types}'
+                     f' params="{_escape(",".join(m.parameter_type_names))}"'
+                     f'{returns}')
+            if body is None:
+                members.append(
+                    f"    <method{abstract}{constructor}{named} />")
+            else:
+                members.append(
+                    f'    <method{abstract}'
+                    f' bare-returns="{body.bare_return_count}"{constructor}'
+                    f' decisions="{body.decision_point_count}"'
+                    f' external-calls="{body.external_call_count}"'
+                    f' internal-calls="{body.internal_call_count}"{named}'
+                    f' short-circuit-ops="{body.short_circuit_count}"'
+                    f' statements="{body.statement_count}"'
+                    f' value-returns="{body.value_return_count}" />')
+        abstract = (' abstract="true"'
+                    if decl.is_abstract and decl.kind == "class" else "")
+        lines.append(
+            f'  <class{abstract}'
+            f'{_optional("extends", decl.extended_interface_names)}'
+            f' file="{_escape(decl.unit_path)}"'
+            f'{_optional("interfaces", decl.implemented_interface_names)}'
+            f' kind="{_escape(decl.kind)}"'
+            f' name="{_escape(model.display_name_of(decl))}"'
+            f'{_optional("super", decl.superclass_name)}'
+            f'{_optional("visibility", decl.visibility)}'
+            + (">" if members else " />"))
         if members:
             lines += [*members, "  </class>"]
     root = ["<model>", *lines, "</model>"] if lines else ["<model />"]
@@ -228,11 +227,9 @@ def emit_chart(rows: list[ClassMetricsRow],
     width = margin_left + plot_width + margin_right
     height = margin_top + plot_height + margin_bottom
 
-    def values_of(row):
-        return [float(row.wmc(cfg.wmc_mode)), float(row.cmc),
-                float(row.cc), float(row.ccc)]
-
-    peak = max((v for row in rows for v in values_of(row)), default=0.0)
+    values = [(float(row.wmc(cfg.wmc_mode)), float(row.cmc),
+               float(row.cc), float(row.ccc)) for row in rows]
+    peak = max((v for row_values in values for v in row_values), default=0.0)
     scale_max = peak if peak > 0 else 1.0
 
     parts = [
@@ -257,12 +254,12 @@ def emit_chart(rows: list[ClassMetricsRow],
             f'font-family="sans-serif" font-size="11" '
             f'text-anchor="end">{value:.2f}</text>')
 
-    for gi, row in enumerate(rows):
+    for gi, (row, row_values) in enumerate(zip(rows, values)):
         group_x = margin_left + gi * group_width
         parts.append(
             f'<g class="group" data-class="{_escape(row.class_name)}">')
         for bi, ((series, color), value) in enumerate(
-                zip(_SERIES, values_of(row))):
+                zip(_SERIES, row_values)):
             bar_height = plot_height * value / scale_max
             x = group_x + 6 + bi * (bar_width + 2)
             y = margin_top + plot_height - bar_height

@@ -8,18 +8,69 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classmetrics import build_model
 from classmetrics.metrics import MetricConfig, compute_rows
 from classmetrics.report import (build_bundle, correlations, emit_chart,
                                  emit_model_xml, emit_sheet, format_fixed2,
-                                 format_rational, pearson)
+                                 format_rational, pearson, sheet_cells)
 
-from conftest import model_from_sources, parse_file, parse_source
+import report_oracle as oracle
+from conftest import FIXTURES, model_from_sources, parse_file, parse_source
 
 ANY_CLASS = MetricConfig(moa_policy="any-class")
+
+# Sets every optional attribute of model.xml: an abstract class with
+# super, interfaces and visibility; an interface with extends; a field
+# with visibility and array rank; methods that are abstract, bodyless,
+# constructors, or have returns and new-types.
+EVERY_ATTRIBUTE_SOURCE = """
+public abstract class Shape extends Base implements Drawable, Named {
+    protected static int[][] grid;
+    private String label;
+    public abstract double area();
+    native void sync();
+    Shape(int size) { super(); }
+    Object copy(int depth, String[] names) {
+        if (depth > 0 && names != null) { return new Box(depth); }
+        return new Base();
+    }
+}
+interface Drawable extends Named, Comparable { void draw(); }
+"""
+
+# Every character ElementTree escapes in an attribute, a lone surrogate
+# (a character reference in XML, a `\udcff` escape in JSON) and a
+# non-ASCII letter.
+HOSTILE = 'a&b"<c>\t\n\r\udcff\u00e9'
+
+
+def hostile_model():
+    """EVERY_ATTRIBUTE_SOURCE with HOSTILE appended to every text value
+    of model.xml and to the file path."""
+    unit = parse_source(EVERY_ATTRIBUTE_SOURCE, f"d/{HOSTILE}.java")
+    for decl in unit.type_decls:
+        decl.name += HOSTILE
+        decl.visibility += HOSTILE
+        if decl.superclass_name:
+            decl.superclass_name += HOSTILE
+        decl.extended_interface_names.append(HOSTILE)
+        decl.implemented_interface_names.append(HOSTILE)
+        for f in decl.fields:
+            f.name += HOSTILE
+            f.declared_type_name += HOSTILE
+            f.visibility += HOSTILE
+        for m in decl.methods:
+            m.name += HOSTILE
+            m.parameter_type_names.append(HOSTILE)
+            if m.return_type_name:
+                m.return_type_name += HOSTILE
+            if m.body is not None:
+                m.body = m.body._replace(new_expression_type_names=[
+                    *m.body.new_expression_type_names, HOSTILE])
+    return build_model([unit])
 
 
 def oracle_pearson(xs, ys):
@@ -48,6 +99,9 @@ def oracle_pearson(xs, ys):
     (Fraction(4, 3), "1.3333333333333"),
     (Fraction(40, 33), "1.2121212121212"),
     (Fraction(72, 23), "3.1304347826087"),
+    (-3, "-3"),
+    (Fraction(-1, 200), "-0.005"),
+    (Fraction(9, 2**19), "0.000017166137695312"),  # a tie at digit 15
 ])
 def test_format_rational(value, expected):
     assert format_rational(value) == expected
@@ -58,9 +112,41 @@ def test_format_rational(value, expected):
     (Fraction(6), "6.00"),
     (Fraction(132, 5), "26.40"),
     (Fraction(34, 3), "11.33"),
+    (7, "7.00"),
+    (-3, "-3.00"),
+    (Fraction(1, 200), "0.00"),
+    (Fraction(3, 200), "0.02"),
+    (Fraction(-5, 8), "-0.62"),
+    (Fraction(-1, 200), "-0.00"),
 ])
 def test_format_fixed2(value, expected):
     assert format_fixed2(value) == expected
+
+
+# Ints, and Fractions with numerators up to 10**12 in magnitude and
+# denominators up to 10**6; exact ties in the second decimal (k/8, k/200)
+# and in the 15th significant digit (odd k/2**19 from k = 7 on), and
+# negatives in [-1/200, 0), which round to "-0.00".
+_RATIONALS = st.one_of(
+    st.integers(-10**12, 10**12),
+    st.builds(Fraction, st.integers(-10**12, 10**12), st.integers(1, 10**6)),
+    st.builds(Fraction, st.integers(-10**12, 10**12),
+              st.sampled_from([8, 200, 2**19])),
+    st.integers(200, 10**6).flatmap(lambda d: st.integers(
+        -(d // 200), -1).map(lambda n: Fraction(n, d))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RATIONALS)
+@example(Fraction(-1, 200))
+@example(Fraction(1, 200))
+@example(Fraction(3, 200))
+@example(Fraction(-5, 8))
+@example(Fraction(9, 2**19))
+@example(-3)
+def test_formats_match_the_decimal_oracle(value):
+    assert format_fixed2(value) == oracle.format_fixed2(value)
+    assert format_rational(value) == oracle.format_rational(value)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +199,15 @@ def test_csv_round_trip_recomputes_ccc(dlib_model):
         assert format_fixed2(total + intr) == record["CCC"]
         if intr == 0:
             assert format_fixed2(total) == record["CCC"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.text(), st.integers()), max_size=40))
+def test_json_sheet_of_any_cells_is_the_oracle_bytes(values):
+    # Rows of 16 cells from the drawn values, the last one padded with 0.
+    padded = values + [0] * (-len(values) % 16)
+    cells = [padded[i:i + 16] for i in range(0, len(padded), 16)]
+    assert emit_sheet([], "json", cells=cells) == oracle.sheet_json(cells)
 
 
 def test_sheet_rows_follow_file_then_declaration_order():
@@ -254,7 +349,8 @@ def test_xml_layout_is_elementtree_layout(fixture_paths):
     # indent, `<x />` for empty elements) gives the same bytes.
     models = [build_model([parse_file(p) for p in fixture_paths]),
               model_from_sources("class A {}", "interface I { void f(); }",
-                                 'class B { String s = "\\t"; int[] a; }')]
+                                 'class B { String s = "\\t"; int[] a; }'),
+              model_from_sources(EVERY_ATTRIBUTE_SOURCE)]
     for model in models:
         data = emit_model_xml(model)
         root = ET.fromstring(data)
@@ -287,12 +383,44 @@ def test_xml_dlib_has_18_class_elements(dlib_model):
 
 
 def test_xml_attributes_sorted(dlib_model):
-    text = emit_model_xml(dlib_model).decode("utf-8")
-    for line in text.splitlines():
-        if "<class " in line or "<method " in line or "<field " in line:
-            names = [chunk.split("=")[0]
-                     for chunk in line.strip().lstrip("<").rstrip("/>").split()[1:]]
-            assert names == sorted(names), line
+    for model in (dlib_model, model_from_sources(EVERY_ATTRIBUTE_SOURCE)):
+        text = emit_model_xml(model).decode("utf-8")
+        for line in text.splitlines():
+            if "<class " in line or "<method " in line or "<field " in line:
+                names = [chunk.split("=")[0] for chunk in
+                         line.strip().lstrip("<").rstrip("/>").split()[1:]]
+                assert names == sorted(names), line
+
+
+def test_every_attribute_source_sets_every_optional_attribute():
+    root = ET.fromstring(
+        emit_model_xml(model_from_sources(EVERY_ATTRIBUTE_SOURCE)))
+    seen: dict[str, set[str]] = {}
+    for element in root.iter():
+        seen.setdefault(element.tag, set()).update(element.keys())
+    assert seen["class"] == {"abstract", "extends", "file", "interfaces",
+                             "kind", "name", "super", "visibility"}
+    assert seen["field"] == {"name", "static", "type", "visibility"}
+    assert seen["method"] == {
+        "abstract", "bare-returns", "constructor", "decisions",
+        "external-calls", "internal-calls", "name", "new-types", "params",
+        "returns", "short-circuit-ops", "statements", "value-returns"}
+    assert "int[][]" in [f.get("type") for f in root.iter("field")]
+    bodyless = [m.get("name") for m in root.iter("method")
+                if m.get("abstract") is None and m.get("decisions") is None]
+    assert bodyless == ["sync"]
+
+
+def test_xml_and_json_sheet_are_the_oracle_bytes(dlib_model):
+    tolerant = build_model([parse_file(p) for p in
+                            sorted((FIXTURES / "tolerant").glob("*.java"))])
+    for model in (dlib_model, tolerant, hostile_model(),
+                  model_from_sources(EVERY_ATTRIBUTE_SOURCE), build_model([])):
+        assert emit_model_xml(model) == oracle.emit_model_xml(model)
+        for cfg in (MetricConfig(), ANY_CLASS):
+            rows = compute_rows(model, cfg)
+            cells = [sheet_cells(row, cfg) for row in rows]
+            assert emit_sheet(rows, "json", cfg) == oracle.sheet_json(cells)
 
 
 def test_xml_escapes_hostile_file_path():
