@@ -20,15 +20,16 @@ in one walk order (methods sorted, each one's parameter types before its
 name, then the sorted fields, name before type, ancestors, subclasses,
 interfaces and imports) and format templates that rebuild the class
 from one name per slot. rename looks every slot up, then fills the
-templates. The P8 check builds an entry's skeleton once per run, so a
-trial is one map of the slots through its mapping and one fill; which
-mappings it draws, and in what order, is unchanged.
+templates. The P8 check builds a class's skeleton and sorted names once
+per run, so a trial is one map of the slots through its mapping and one
+fill; which mappings it draws, and in what order, is unchanged.
 """
 
 import itertools
 import json
 import random
 from fractions import Fraction
+from sys import intern
 from typing import NamedTuple
 
 from .metrics import (DEFAULT_CONFIG, MetricConfig, ccc_value,
@@ -126,14 +127,14 @@ def concat(p: SyntheticClass, q: SyntheticClass) -> SyntheticClass:
                           *[a | b for a, b in zip(p[1:], q[1:])])
 
 
-def _skeleton(p: SyntheticClass) -> tuple[list[str], tuple]:
-    """p's name skeleton: its name slots in walk order, and the shape
-    that _fill rebuilds p from."""
+def _skeleton(p: SyntheticClass) -> tuple[list[str], list[str], tuple]:
+    """p's name skeleton: its name slots in walk order, its sorted
+    distinct names, and the shape that _fill rebuilds p from."""
     slots: list[str] = []
 
     def slot(name: str, suffix: str = "") -> str:
         slots.append(name)
-        return f"{{0[{len(slots) - 1}]}}{suffix}"
+        return intern(f"{{0[{len(slots) - 1}]}}{suffix}")
 
     def type_slot(text: str) -> str:
         base = text
@@ -145,16 +146,16 @@ def _skeleton(p: SyntheticClass) -> tuple[list[str], tuple]:
     for sig, *facts in sorted(p.methods):
         name, _, params = sig.partition("(")
         params = [type_slot(t) for t in params.rstrip(")").split(",") if t]
-        methods.append((f"{slot(name)}({','.join(params)})", *facts))
+        methods.append((intern(f"{slot(name)}({','.join(params)})"), *facts))
     fields = [(slot(n), type_slot(t), u) for n, t, u in sorted(p.fields)]
     bounds = [len(slots)]
     for part in p[2:]:  # ancestors, subclasses, interfaces, imports
         slots.extend(sorted(part))
         bounds.append(len(slots))
     # Columns, so that _fill zips each part's filled templates with the
-    # numbers and flags beside them.
-    return slots, (tuple(zip(*methods)) or ((),) * 5,
-                   tuple(zip(*fields)) or ((),) * 3, tuple(bounds))
+    # numbers and flags beside them. Classes share interned templates.
+    shape = tuple(zip(*methods)) or ((),) * 5, tuple(zip(*fields)) or ((),) * 3
+    return slots, sorted(set(slots)), (*shape, tuple(bounds))
 
 
 def _fill(shape: tuple, targets: list[str]) -> SyntheticClass:
@@ -171,7 +172,7 @@ def _fill(shape: tuple, targets: list[str]) -> SyntheticClass:
 
 def rename(p: SyntheticClass, mapping: dict[str, str]) -> SyntheticClass:
     """Apply a name bijection to every identifier in p."""
-    slots, shape = _skeleton(p)
+    slots, _, shape = _skeleton(p)
     source_of: dict[str, str] = {}  # target -> first name mapped to it
     for name in slots:
         if name not in mapping:
@@ -341,13 +342,32 @@ def project_corpus(model: ProjectModel,
 # Property checks
 
 
+class _Values(list):
+    """A run's (entry, metric value) pairs, one metric call per distinct
+    class, and union values by ordered class pair (concat keeps p's tuple
+    on a collision). In P9's stream a pair recurs only if a class repeats."""
+
+    def __init__(self, metric: MetricFunction, corpus: list[CorpusEntry]):
+        value_of = {c: metric(c) for c in dict.fromkeys(e.cls for e in corpus)}
+        super().__init__((e, value_of[e.cls]) for e in corpus)
+        self.metric, self.unions = metric, {}
+        self.repeats = len(value_of) < len(corpus)
+
+    def union(self, p, q, keep=True) -> Fraction:
+        value = self.unions.get((p, q))
+        if value is None:
+            value = self.metric(concat(p, q))
+            if keep:
+                self.unions[p, q] = value
+        return value
+
+
 def check_property(k: int, metric: MetricFunction,
                    corpus: list[CorpusEntry], trial_budget: int,
                    seed: int = 0, *, values: list | None = None
                    ) -> PropertyReport:
-    """Search `corpus` for property k's witness or violation. `values`
-    pairs each corpus entry with its metric value when the caller has
-    them already; otherwise the corpus is evaluated here."""
+    """Search `corpus` for property k's witness or violation; `values`
+    is the evaluation run_all shares, made here when absent."""
     if trial_budget <= 0:
         raise ValueError("trial budget must be positive")
     if k not in _PROPERTIES:
@@ -370,14 +390,12 @@ def check_property(k: int, metric: MetricFunction,
             "is taken by only finitely many classes")
         return report
 
-    if values is None:
-        values = [(e, metric(e.cls)) for e in corpus]
+    values = values or _Values(metric, corpus)
     checker = {
         1: _check_p1, 3: _check_p3, 4: _check_p4, 5: _check_p5,
         6: _check_p6, 8: _check_p8, 9: _check_p9,
     }[k]
-    report.witness = checker(report, metric, values,
-                             random.Random(seed * 1000003 + k))
+    report.witness = checker(report, values, random.Random(seed * 1000003 + k))
     report.verdict = ("witnessed" if report.witness
                       else "no-counterexample-found")
     return report
@@ -385,8 +403,8 @@ def check_property(k: int, metric: MetricFunction,
 
 def run_all(metric: MetricFunction, corpus: list[CorpusEntry],
             seed: int, trial_budget: int) -> list[PropertyReport]:
-    """All nine properties, evaluating each corpus class once."""
-    values = [(e, metric(e.cls)) for e in corpus]
+    """All nine properties over one evaluation of the corpus."""
+    values = _Values(metric, corpus)
     return [check_property(k, metric, corpus, trial_budget, seed,
                            values=values)
             for k in _PROPERTIES]
@@ -412,7 +430,7 @@ def _trials(report: PropertyReport, candidates):
         yield candidate
 
 
-def _check_p1(report, metric, values, rng):
+def _check_p1(report, values, rng):
     for (a, va), (b, vb) in _trials(report, itertools.combinations(values, 2)):
         if va != vb:
             return _witness((a.ident, va), (b.ident, vb),
@@ -422,7 +440,7 @@ def _check_p1(report, metric, values, rng):
     return None
 
 
-def _check_p3(report, metric, values, rng):
+def _check_p3(report, values, rng):
     for (a, va), (b, vb) in _trials(report, itertools.combinations(values, 2)):
         if a.cls != b.cls and va == vb:
             return _witness((a.ident, va), (b.ident, vb),
@@ -430,7 +448,7 @@ def _check_p3(report, metric, values, rng):
     return None
 
 
-def _check_p4(report, metric, values, rng):
+def _check_p4(report, values, rng):
     groups: dict[str, list] = {}
     for entry, value in values:
         if entry.equivalence_group:
@@ -450,9 +468,9 @@ def _check_p4(report, metric, values, rng):
     return None
 
 
-def _check_p5(report, metric, values, rng):
+def _check_p5(report, values, rng):
     for (a, va), (b, vb) in _trials(report, itertools.combinations(values, 2)):
-        vc = metric(concat(a.cls, b.cls))
+        vc = values.union(a.cls, b.cls)
         if va > vc or vb > vc:
             worse, worse_v = (a, va) if va > vc else (b, vb)
             report.note = ("violation: average-complexity dilution can "
@@ -465,19 +483,18 @@ def _check_p5(report, metric, values, rng):
     return None
 
 
-def _check_p6(report, metric, values, rng):
+def _check_p6(report, values, rng):
     equal_pairs = list(itertools.islice(
         ((x, y) for x, y in itertools.combinations(values, 2)
          if x[0].cls != y[0].cls and x[1] == y[1]), 25))
     if not equal_pairs:
         report.note = "no equal-valued class pair found to start from"
-    # The third class r is neither member; skipping a member uses no trial.
+    # The third class r is neither member entry; skipping one uses no trial.
     triples = ((a, va, b, vb, r, vr)
                for (a, va), (b, vb) in equal_pairs
-               for r, vr in values if r.ident not in (a.ident, b.ident))
+               for r, vr in values if r is not a and r is not b)
     for a, va, b, vb, r, vr in _trials(report, triples):
-        var = metric(concat(a.cls, r.cls))
-        vbr = metric(concat(b.cls, r.cls))
+        var, vbr = values.union(a.cls, r.cls), values.union(b.cls, r.cls)
         if var != vbr:
             return _witness(
                 (a.ident, va), (b.ident, vb), (r.ident, vr),
@@ -487,19 +504,18 @@ def _check_p6(report, metric, values, rng):
     return None
 
 
-def _check_p8(report, metric, values, rng):
-    # Trials visit the entries round-robin, so only the first
-    # trial_budget entries are renamed; a skeleton is kept only for an
-    # entry that the budget reaches again.
-    entries = values[:report.trial_budget]
-    revisited = report.trial_budget - len(entries)
+def _check_p8(report, values, rng):
+    # Trials visit the first trial_budget entries round-robin; a class's
+    # skeleton is kept until the trial count reaches its last visit.
+    budget, entries = report.trial_budget, values[:report.trial_budget]
+    last = {entries[t % len(entries)][0].cls: t + 1
+            for t in range(budget - len(entries), budget)}
     skeletons = {}
-    for index in _trials(report, itertools.cycle(range(len(entries)))):
-        entry, value = entries[index]
-        slots, shape = skeletons.get(index) or _skeleton(entry.cls)
-        if index < revisited:
-            skeletons[index] = slots, shape
-        names = sorted(set(slots))
+    for entry, value in _trials(report, itertools.cycle(entries)):
+        skeleton = skeletons.pop(entry.cls, None) or _skeleton(entry.cls)
+        if report.trials < last[entry.cls]:
+            skeletons[entry.cls] = skeleton
+        slots, names, shape = skeleton
         if not names:
             continue
         if rng.random() < 0.5:
@@ -511,11 +527,10 @@ def _check_p8(report, metric, values, rng):
         targets = list(map(mapping.__getitem__, slots))
         if len(set(targets)) != len(names):
             raise ValueError("renaming is not a bijection")
-        renamed = _fill(shape, targets)
-        if metric(renamed) != value:
+        renamed = values.metric(_fill(shape, targets))
+        if renamed != value:
             return _witness(
-                (entry.ident, value),
-                (f"renamed({entry.ident})", metric(renamed)),
+                (entry.ident, value), (f"renamed({entry.ident})", renamed),
                 mapping=mapping,
                 relation="metric changed under bijective renaming")
     report.note = ("metric invariant under every bijective renaming tried"
@@ -523,9 +538,9 @@ def _check_p8(report, metric, values, rng):
     return None
 
 
-def _check_p9(report, metric, values, rng):
+def _check_p9(report, values, rng):
     for (a, va), (b, vb) in _trials(report, itertools.combinations(values, 2)):
-        vc = metric(concat(a.cls, b.cls))
+        vc = values.union(a.cls, b.cls, keep=values.repeats)  # asked last
         if va + vb < vc:
             return _witness((a.ident, va), (b.ident, vb),
                             (f"{a.ident}+{b.ident}", vc),

@@ -21,6 +21,7 @@ from classmetrics.weyuker import (CCC_METRIC, CorpusEntry,
                                   from_class_model, generate_corpus,
                                   project_corpus, random_corpus, rename,
                                   reports_to_json, reports_to_text, run_all)
+import weyuker_oracle
 from conftest import FIXTURES, model_from_sources, parse_file
 from weyuker_oracle import (CMC_METRIC, collect_names, submetrics_of,
                             verify_witness)
@@ -314,15 +315,41 @@ def test_p8_replays_its_trial_rule(seed):
     assert check_property(8, EARLY, corpus, 1000, seed).witness
 
 
+def recording(calls, fn):
+    """fn, appending each call's arguments to `calls` first."""
+    return lambda *args: calls.append(args) or fn(*args)
+
+
 def test_p8_builds_one_skeleton_per_entry(monkeypatch):
     built = []
-    skeleton = weyuker._skeleton
     monkeypatch.setattr(weyuker, "_skeleton",
-                        lambda cls: built.append(cls) or skeleton(cls))
+                        recording(built, weyuker._skeleton))
     corpus = generate_corpus(42)
     reports = run_all(CCC_METRIC, corpus, 42, 1000)
     assert reports[7].trials == 1000
     assert len(built) == len(corpus) == 60
+
+    # Three copies of every class, side by side: a run still builds one
+    # skeleton and makes one metric call per distinct class, one concat
+    # and one metric call per distinct ordered union, and one metric call
+    # per renaming.
+    copies = [e._replace(ident=f"{e.ident}~{i}")
+              for e in corpus for i in range(3)]
+    asked = []  # every union the reference evaluation asks for
+    monkeypatch.setattr(weyuker_oracle, "concat",
+                        recording(asked, weyuker.concat))
+    weyuker_oracle.run_all(CCC_METRIC, copies, 42, 1000)
+    built.clear()
+    made, evaluated = [], []
+    monkeypatch.setattr(weyuker, "concat", recording(made, weyuker.concat))
+    metric = MetricFunction("CCC", recording(evaluated, CCC_METRIC))
+    reports = run_all(metric, copies, 42, 1000)
+    renamings = sum(1 for t in range(reports[7].trials)
+                    if collect_names(copies[t % len(copies)].cls))
+    assert len(built) == 60
+    assert len(made) == len(set(made)) and set(made) == set(asked)
+    assert len(asked) > len(made)
+    assert len(evaluated) == 60 + len(made) + renamings
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +419,19 @@ def test_p1_witnessed_on_empty_and_namedb():
     assert report.verdict == "witnessed"
     values = {c["ident"]: c["value"] for c in report.witness["classes"]}
     assert values == {"empty": "0", "namedb-shape": "22"}
+
+
+def test_p6_third_class_may_share_a_members_ident():
+    # Project idents have no package, so a class in another package can
+    # carry a member's name; only the two member entries themselves are
+    # excluded as the third class.
+    corpus = [CorpusEntry("Node", make([("m()", 1, 0, 0, True)])),
+              CorpusEntry("Leaf", make([("n()", 1, 0, 0, True)])),
+              CorpusEntry("Node", make([("m()", 5, 1, 2, False)]))]
+    report = check_property(6, CCC_METRIC, corpus, 10)
+    assert (report.verdict, report.trials) == ("witnessed", 1)
+    assert report.witness["relation"] == (
+        "mu(Node)=mu(Leaf)=2 but mu(Node+Node)=2 != mu(Leaf+Node)=8")
 
 
 def test_p7_always_not_applicable():
@@ -464,6 +504,23 @@ def test_witnesses_reverify():
         if report.verdict == "witnessed":
             assert verify_witness(report, CCC_METRIC, corpus), \
                 report.property_number
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+def test_run_all_matches_the_reference_evaluation(seed):
+    # The reference evaluates the metric for every entry and concat for
+    # every candidate; sharing evaluations between repeats must not
+    # change a byte of either report.
+    corpus = generate_corpus(seed)
+    repeated = [e._replace(ident=f"{e.ident}~{i}")
+                for i in range(3) for e in corpus]
+    for entries, budget, metric in itertools.product(
+            (corpus, repeated), (17, 1000), (CCC_METRIC, EARLY)):
+        got = run_all(metric, entries, seed, budget)
+        want = weyuker_oracle.run_all(metric, entries, seed, budget)
+        for render in (reports_to_json, reports_to_text):
+            assert (render(got, len(entries))
+                    == render(want, len(entries))), (budget, metric.name)
 
 
 def test_reports_are_deterministic():
