@@ -517,8 +517,7 @@ class _Parser:
         decl = ClassDecl(
             name=self.cur(),
             kind=kind,
-            visibility=next((m for m in mods
-                             if m in ("public", "private", "protected")), ""),
+            visibility=_visibility(mods),
             is_abstract="abstract" in mods or kind == "interface",
             unit_path=self.unit.file_path,
         )
@@ -692,8 +691,6 @@ class _Parser:
     def _finish_fields(self, decl: ClassDecl, mods: list[str],
                        type_name: str, type_rank: int, first_name: str,
                        seen: set) -> None:
-        visibility = next((m for m in mods
-                           if m in ("public", "private", "protected")), "")
         # Interface fields are implicitly static constants.
         is_static = "static" in mods or decl.kind == "interface"
         name = first_name
@@ -708,7 +705,7 @@ class _Parser:
                     declared_type_name=type_name,
                     array_rank=rank,
                     is_static=is_static,
-                    visibility=visibility,
+                    visibility=_visibility(mods),
                 ))
             if self.at("="):
                 self.advance()
@@ -796,6 +793,12 @@ class _Parser:
                 return depth == 0
         self.pos = save
         return False
+
+
+def _visibility(mods: list[str]) -> str:
+    """The access modifier among mods, or "" for package access."""
+    return next((m for m in mods
+                 if m in ("public", "private", "protected")), "")
 
 
 def _wordlike(ch: str) -> bool:

@@ -1,12 +1,13 @@
 """Empirical evaluation of class metrics against Weyuker's properties.
 
 Classes are abstracted to SyntheticClass values (sets of method tuples,
-fields, relations). Concatenation of two classes is the set union of
-their parts, deduplicating methods by signature. The harness searches a
-corpus for witnesses (existential properties) or violations (universal
-properties) within a trial budget and reports verdicts next to a
-reference verdict table, flagging divergences instead of suppressing
-them.
+fields, relations); metrics.py defines that view, from_class_model and
+the CCC evaluator, where a sheet row sums the same parts. Concatenation
+of two classes is the set union of their parts, deduplicating methods by
+signature. The harness searches a corpus for witnesses (existential
+properties) or violations (universal properties) within a trial budget
+and reports verdicts next to a reference verdict table, flagging
+divergences instead of suppressing them.
 
 Trial rule: each property check walks a stream of candidates (class
 pairs, triples or renamings). A candidate counts as one trial before it
@@ -32,22 +33,10 @@ from fractions import Fraction
 from sys import intern
 from typing import NamedTuple
 
-from .metrics import (DEFAULT_CONFIG, MetricConfig, ccc_value,
-                      included_methods, method_cyclomatic)
-from .model import ProjectModel, is_user_defined
-from .parser import ClassDecl, Record
-
-
-class SyntheticClass(NamedTuple):
-    # Each method is (signature, complexity, value_return_count,
-    # external_call_count, is_void); each field is (name, type_name,
-    # is_user_defined).
-    methods: frozenset = frozenset()
-    fields: frozenset = frozenset()
-    ancestors: frozenset = frozenset()
-    subclasses: frozenset = frozenset()
-    interfaces: frozenset = frozenset()
-    imports: frozenset = frozenset()
+from .metrics import (DEFAULT_CONFIG, MetricConfig, SyntheticClass, ccc_of,
+                      from_class_model)
+from .model import ProjectModel
+from .parser import Record
 
 
 class MetricFunction(NamedTuple):
@@ -56,6 +45,9 @@ class MetricFunction(NamedTuple):
 
     def __call__(self, cls: SyntheticClass) -> Fraction:
         return self.evaluator(cls)
+
+
+CCC_METRIC = MetricFunction("CCC", ccc_of)
 
 
 class CorpusEntry(NamedTuple):
@@ -183,55 +175,6 @@ def rename(p: SyntheticClass, mapping: dict[str, str]) -> SyntheticClass:
                 f"mapping is not injective: {src!r} and {name!r} "
                 f"both map to {mapping[name]!r}")
     return _fill(shape, [mapping[name] for name in slots])
-
-
-# ---------------------------------------------------------------------------
-# Metric evaluators over SyntheticClass
-
-
-def _ccc_of(cls: SyntheticClass) -> Fraction:
-    methods = cls.methods
-    complexity = value_returns = external_calls = 0
-    for _, c, vr, ec, _ in methods:
-        complexity += c
-        value_returns += vr
-        external_calls += ec
-    int_sum = (len(methods) + sum(1 for f in cls.fields if f[2])
-               + external_calls + len(cls.ancestors) + len(cls.subclasses)
-               + len(cls.interfaces) + len(cls.imports) + value_returns)
-    return ccc_value(int_sum, complexity, len(methods))
-
-
-CCC_METRIC = MetricFunction("CCC", _ccc_of)
-
-
-def from_class_model(decl: ClassDecl, model: ProjectModel,
-                     cfg: MetricConfig = DEFAULT_CONFIG) -> SyntheticClass:
-    """Lossless (for metric purposes) mapping of a parsed class."""
-    methods = []
-    for m in included_methods(decl, cfg):
-        body = m.body
-        methods.append((
-            m.signature,
-            method_cyclomatic(m, cfg),
-            body.value_return_count if body else 0,
-            body.external_call_count if body else 0,
-            m.is_constructor or m.return_type_name == "void",
-        ))
-    fields = [
-        (f.name, f.declared_type_name + "[]" * f.array_rank,
-         is_user_defined(f.declared_type_name, model, cfg.moa_policy))
-        for f in decl.fields
-    ]
-    return SyntheticClass(
-        methods=frozenset(methods),
-        fields=frozenset(fields),
-        ancestors=frozenset(model.ancestors_of(decl)),
-        subclasses=frozenset(model.subclasses_of(decl)),
-        interfaces=frozenset() if decl.kind == "interface"
-        else frozenset(model.implemented_of(decl)),
-        imports=frozenset(model.unit_of(decl).imports),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from classmetrics.weyuker import (CCC_METRIC, CorpusEntry,
                                   reports_to_json, reports_to_text, run_all)
 import weyuker_oracle
 from conftest import FIXTURES, model_from_sources, parse_file
+from synth import random_project
 from weyuker_oracle import (CMC_METRIC, collect_names, submetrics_of,
                             verify_witness)
 
@@ -353,7 +354,8 @@ def test_p8_builds_one_skeleton_per_entry(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# from_class_model cross-check (dual route for the engine)
+# The class view: rows and the harness read the same parts, and both are
+# checked against the oracle's sub-metrics, which sum them independently
 
 
 def test_synthetic_mapping_reproduces_engine_ccc(dlib_model):
@@ -377,8 +379,10 @@ def test_harness_ccc_is_the_sheet_ccc_for_every_class(dlib_model):
     # Invalid Java (JLS 8.3, 8.4.2): the parser keeps the first of each.
     repeated_members = model_from_sources(
         "class A { int x; int x; void f() {} void f() {} }")
+    # A constructor and a method may share name(params); both count.
+    shared_signature = model_from_sources("class A { A() {} void A() {} }")
     models = [dlib_model, build_model([parse_file(p) for p in tolerant]),
-              repeated, repeated_members]
+              repeated, repeated_members, shared_signature]
     for model in models:
         for decl in model.ordered_decls():
             assert (CCC_METRIC(from_class_model(decl, model))
@@ -386,6 +390,27 @@ def test_harness_ccc_is_the_sheet_ccc_for_every_class(dlib_model):
     [decl] = repeated.ordered_decls()
     row = compute_row(decl, repeated)
     assert (row.pack, row.ccc) == (2, 6)
+
+
+ROW_SUBMETRICS = ("nomt", "avcc", "moa", "ext", "nsup", "nsub", "intr",
+                  "pack", "nqu")
+
+
+def test_rows_match_the_oracle_submetrics_of_the_class_view(dlib_model):
+    models = [dlib_model] + [random_project(random.Random(seed), 50)
+                             for seed in (3, 17, 2024)]
+    configs = [MetricConfig(moa_policy=policy, count_constructors=ctors)
+               for policy in ("project", "any-class")
+               for ctors in (True, False)]
+    checked = 0
+    for model, cfg in itertools.product(models, configs):
+        for decl, row in zip(model.ordered_decls(), compute_rows(model, cfg)):
+            sub = submetrics_of(from_class_model(decl, model, cfg))
+            assert ([getattr(row, name) for name in ROW_SUBMETRICS]
+                    == [sub[name.upper()] for name in ROW_SUBMETRICS]), (
+                row.class_name, cfg)
+            checked += 1
+    assert checked == 4 * (len(dlib_model.ordered_decls()) + 3 * 50)
 
 
 def test_ccc_metric_equals_submetric_sum(dlib_model):
