@@ -10,6 +10,7 @@ order, and the SVG is assembled by hand with fixed-precision coordinates.
 import csv
 import io
 import json
+import re
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from math import fsum, sqrt
@@ -131,9 +132,15 @@ def correlations(
 # XML model dump
 
 
+_NEEDS_ESCAPE = re.compile(r'[&<>"\r\n\t]').search
+
+
 def _escape(text: str) -> str:
     """Escape `&<>"`, carriage return, line feed and tab as ElementTree
-    does in an attribute value; also safe for character data."""
+    does in an attribute value; also safe for character data. Most names
+    hold none of them and are returned as they are."""
+    if _NEEDS_ESCAPE(text) is None:
+        return text
     return (text.replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;").replace('"', "&quot;")
             .replace("\r", "&#13;").replace("\n", "&#10;")

@@ -1,13 +1,16 @@
+import gc
 import hashlib
 import json
 import os
 import re
+import runpy
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import classmetrics.cli
 from classmetrics.cli import (BUNDLE_FILES, build_arg_parser, discover_files,
                               load_config_file, main)
 
@@ -266,6 +269,106 @@ def test_console_script_module_invocation(namedb_trio_dir, tmp_path):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "NameDB" in result.stdout
+
+
+@pytest.mark.parametrize("code", [0, 1, 2, 3])
+def test_module_run_matches_in_process_main(code, namedb_trio_dir, tmp_path,
+                                            capsys):
+    cycle = tmp_path / "cycle"
+    if code == 1:
+        cycle.mkdir()
+        (cycle / "A.java").write_text("class A extends B { }")
+        (cycle / "B.java").write_text("class B extends A { }")
+    (tmp_path / "taken").write_text("a file, not a directory")
+    inputs = {0: [namedb_trio_dir, "--fixed-timestamp", "--weyuker",
+                  "--trials", 50],
+              1: [cycle],
+              2: [tmp_path / "nothing"],
+              3: [namedb_trio_dir, "--out", tmp_path / "taken"]}[code]
+    argv = [str(a) for a in ["--out", tmp_path / "o", *inputs]]
+    assert main(argv) == code
+    in_process = capsys.readouterr()
+    result = subprocess.run([sys.executable, "-m", "classmetrics", *argv],
+                            capture_output=True, text=True)
+    assert result.returncode == code
+    assert result.stdout == in_process.out
+    assert result.stderr == in_process.err
+
+
+def test_console_main_runs_main_without_the_collector():
+    code = ("import gc, classmetrics.cli as cli; "
+            "cli.main = lambda: print(gc.isenabled()) or 5; "
+            "print(cli.console_main(), gc.get_freeze_count() > 0)")
+    result = subprocess.run([sys.executable, "-c", code],
+                            capture_output=True, text=True)
+    assert result.stdout.split() == ["False", "5", "True"], result.stderr
+
+
+def test_console_script_and_module_call_one_function(monkeypatch):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
+        "project"]["scripts"]["classmetrics"]
+    module, _, name = target.partition(":")
+    assert module == "classmetrics.cli"
+    monkeypatch.setattr(classmetrics.cli, name, lambda: 7)
+    with pytest.raises(SystemExit) as exited:
+        runpy.run_module("classmetrics", run_name="__main__")
+    assert exited.value.code == 7
+
+
+def test_in_process_main_leaves_gc_alone(namedb_trio_dir, tmp_path, capsys):
+    was_enabled = gc.isenabled()
+    frozen = gc.get_freeze_count()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert run_cli(namedb_trio_dir, "--out", tmp_path / "o") == 0
+            assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == frozen
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def _cyclic_garbage(argv) -> int:
+    """Objects left by main(argv) that only a cyclic collection frees,
+    with the collector off during the run as in the CLI process."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main([str(a) for a in argv])
+        gc.collect()
+        return len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("extra", [[], ["--weyuker", "--trials", 20]])
+def test_cyclic_garbage_does_not_grow_with_the_tree(extra, tmp_path, capsys):
+    # The CLI process never collects, so whatever a skipped or warning
+    # file leaves in a cycle would stay until exit.
+    trees = []
+    for copies in (1, 40):
+        tree = tmp_path / f"tree{copies}"
+        tree.mkdir()
+        (tree / "Ok.java").write_text("class Ok { void f() { } }")
+        for i in range(copies):
+            (tree / f"Lex{i}.java").write_text('class L { String s = "; }')
+            (tree / f"Open{i}.java").write_text(f"class U{i} {{ void f() {{ }}")
+            (tree / f"Warn{i}.java").write_text(
+                f"class W{i} {{ public <T> T pick(T a) {{ return a; }} }}")
+        trees.append(tree)
+    out = tmp_path / "o"
+    _cyclic_garbage([trees[0], "--out", out, *extra])  # warm-up
+    one, forty = (_cyclic_garbage([tree, "--out", out, *extra])
+                  for tree in trees)
+    assert "file skipped" in capsys.readouterr().err
+    assert one == forty
 
 
 TEXT_BLOCK_CLASS = '''class Doc {

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from classmetrics import build_model
+from classmetrics import build_model, report
 from classmetrics.metrics import MetricConfig, compute_rows
 from classmetrics.report import (build_bundle, correlations, emit_chart,
                                  emit_model_xml, emit_sheet, format_fixed2,
@@ -208,6 +208,15 @@ def test_json_sheet_of_any_cells_is_the_oracle_bytes(values):
     padded = values + [0] * (-len(values) % 16)
     cells = [padded[i:i + 16] for i in range(0, len(padded), 16)]
     assert emit_sheet([], "json", cells=cells) == oracle.sheet_json(cells)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=st.sampled_from('&<>"\r\n\t\'ab\u00e9\udcff')
+               | st.characters()))
+@example("")
+@example(HOSTILE)
+def test_escape_is_the_replace_chain(text):
+    assert report._escape(text) == oracle._escape(text)
 
 
 def test_sheet_rows_follow_file_then_declaration_order():

@@ -22,7 +22,7 @@ from classmetrics.weyuker import (CCC_METRIC, CorpusEntry,
                                   project_corpus, random_corpus, rename,
                                   reports_to_json, reports_to_text, run_all)
 import weyuker_oracle
-from conftest import FIXTURES, model_from_sources, parse_file
+from conftest import FIXTURES, model_from_sources, parse_file, parse_source
 from synth import random_project
 from weyuker_oracle import (CMC_METRIC, collect_names, submetrics_of,
                             verify_witness)
@@ -528,6 +528,28 @@ def test_witnesses_reverify():
     for report in run_all(CCC_METRIC, corpus, 42, 1000):
         if report.verdict == "witnessed":
             assert verify_witness(report, CCC_METRIC, corpus), \
+                report.property_number
+
+
+def test_witnesses_naming_two_namesakes_reverify(dlib_dir):
+    # Project idents carry no package. Two packages' copies of the dlib
+    # classes, as in the bench's wide corpus, plus a third package's
+    # different BaseObject, last in the corpus.
+    units = [parse_source(path.read_text(encoding="utf-8").replace(
+                 "package dlib;", f"package dlib.p{copy};", 1),
+                 f"p{copy}/{path.name}")
+             for copy in range(2) for path in sorted(dlib_dir.glob("*.java"))]
+    units.append(parse_source("package dlib.p9; public class BaseObject "
+                              "{ void f() { if (a) g(); } }",
+                              "p9/BaseObject.java"))
+    corpus = project_corpus(build_model(units))
+    reports = run_all(CMC_METRIC, corpus, 42, 1000)
+    assert reports[5].witness["relation"] == (
+        "mu(BaseObject)=mu(NamedObject)=4 but mu(BaseObject+BaseObject)=4"
+        " != mu(NamedObject+BaseObject)=8")
+    for report in reports:
+        if report.verdict == "witnessed":
+            assert verify_witness(report, CMC_METRIC, corpus), \
                 report.property_number
 
 

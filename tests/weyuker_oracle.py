@@ -47,34 +47,52 @@ CMC_METRIC = MetricFunction("CMC", _cmc_of)
 def verify_witness(report: PropertyReport, metric: MetricFunction,
                    corpus: list[CorpusEntry]) -> bool:
     """Re-evaluate a stored witness; True when it still demonstrates the
-    recorded relation."""
+    recorded relation. Project idents carry no package, so one ident can
+    name several entries: every choice among the entries that carry the
+    witness's idents is tried."""
     if report.verdict != "witnessed" or not report.witness:
         return False
-    by_ident = {e.ident: e.cls for e in corpus}
+    by_ident = {}
+    for e in corpus:
+        by_ident.setdefault(e.ident, []).append(e.cls)
     idents = [c["ident"] for c in report.witness["classes"]]
     k = report.property_number
 
-    if k in (1, 3, 4):
-        a, b = by_ident[idents[0]], by_ident[idents[1]]
-        va, vb = metric(a), metric(b)
-        return va != vb if k in (1, 4) else (va == vb and a != b)
-    if k == 5:
-        pa, pb = report.witness["pair"]
-        combined = concat(by_ident[pa], by_ident[pb])
-        part = by_ident[idents[0]]
-        return metric(part) > metric(combined)
-    if k == 6:
-        a, b, r = (by_ident[i] for i in idents)
-        return (metric(a) == metric(b)
-                and metric(concat(a, r)) != metric(concat(b, r)))
-    if k == 8:
-        cls = by_ident[idents[0]]
-        renamed = rename(cls, report.witness["mapping"])
-        return metric(renamed) != metric(cls)
-    if k == 9:
-        a, b = by_ident[idents[0]], by_ident[idents[1]]
-        return metric(a) + metric(b) < metric(concat(a, b))
-    return False
+    if k in (1, 4):
+        names = idents[:2]
+        holds = lambda a, b: metric(a) != metric(b)
+    elif k == 3:
+        names = idents[:2]
+        holds = lambda a, b: metric(a) == metric(b) and a != b
+    elif k == 5:
+        # The part, then the pair it was combined from.
+        names = [idents[0], *report.witness["pair"]]
+        holds = lambda part, a, b: metric(part) > metric(concat(a, b))
+    elif k == 6:
+        names = idents[:3]
+        holds = lambda a, b, r: (metric(a) == metric(b) and
+                                 metric(concat(a, r)) != metric(concat(b, r)))
+    elif k == 8:
+        names = idents[:1]
+        holds = lambda cls: _renaming_changes(metric, cls,
+                                              report.witness["mapping"])
+    elif k == 9:
+        names = idents[:2]
+        holds = lambda a, b: metric(a) + metric(b) < metric(concat(a, b))
+    else:
+        return False
+    return any(holds(*classes) for classes in
+               itertools.product(*(by_ident[name] for name in names)))
+
+
+def _renaming_changes(metric: MetricFunction, cls: SyntheticClass,
+                      mapping: dict[str, str]) -> bool:
+    """True when renaming cls by mapping changes its value; False when the
+    mapping does not fit cls (it was drawn for a namesake)."""
+    try:
+        return metric(rename(cls, mapping)) != metric(cls)
+    except ValueError:
+        return False
 
 
 # ---------------------------------------------------------------------------
