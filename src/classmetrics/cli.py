@@ -155,14 +155,15 @@ def discover_files(inputs: list[str]) -> list[Path]:
 
 def _read_source(path: Path, digest) -> str:
     """Add the file's path and bytes to `digest`, then decode the same
-    bytes as Path.read_text(encoding="utf-8") would: UnicodeDecodeError
-    propagates, and both \\r\\n and a lone \\r become \\n."""
+    bytes as UTF-8 with universal newlines: a leading byte-order mark is
+    dropped, UnicodeDecodeError propagates, and both \\r\\n and a lone
+    \\r become \\n."""
     data = path.read_bytes()
     digest.update(os.fsencode(path))
     digest.update(b"\0")
     digest.update(data)
     digest.update(b"\0")
-    return data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write_bundle(out_dir: Path, files: dict[str, bytes]) -> None:

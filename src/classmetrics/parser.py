@@ -530,18 +530,17 @@ class _Parser:
 
         if self.at("extends"):
             self.advance()
-            names = self._read_name_list(stop={"implements", "permits", "{"})
+            names = self._read_name_list()
             if kind == "interface":
                 decl.extended_interface_names = names
             elif names:
                 decl.superclass_name = names[0]
         if self.at("implements"):
             self.advance()
-            decl.implemented_interface_names = self._read_name_list(
-                stop={"permits", "{"})
+            decl.implemented_interface_names = self._read_name_list()
         if self.at("permits"):
             self.advance()
-            self._read_name_list(stop={"{"})
+            self._read_name_list()
 
         if not self.at("{"):
             self._skip(f"malformed {kind} body for {decl.name};"
@@ -553,26 +552,16 @@ class _Parser:
         self.depth -= 1
         return decl
 
-    def _read_name_list(self, stop: set[str]) -> list[str]:
+    def _read_name_list(self) -> list[str]:
+        """Read type names separated by commas, each as `_read_type` reads
+        a type. The list ends where no comma follows a name."""
         names = []
-        while self.cur() is not None and self.cur() not in stop:
-            if self.at_identifier():
-                name = self._read_dotted_name()
-                if self.at("<"):
-                    self._try_skip_angles()
-                names.append(name)
-            elif self.at(","):
-                self.advance()
-            else:
+        while self.at_identifier() and (type_info := self._read_type()):
+            names.append(type_info[0])
+            if not self.at(","):
                 break
-        return names
-
-    def _read_dotted_name(self) -> str:
-        parts = [self.advance()]
-        while self.at(".") and self.at_identifier(1):
             self.advance()
-            parts.append(self.advance())
-        return ".".join(parts)
+        return names
 
     def _parse_class_body(self, decl: ClassDecl) -> None:
         pending_bodies: list[tuple[MethodDecl, int, int]] = []
@@ -637,7 +626,7 @@ class _Parser:
         method.parameter_type_names = self._read_parameters()
         if self.at("throws"):
             self.advance()
-            self._read_name_list(stop={"{", ";"})
+            self._read_name_list()
         key = (method.is_constructor, method.signature)
         if key in seen:
             self._skip(f"repeated method '{method.signature}' in {decl.name}"
@@ -664,12 +653,7 @@ class _Parser:
             if self.at(","):
                 self.advance()
                 continue
-            if self.at("@"):
-                self._skip_annotation()
-                continue
-            if self.at("final"):
-                self.advance()
-                continue
+            self._collect_modifiers()
             type_info = self._read_type()
             if type_info is None:
                 # Recover at the next comma or the closing paren.
@@ -724,13 +708,12 @@ class _Parser:
             return
 
     def _read_dims(self) -> int:
-        """Consume the `[]` pairs after a declarator name and return
-        their number; a `[` without its `]` still counts."""
+        """Consume the `[ ]` pairs at the current token, after a type or a
+        declarator name, and return their number. A `[` without its `]`
+        is no dimension and stays unread."""
         rank = 0
-        while self.at("["):
-            self.advance()
-            if self.at("]"):
-                self.advance()
+        while self.at("[") and self.peek(1) == "]":
+            self.pos += 2
             rank += 1
         return rank
 
@@ -757,7 +740,11 @@ class _Parser:
         """Read a type: primitive or dotted name, optional generic args
         (dropped), optional [] pairs. Returns (base_name, array_rank)."""
         if self.at_identifier():
-            name = self._read_dotted_name()
+            parts = [self.advance()]
+            while self.at(".") and self.at_identifier(1):
+                self.advance()
+                parts.append(self.advance())
+            name = ".".join(parts)
         elif self.cur() in PRIMITIVE_TYPES or self.at("void"):
             name = self.advance()
         else:
@@ -766,11 +753,7 @@ class _Parser:
             self.warn(f"generic type arguments on {name} ignored")
             if not self._try_skip_angles():
                 return None
-        rank = 0
-        while self.at("[") and self.peek(1) == "]":
-            self.pos += 2
-            rank += 1
-        return name, rank
+        return name, self._read_dims()
 
     def _try_skip_angles(self) -> bool:
         """Consume a balanced <...> type-argument list; False if the

@@ -13,6 +13,10 @@ import pytest
 import classmetrics.cli
 from classmetrics.cli import (BUNDLE_FILES, build_arg_parser, discover_files,
                               load_config_file, main)
+from classmetrics.weyuker import (CCC_METRIC, PropertyReport, generate_corpus,
+                                  project_corpus)
+
+from weyuker_oracle import verify_witness
 
 
 def run_cli(*argv):
@@ -67,6 +71,28 @@ def test_weyuker_outputs(namedb_trio_dir, tmp_path, capsys):
                if v != "not-applicable") >= 7
     assert (out / "weyuker.txt").exists()
     assert "Weyuker property evaluation" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("corpus_kind, size", [("project", 18),
+                                              ("both", 78)])
+def test_weyuker_project_witnesses_reverify(dlib_dir, dlib_model, tmp_path,
+                                            capsys, corpus_kind, size):
+    out = tmp_path / "report"
+    assert run_cli(dlib_dir, "--out", out, "--weyuker",
+                   "--weyuker-corpus", corpus_kind) == 0
+    payload = json.loads((out / "weyuker.json").read_text())
+    assert payload["corpus_size"] == size
+    corpus = project_corpus(dlib_model)
+    if corpus_kind == "both":
+        corpus = generate_corpus(payload["seed"]) + corpus
+    witnessed = [PropertyReport(p["property"], p["metric"], p["verdict"],
+                                p["witness"], p["trials"], p["trial_budget"],
+                                p["seed"], p["note"])
+                 for p in payload["properties"] if p["verdict"] == "witnessed"]
+    assert witnessed
+    for report in witnessed:
+        assert verify_witness(report, CCC_METRIC, corpus), \
+            report.property_number
 
 
 def test_determinism_with_fixed_timestamp(namedb_trio_dir, tmp_path, capsys):
@@ -221,6 +247,28 @@ def test_crlf_and_lone_cr_sources_match_lf(tmp_path, capsys):
     assert "line 7" in results["lf"][1] and "line 13" in results["lf"][1]
     assert results["crlf"] == results["lf"]
     assert results["cr"] == results["lf"]
+
+
+def test_byte_order_mark_is_dropped(dlib_dir, tmp_path, capsys,
+                                   monkeypatch):
+    # A leading U+FEFF used to become a token, and the file lost its
+    # package or its first class. The input digest still reads the bytes.
+    bundles, digests = {}, set()
+    for bom in (b"", b"\xef\xbb\xbf"):
+        tree = tmp_path / f"bom{len(bom)}"
+        (tree / "src").mkdir(parents=True)
+        monkeypatch.chdir(tree)
+        for path in sorted(dlib_dir.glob("*.java")):
+            Path("src", path.name).write_bytes(bom + path.read_bytes())
+        assert run_cli("src", "--out", "report", "--fixed-timestamp") == 0
+        assert capsys.readouterr().err == ""
+        bundles[bom] = {path.name: path.read_bytes()
+                        for path in Path("report").iterdir()
+                        if path.name != "run.json"}
+        run = json.loads(Path("report", "run.json").read_text())
+        digests.add(run["inputs"]["sha256"])
+    assert bundles[b""] == bundles[b"\xef\xbb\xbf"]
+    assert len(digests) == 2
 
 
 def test_input_digest_covers_every_file_read(tmp_path, capsys):
@@ -441,6 +489,8 @@ def test_class_nesting_past_the_cap_loses_one_declaration(tmp_path):
     ("wmc = heavy", "bad wmc 'heavy'"),
     ("weyuker_corpus = none", "bad weyuker_corpus 'none'"),
     ("seed = abc", "bad integer 'abc'"),
+    ("strict = maybe", "bad boolean 'maybe'"),
+    ("strict", "expected key=value"),
 ])
 def test_bad_config_value_exits_2(namedb_trio_dir, tmp_path, capsys, line,
                                   message):
@@ -460,6 +510,14 @@ def test_config_accepts_every_flag_choice(tmp_path):
         for value in action.choices or ():
             config.write_text(f"{action.dest} = {value}\n")
             assert load_config_file(str(config)) == {action.dest: value}
+
+
+def test_config_reads_every_boolean_word(tmp_path):
+    config = tmp_path / "run.conf"
+    for words, value in (("1 true yes on", True), ("0 false no off", False)):
+        for word in words.split():
+            config.write_text(f"strict = {word}\n")
+            assert load_config_file(str(config)) == {"strict": value}
 
 
 def test_non_utf8_file_name_is_analysed(tmp_path, capsys):

@@ -1,7 +1,8 @@
 import random
+import signal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classmetrics.lexer import tokenize
@@ -263,6 +264,24 @@ WARNING_CASES = [
     # A method may share its constructor's name and parameters.
     ("class A {\n A() { }\n void A() { }\n A()\n ;\n}",
      ["repeated method 'A()' in A skipped at line 5"]),
+    # Generic arguments warn wherever a type name is read.
+    ("class A extends B<T> implements I<X>, J { }",
+     ["generic type arguments on B ignored at line 1",
+      "generic type arguments on I ignored at line 1"]),
+    ("interface I extends J<T>, K { }",
+     ["generic type arguments on J ignored at line 1"]),
+    ("sealed interface S permits A<T>, B { }",
+     ["generic type arguments on A ignored at line 1"]),
+    ("class A {\n void f() throws E<T> { }\n}",
+     ["generic type arguments on E ignored at line 2"]),
+    # A `[` without its `]` is no array dimension.
+    ("class A {\n int x[;\n}",
+     ["unterminated field declaration in A at line 2"]),
+    # Two names with no comma between them end a name list.
+    ("class A {\n void f() throws E F { }\n}",
+     ["malformed method f in A at line 2"]),
+    ("class A extends B C { }",
+     ["malformed class body for A; declaration skipped at line 1"]),
 ]
 
 
@@ -270,6 +289,89 @@ WARNING_CASES = [
 def test_every_warning_text_and_line(source, expected):
     assert parse_source(source, "W.java").warnings == [
         f"W.java: {text}" for text in expected]
+
+
+def _members(unit):
+    """Each declaration's name, supertypes, fields and method signatures."""
+    return [(d.name, ([d.superclass_name] if d.superclass_name else [])
+             + d.extended_interface_names + d.implemented_interface_names,
+             [f"{f.declared_type_name}{'[]' * f.array_rank} {f.name}"
+              for f in d.fields], [m.signature for m in d.methods])
+            for d in unit.type_decls]
+
+
+# The declaration walk's constructs: a source, its declarations as
+# `_members` gives them, and its warnings.
+DECLARATION_CASES = [
+    ("class A {\n void f() throws E, a.b.F { }\n void g() throws E;\n}",
+     [("A", [], [], ["f()", "g()"])], []),
+    ("class A { void f(String... xs) { } void g(int[]... ys) { } }",
+     [("A", [], [], ["f(String[])", "g(int[][])"])], []),
+    ("class A {\n void f(@Nullable final String s, final int n) { }\n}",
+     [("A", [], [], ["f(String,int)"])], ["annotation skipped at line 2"]),
+    # A parameter reads modifiers as a member does, valid there or not.
+    ("class A { void f(static int k) { } }",
+     [("A", [], [], ["f(int)"])], []),
+    ("class A {\n Map<K, List<V>> m;\n A<B<C<D>>> x;\n}",
+     [("A", [], ["Map m", "A x"], [])],
+     ["generic type arguments on Map ignored at line 2",
+      "generic type arguments on A ignored at line 3"]),
+    ("@a.b.C(v = {1, 2})\nclass A {\n @D(f(x)) void f() { }\n}",
+     [("A", [], [], ["f()"])],
+     ["annotation skipped at line 1", "annotation skipped at line 3"]),
+    ("; class A { ; int x; ; } ; class B { }",
+     [("A", [], ["int x"], []), ("B", [], [], [])], []),
+    ("class A { void f(int a, 3, int b) { } }",
+     [("A", [], [], ["f(int,int)"])], []),
+    ("class A {\n int 3 }\nclass B { }",
+     [("A", [], [], []), ("B", [], [], [])],
+     ["malformed member in A skipped at line 2"]),
+    ("class A {\n int x = a), y;\n int z;\n}",
+     [("A", [], ["int x", "int z"], [])],
+     ["unterminated field declaration in A at line 2"]),
+    # Dimensions after a name in a name list are read and dropped.
+    ("class A extends B[] { void f() throws E[] { } }",
+     [("A", ["B"], [], ["f()"])], []),
+]
+
+
+@pytest.mark.parametrize("source, members, warnings", DECLARATION_CASES)
+def test_declaration_walk_constructs(source, members, warnings):
+    unit = parse_source(source, "W.java")
+    assert _members(unit) == members
+    assert unit.warnings == [f"W.java: {text}" for text in warnings]
+
+
+_DECLARATION_SOUP = st.sampled_from(
+    "class interface enum record @ extends implements permits throws sealed "
+    "non - public static final void int String List < > >> >>> , . ... ( ) "
+    "{ } [ ] ; = a b A 1".split())
+
+
+def _parse_took_too_long(signum, frame):
+    raise TimeoutError("parse did not finish within 2 s")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_DECLARATION_SOUP, max_size=40).map(" ".join),
+       st.booleans())
+# Random soup rarely stops a parameter list at `;`, `]` or `}`, where a
+# recovery that skips like a field initializer would not advance.
+@example("void a ( int a ; int b )", True)
+@example("A ( ] )", True)
+def test_parse_finishes_on_declaration_soup(soup, in_class):
+    # A reader that stops advancing would loop forever; the timer turns
+    # that into a failure.
+    source = f"class Z {{ {soup} }}" if in_class else soup
+    previous = signal.signal(signal.SIGALRM, _parse_took_too_long)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        parse(tokenize(source))
+    except ParseError:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_repeated_members_keep_the_first_declaration():
