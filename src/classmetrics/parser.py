@@ -623,7 +623,8 @@ class _Parser:
                        mods: list[str],
                        pending: list[tuple[MethodDecl, int, int]],
                        seen: set) -> None:
-        method.parameter_type_names = self._read_parameters()
+        method.parameter_type_names = self._read_parameters(
+            f"{method.name} in {decl.name}")
         if self.at("throws"):
             self.advance()
             self._read_name_list()
@@ -646,7 +647,9 @@ class _Parser:
             self._skip(f"malformed method {method.name} in {decl.name}")
         decl.methods.append(method)
 
-    def _read_parameters(self) -> list[str]:
+    def _read_parameters(self, owner: str) -> list[str]:
+        """The parameter types of `owner` ("f in A"); a parameter that
+        is not a type is skipped with a warning."""
         self.advance()  # '('
         types = []
         while self.cur() is not None and not self.at(")"):
@@ -657,6 +660,7 @@ class _Parser:
             type_info = self._read_type()
             if type_info is None:
                 # Recover at the next comma or the closing paren.
+                self.warn(f"malformed parameter of {owner} skipped")
                 while self.cur() is not None and not self.at(",") and not self.at(")"):
                     self.advance()
                 continue

@@ -22,8 +22,10 @@ name, then the sorted fields, name before type, ancestors, subclasses,
 interfaces and imports) and format templates that rebuild the class
 from one name per slot. rename looks every slot up, then fills the
 templates. The P8 check builds a class's skeleton and sorted names once
-per run, so a trial is one map of the slots through its mapping and one
-fill; which mappings it draws, and in what order, is unchanged.
+per run and evaluates each distinct renamed class once: a trial draws
+its mapping as before, and only a mapping not drawn for that class
+before is built, checked, filled and evaluated. Which mappings it
+draws, and in what order, is unchanged.
 """
 
 import itertools
@@ -111,12 +113,27 @@ _PROPERTIES = {
 def concat(p: SyntheticClass, q: SyntheticClass) -> SyntheticClass:
     """Union of all parts; method signatures deduplicate keeping p's
     tuple on collision."""
-    merged = {m[0]: m for m in sorted(q.methods)}
-    for m in sorted(p.methods):
-        merged[m[0]] = m
+    merged = {**_by_signature(q), **_by_signature(p)}
     # Every other part is the union of the two.
     return SyntheticClass(frozenset(merged.values()),
                           *[a | b for a, b in zip(p[1:], q[1:])])
+
+
+def _by_signature(p: SyntheticClass) -> dict:
+    """p's methods by signature, the last in sorted order on a collision."""
+    if isinstance(p, _Indexed):
+        return p.by_signature
+    return {m[0]: m for m in sorted(p.methods)}
+
+
+class _Indexed(SyntheticClass):
+    """A class with its signature map made once. It equals and hashes as
+    the class itself, so concat takes it in the class's place."""
+
+    def __new__(cls, p: SyntheticClass):
+        self = super().__new__(cls, *p)
+        self.by_signature = _by_signature(p)
+        return self
 
 
 def _skeleton(p: SyntheticClass) -> tuple[list[str], list[str], tuple]:
@@ -288,18 +305,20 @@ def project_corpus(model: ProjectModel,
 class _Values(list):
     """A run's (entry, metric value) pairs, one metric call per distinct
     class, and union values by ordered class pair (concat keeps p's tuple
-    on a collision). In P9's stream a pair recurs only if a class repeats."""
+    on a collision). Each distinct class is indexed by signature once for
+    the unions. In P9's stream a pair recurs only if a class repeats."""
 
     def __init__(self, metric: MetricFunction, corpus: list[CorpusEntry]):
         value_of = {c: metric(c) for c in dict.fromkeys(e.cls for e in corpus)}
         super().__init__((e, value_of[e.cls]) for e in corpus)
         self.metric, self.unions = metric, {}
+        self.indexed = {c: _Indexed(c) for c in value_of}
         self.repeats = len(value_of) < len(corpus)
 
     def union(self, p, q, keep=True) -> Fraction:
         value = self.unions.get((p, q))
         if value is None:
-            value = self.metric(concat(p, q))
+            value = self.metric(concat(self.indexed[p], self.indexed[q]))
             if keep:
                 self.unions[p, q] = value
         return value
@@ -447,34 +466,46 @@ def _check_p6(report, values, rng):
     return None
 
 
+def _renaming(names: list[str], shuffled: tuple | None) -> dict:
+    """A P8 mapping of a class's sorted names: onto their shuffle, or
+    onto prefixed copies when shuffled is None."""
+    if shuffled is None:
+        return {n: f"r{i}_{n}" for i, n in enumerate(names)}
+    return dict(zip(names, shuffled))
+
+
 def _check_p8(report, values, rng):
     # Trials visit the first trial_budget entries round-robin; a class's
-    # skeleton is kept until the trial count reaches its last visit.
+    # skeleton and its renamed values, by drawn shuffle or None for the
+    # prefix renaming, are kept until the trial count reaches its last
+    # visit.
     budget, entries = report.trial_budget, values[:report.trial_budget]
     last = {entries[t % len(entries)][0].cls: t + 1
             for t in range(budget - len(entries), budget)}
-    skeletons = {}
+    kept = {}
     for entry, value in _trials(report, itertools.cycle(entries)):
-        skeleton = skeletons.pop(entry.cls, None) or _skeleton(entry.cls)
+        skeleton = kept.pop(entry.cls, None) or (*_skeleton(entry.cls), {})
         if report.trials < last[entry.cls]:
-            skeletons[entry.cls] = skeleton
-        slots, names, shape = skeleton
+            kept[entry.cls] = skeleton
+        slots, names, shape, renamed_by = skeleton
         if not names:
             continue
+        shuffled = None
         if rng.random() < 0.5:
             shuffled = names[:]
             rng.shuffle(shuffled)
-            mapping = dict(zip(names, shuffled))
-        else:
-            mapping = {n: f"r{i}_{n}" for i, n in enumerate(names)}
-        targets = list(map(mapping.__getitem__, slots))
-        if len(set(targets)) != len(names):
-            raise ValueError("renaming is not a bijection")
-        renamed = values.metric(_fill(shape, targets))
+            shuffled = tuple(shuffled)
+        renamed = renamed_by.get(shuffled)
+        if renamed is None:
+            targets = list(map(_renaming(names, shuffled).__getitem__, slots))
+            if len(set(targets)) != len(names):
+                raise ValueError("renaming is not a bijection")
+            renamed = renamed_by[shuffled] = values.metric(
+                _fill(shape, targets))
         if renamed != value:
             return _witness(
                 (entry.ident, value), (f"renamed({entry.ident})", renamed),
-                mapping=mapping,
+                mapping=_renaming(names, shuffled),
                 relation="metric changed under bijective renaming")
     report.note = ("metric invariant under every bijective renaming tried"
                    if values else "empty corpus")

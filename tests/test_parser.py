@@ -282,6 +282,14 @@ WARNING_CASES = [
      ["malformed method f in A at line 2"]),
     ("class A extends B C { }",
      ["malformed class body for A; declaration skipped at line 1"]),
+    # A parameter that is not a type is skipped, one warning each.
+    ("class A {\n void f(int a,\n 3, int b) { }\n}",
+     ["malformed parameter of f in A skipped at line 3"]),
+    ("class A {\n void f(int a[) { }\n}",
+     ["malformed parameter of f in A skipped at line 2"]),
+    ("class A {\n A(1, int b, = 2) { }\n}",
+     ["malformed parameter of A in A skipped at line 2",
+      "malformed parameter of A in A skipped at line 2"]),
 ]
 
 
@@ -322,7 +330,8 @@ DECLARATION_CASES = [
     ("; class A { ; int x; ; } ; class B { }",
      [("A", [], ["int x"], []), ("B", [], [], [])], []),
     ("class A { void f(int a, 3, int b) { } }",
-     [("A", [], [], ["f(int,int)"])], []),
+     [("A", [], [], ["f(int,int)"])],
+     ["malformed parameter of f in A skipped at line 1"]),
     ("class A {\n int 3 }\nclass B { }",
      [("A", [], [], []), ("B", [], [], [])],
      ["malformed member in A skipped at line 2"]),
@@ -348,15 +357,43 @@ _DECLARATION_SOUP = st.sampled_from(
     "{ } [ ] ; = a b A 1".split())
 
 
+# Member-shaped soup: declarations whose parameter lists, throws lists
+# and initializers hold stray `;`, `[`, `]`, `)`, literals and braces,
+# the tokens that the recovery loops must step over.
+_STRAY = ["3", "'c'", '"s"', ";", "[", "]", ")", "(", "}", "{ }", "="]
+_PARAMETER = st.sampled_from(["int a", "String[] b", "final C c", "@N D d",
+                              "int... e", "x[", "int f[", *_STRAY])
+_PARAMETERS = st.lists(st.tuples(_PARAMETER, st.sampled_from([", ", " "])),
+                       max_size=4).map(
+    lambda items: "".join(p + sep for p, sep in items))
+_THROWS = st.sampled_from(["", " throws E", " throws E, F", " throws E<T>",
+                           " throws", " throws E F", " throws ,"])
+_INITIALIZER = st.lists(st.sampled_from(
+    ["1", "a", "(", ")", "[", "]", ",", "new int[] { 1 }", "b(c, d)",
+     "new A() { void r() { } }", "{ 2 }"]), max_size=5).map(" ".join)
+_MEMBER = st.one_of(
+    st.builds("{}({}){}{}".format,
+              st.sampled_from(["void f", "int g", "Z", "static String h"]),
+              _PARAMETERS, _THROWS,
+              st.sampled_from([" { }", ";", " = 3;", "", " {"])),
+    st.builds("{} {} = {}{}".format,
+              st.sampled_from(["int", "String[]", "List<T>", "static int"]),
+              st.sampled_from(["x", "y[]", "z, w"]), _INITIALIZER,
+              st.sampled_from([";", "", " }"])))
+_MEMBER_SOUP = st.lists(_MEMBER, max_size=6).map(" ".join)
+
+
 def _parse_took_too_long(signum, frame):
     raise TimeoutError("parse did not finish within 2 s")
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(_DECLARATION_SOUP, max_size=40).map(" ".join),
+@given(st.one_of(st.lists(_DECLARATION_SOUP, max_size=40).map(" ".join),
+                 _MEMBER_SOUP),
        st.booleans())
-# Random soup rarely stops a parameter list at `;`, `]` or `}`, where a
-# recovery that skips like a field initializer would not advance.
+# Token soup rarely stops a parameter list at `;`, `]` or `}`, where a
+# recovery that skips like a field initializer would not advance; the
+# member soup often does, and these two examples always do.
 @example("void a ( int a ; int b )", True)
 @example("A ( ] )", True)
 def test_parse_finishes_on_declaration_soup(soup, in_class):

@@ -275,11 +275,12 @@ def replay_p8(metric, corpus, seed, budget):
     """P8's trial stream rebuilt from its rule: the first `budget`
     entries round-robin, one trial each, a nameless class tried with no
     draw, then a shuffle or a prefix renaming drawn from the seeded rng
-    and applied with rename. Returns (witness ident and mapping, trials)."""
+    and applied with rename. Returns (witness ident and mapping, trials,
+    the (class, mapping) pairs drawn)."""
     rng = random.Random(seed * 1000003 + 8)
     named = [(e, metric(e.cls), sorted(set(reference_names(e.cls))))
              for e in corpus[:budget]]
-    trials = 0
+    trials, drawn = 0, []
     for entry, value, names in itertools.cycle(named):
         if trials == budget:
             break
@@ -292,9 +293,10 @@ def replay_p8(metric, corpus, seed, budget):
             mapping = dict(zip(names, shuffled))
         else:
             mapping = {n: f"r{i}_{n}" for i, n in enumerate(names)}
+        drawn.append((entry.cls, mapping))
         if metric(rename(entry.cls, mapping)) != value:
-            return (entry.ident, mapping), trials
-    return None, trials
+            return (entry.ident, mapping), trials, drawn
+    return None, trials, drawn
 
 
 @pytest.mark.parametrize("seed", [1, 7, 42])
@@ -303,7 +305,7 @@ def test_p8_replays_its_trial_rule(seed):
     for metric, budget in [(EARLY, 1000), (EARLY, 3), (CCC_METRIC, 1000),
                            (CCC_METRIC, 7)]:
         report = check_property(8, metric, corpus, budget, seed)
-        found, trials = replay_p8(metric, corpus, seed, budget)
+        found, trials, _ = replay_p8(metric, corpus, seed, budget)
         assert report.trials == trials
         if found is None:
             assert report.verdict == "no-counterexample-found"
@@ -333,24 +335,26 @@ def test_p8_builds_one_skeleton_per_entry(monkeypatch):
     # Three copies of every class, side by side: a run still builds one
     # skeleton and makes one metric call per distinct class, one concat
     # and one metric call per distinct ordered union, and one metric call
-    # per renaming.
+    # per distinct renamed class, that is per distinct (class, mapping).
     copies = [e._replace(ident=f"{e.ident}~{i}")
               for e in corpus for i in range(3)]
     asked = []  # every union the reference evaluation asks for
     monkeypatch.setattr(weyuker_oracle, "concat",
                         recording(asked, weyuker.concat))
     weyuker_oracle.run_all(CCC_METRIC, copies, 42, 1000)
+    _, trials, drawn = replay_p8(CCC_METRIC, copies, 42, 1000)
+    renamed = {(cls, tuple(sorted(mapping.items()))) for cls, mapping in drawn}
     built.clear()
     made, evaluated = [], []
     monkeypatch.setattr(weyuker, "concat", recording(made, weyuker.concat))
     metric = MetricFunction("CCC", recording(evaluated, CCC_METRIC))
     reports = run_all(metric, copies, 42, 1000)
-    renamings = sum(1 for t in range(reports[7].trials)
-                    if collect_names(copies[t % len(copies)].cls))
+    assert reports[7].trials == trials == 1000
     assert len(built) == 60
     assert len(made) == len(set(made)) and set(made) == set(asked)
     assert len(asked) > len(made)
-    assert len(evaluated) == 60 + len(made) + renamings
+    assert len(drawn) > len(renamed)
+    assert len(evaluated) == 60 + len(made) + len(renamed)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +572,42 @@ def test_run_all_matches_the_reference_evaluation(seed):
         for render in (reports_to_json, reports_to_text):
             assert (render(got, len(entries))
                     == render(want, len(entries))), (budget, metric.name)
+
+
+def one_name_corpus() -> list[CorpusEntry]:
+    """Classes of one name each, so every shuffle is the identity and a
+    class's renamings repeat from its second draw of a kind on."""
+    return [CorpusEntry(f"one-{i}", cls) for i, cls in enumerate([
+        make(fields=[("Buffer", "Buffer", True)]),  # name and type alike
+        make([("z()", 2, 1, 0, False)]),
+        make(ancestors=["Base"]),
+        make([("a()", 1, 0, 0, True)]),  # EARLY changes when it is renamed
+        make(imports=["java.io.*"]),
+        EMPTY,
+    ])]
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+def test_memoised_renamings_match_the_reference_evaluation(seed, dlib_model):
+    # The reference evaluates every renamed class on every trial; a run
+    # that evaluates each distinct renamed class once must give the same
+    # bytes, with and without a witness.
+    project = project_corpus(dlib_model)
+    repeated = [e._replace(ident=f"{e.ident}~{i}")
+                for i in range(3) for e in project]
+    for entries, budget, metric in itertools.product(
+            (repeated, one_name_corpus()), (17, 1000),
+            (CCC_METRIC, EARLY, CMC_METRIC)):
+        got = run_all(metric, entries, seed, budget)
+        want = weyuker_oracle.run_all(metric, entries, seed, budget)
+        for render in (reports_to_json, reports_to_text):
+            assert (render(got, len(entries))
+                    == render(want, len(entries))), (budget, metric.name)
+    # At seed 42, EARLY's witness comes on the fifth visit to its class,
+    # after its identity shuffles were evaluated once and reused.
+    p8 = check_property(8, EARLY, one_name_corpus(), 1000, seed)
+    assert p8.witness["mapping"] == {"a": "r0_a"}
+    assert p8.trials == {7: 4, 42: 28}[seed]
 
 
 def test_reports_are_deterministic():
