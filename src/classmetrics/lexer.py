@@ -1,15 +1,19 @@
 """Tokenizer for Java source text.
 
 One grammar, `_GRAMMAR`: an ordered list of alternatives, one per
-lexical class. Every position matches some alternative, so the matches
-tile the source. `_TEXTS` captures every non-trivia alternative in one
-group, so a single `findall` call yields the token texts with no Python
-code per match. The blanks and line breaks after a token ride in that
-token's match; only comments and blanks at the start of the file take a
-match of their own. `tokenize` maps each text to its code, one character
-naming its kind (see `KIND_OF_CODE`), through a cache that holds each
-distinct text once, and returns a `Tokens`: the codes as one string, the
-texts as a list, and the source.
+lexical class, with those that start the most tokens first; where two
+share a first character, the one that must win comes first. Every
+position matches some alternative, so the matches tile the source. The
+operator alternative branches on the first character, so an operator
+costs one branch, not a trial of each operator. `_TEXTS` captures every
+non-trivia alternative in one group, so a single `findall` call yields
+the token texts with no Python code per match. The blanks and line
+breaks after a token ride in that token's match; only comments and
+blanks at the start of the file take a match of their own. `tokenize`
+maps each text to its code, one character naming its kind (see
+`KIND_OF_CODE`), through a cache that holds each distinct text once, and
+returns a `Tokens`: the codes as one string, the texts as a list, and
+the source.
 
 Positions follow one rule, `Tokens.position`: a token's line and column
 come from its start offset, which `finditer` over the same pattern
@@ -39,43 +43,36 @@ PRIMITIVE_TYPES = frozenset(
     ["boolean", "byte", "char", "short", "int", "long", "float", "double"]
 )
 
-# Longest match first.
-_OPERATORS = sorted(
-    [
-        ">>>=", "<<=", ">>=", ">>>", "<<", ">>", "==", "!=", "<=", ">=",
-        "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "&=", "|=", "^=",
-        "%=", "->", "::", "+", "-", "*", "/", "%", "=", "<", ">", "!", "~",
-        "&", "|", "^", "?", ":",
-    ],
-    key=len,
-    reverse=True,
-)
-
 # The grammar: one alternative per lexical class, tried in order at each
 # position. Where two can match at one position the one listed first
-# wins; the two trivia alternatives come first because no other
-# alternative shares their first characters. Each error group matches
-# only the opening of a construct whose well-formed group failed. A
-# text block (JLS 3.10.6) opens with three quotes, optional blanks and a
-# line break, and ends at the first unescaped three quotes. Only "\n"
-# breaks lines, here and in the position bookkeeping.
+# wins. The trivia come first, then words, punctuation and operators,
+# which start most tokens, then literals. Alternatives that share a
+# first character keep their order: at `/` a comment, then
+# `bad_comment`, then the operator; at `.` punctuation's `\.(?!\d)`,
+# then the float. Each operator branch takes the longest match, and the
+# branches accept exactly the 39 operators of JLS 3.12. Each error
+# group matches only the opening of a construct whose well-formed group
+# failed. A text block (JLS 3.10.6) opens with three quotes, optional
+# blanks and a line break, and ends at the first unescaped three quotes.
+# Only "\n" breaks lines, here and in the position bookkeeping.
 _GRAMMAR = (
     ("space", r"[ \t\r\n\f]+"),
     ("comment", r"//[^\n]*|/\*[\s\S]*?\*/"),
     ("word", r"[A-Za-z_$][A-Za-z0-9_$]*"),
     ("punctuation", r"[{}()\[\];,@]|\.(?!\d)"),
+    ("bad_comment", r"/\*"),
+    ("operator", r">(?:>>?)?=?|<<?=?|\+[+=]?|-[-=>]?|&[&=]?|\|[|=]?"
+                 r"|[*/%^!=]=?|::?|[~?]"),
+    ("float", r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFdD]?"
+              r"|\d+[eE][+-]?\d+[fFdD]?|\d+[fFdD]"),
+    ("integer", r"0[xX][0-9a-fA-F]+[lL]?|0[bB][01]+[lL]?|\d+[lL]?"),
     ("text_block",
      r"\"\"\"[ \t\f]*\r?\n(?:[^\"\\]|\\[\s\S]|\"(?!\"\"))*\"\"\""),
     ("bad_text_block", r"\"\"\"[ \t\f]*\r?\n"),
     ("string", r"\"[^\"\\\n]*(?:\\[\s\S][^\"\\\n]*)*\""),
-    ("char", r"'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*'"),
-    ("bad_comment", r"/\*"),
     ("bad_string", r"\""),
+    ("char", r"'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*'"),
     ("bad_char", r"'"),
-    ("float", r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFdD]?"
-              r"|\d+[eE][+-]?\d+[fFdD]?|\d+[fFdD]"),
-    ("integer", r"0[xX][0-9a-fA-F]+[lL]?|0[bB][01]+[lL]?|\d+[lL]?"),
-    ("operator", "|".join(map(re.escape, _OPERATORS))),
     # Outside the Java lexical grammar; tolerated as punctuation so the
     # byte round-trip still holds.
     ("other", r"[\s\S]"),

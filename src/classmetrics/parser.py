@@ -34,13 +34,16 @@ _IF, _FOR, _WHILE, _DO, _SWITCH, _TRY = (
     KEYWORD_CODES[word] for word in "if for while do switch try".split())
 _CATCH, _CASE, _RETURN, _NEW, _THIS, _SUPER = (
     KEYWORD_CODES[word] for word in "catch case return new this super".split())
-_EXTENDS = KEYWORD_CODES["extends"]
+_EXTENDS, _THROWS = KEYWORD_CODES["extends"], KEYWORD_CODES["throws"]
 _BARE_RETURN = _RETURN + ";"
 _SUPER_CALL, _THIS_CALL = _SUPER + "(", _THIS + "("
 # Codes of the name chain before a call: `a.b.f(`, `this.f(`.
 _RECEIVER_CODES = IDENTIFIER + _THIS + _SUPER
-_TYPE_CODES = IDENTIFIER + "".join(KEYWORD_CODES[word]
-                                   for word in sorted(PRIMITIVE_TYPES))
+_PRIMITIVE_CODES = [KEYWORD_CODES[word] for word in sorted(PRIMITIVE_TYPES)]
+_TYPE_CODES = IDENTIFIER + "".join(_PRIMITIVE_CODES)
+_DOT_NAME, _AT_INTERFACE = "." + IDENTIFIER, "@" + KEYWORD_CODES["interface"]
+_VOID_OR_PRIMITIVE = (KEYWORD_CODES["void"], *_PRIMITIVE_CODES)
+_NON_SEALED = ["non", "-", "sealed"]
 
 _BRACE = re.compile("[{}]")
 _CONTROL = re.compile(
@@ -366,12 +369,6 @@ class _Parser:
         p = self.pos + off
         return self.texts[p] if p < self.n else None
 
-    def advance(self) -> str | None:
-        text = self.cur()
-        if text is not None:
-            self.pos += 1
-        return text
-
     def at(self, text: str) -> bool:
         return self.pos < self.n and self.texts[self.pos] == text
 
@@ -391,15 +388,15 @@ class _Parser:
     def parse_unit(self) -> CompilationUnit:
         while (text := self.cur()) is not None:
             if text == "package":
-                self.advance()
+                self.pos += 1
                 self.unit.package_name = self._read_until_semi()
             elif text == "import":
-                self.advance()
+                self.pos += 1
                 self.unit.imports.append(self._read_until_semi())
             elif text == "@" and self.peek(1) != "interface":
                 self._skip_annotation()
             elif text == ";":
-                self.advance()
+                self.pos += 1
             else:
                 before = self.pos
                 mods = self._collect_modifiers()
@@ -409,17 +406,17 @@ class _Parser:
                     self._skip(f"unsupported top-level construct '{text}'"
                                " skipped")
                 if self.pos == before:
-                    self.advance()  # never stall on unexpected tokens
+                    self.pos += 1  # never stall on unexpected tokens
         return self.unit
 
     def _read_until_semi(self) -> str:
-        parts = []
-        while self.cur() is not None and not self.at(";"):
-            parts.append(self.advance())
-        if self.at(";"):
-            self.advance()
+        start = self.pos
+        end = self.codes.find(";", start)
+        if end < 0:
+            end = self.n
+        self.pos = min(end + 1, self.n)
         out = []
-        for p in parts:
+        for p in self.texts[start:end]:
             if out and _wordlike(out[-1][-1]) and _wordlike(p[0]):
                 out.append(" ")
             out.append(p)
@@ -427,29 +424,28 @@ class _Parser:
 
     def _collect_modifiers(self) -> list[str]:
         mods = []
-        while self.cur() is not None:
-            if self.at("@") and self.peek(1) != "interface":
+        while self.pos < self.n:
+            text = self.texts[self.pos]
+            if text in MODIFIERS:
+                mods.append(text)
+                self.pos += 1
+            elif (text == "@"
+                  and not self.codes.startswith(_AT_INTERFACE, self.pos)):
                 self._skip_annotation()
-                continue
-            if self.cur() in MODIFIERS:
-                mods.append(self.advance())
-                continue
-            if (self.at("non") and self.peek(1) == "-"
-                    and self.peek(2) == "sealed"):
-                self.pos += 3
+            elif self.texts[self.pos:self.pos + 3] == _NON_SEALED:
                 mods.append("non-sealed")
-                continue
-            break
+                self.pos += 3
+            else:
+                break
         return mods
 
     def _skip_annotation(self) -> None:
         self.warn("annotation skipped")
-        self.advance()  # '@'
+        self.pos += 1  # '@'
         if self.at_identifier() or self.cur() in KEYWORD_CODES:
-            self.advance()
-            while self.at(".") and self.peek(1) is not None:
-                self.advance()
-                self.advance()
+            self.pos += 1
+            while self.at(".") and self.pos + 1 < self.n:
+                self.pos += 2
         if self.at("("):
             self._skip_parenthesized()
 
@@ -458,24 +454,20 @@ class _Parser:
         the next top-level semicolon, whichever comes first."""
         while (text := self.cur()) is not None:
             if text == ";":
-                self.advance()
+                self.pos += 1
                 return
             if text == "{":
-                self._skip_braces()
+                self.pos = self.closers[self.pos] + 1
                 return
             if text == "}":
                 return  # let the enclosing body loop consume it
-            self.advance()
-
-    def _skip_braces(self) -> None:
-        """Jump past the '}' matching the current '{'."""
-        self.pos = self.closers[self.pos] + 1
+            self.pos += 1
 
     def _skip_parenthesized(self) -> None:
         """Skip the balanced parentheses starting at the current '('."""
         depth = 0
-        while self.cur() is not None:
-            text = self.advance()
+        while (text := self.cur()) is not None:
+            self.pos += 1
             if text == "(":
                 depth += 1
             elif text == ")":
@@ -495,7 +487,7 @@ class _Parser:
             if self.depth >= MAX_CLASS_NESTING:
                 self._skip(f"class nested deeper than {MAX_CLASS_NESTING}"
                            " levels skipped")
-            elif (decl := self._parse_type_decl(mods)) is not None:
+            elif (decl := self._parse_type_decl(mods, text)) is not None:
                 into.append(decl)
         elif text == "enum":
             self._skip("enum declaration skipped")
@@ -509,8 +501,8 @@ class _Parser:
             return False
         return True
 
-    def _parse_type_decl(self, mods: list[str]) -> ClassDecl | None:
-        kind = self.advance()  # 'class' | 'interface'
+    def _parse_type_decl(self, mods: list[str], kind: str) -> ClassDecl | None:
+        self.pos += 1  # 'class' | 'interface'
         if not self.at_identifier():
             self._skip(f"malformed {kind} header skipped")
             return None
@@ -521,7 +513,7 @@ class _Parser:
             is_abstract="abstract" in mods or kind == "interface",
             unit_path=self.unit.file_path,
         )
-        self.advance()
+        self.pos += 1
         if self.at("<"):
             self.warn(f"type parameters on {decl.name} ignored")
             if not self._try_skip_angles():
@@ -529,24 +521,24 @@ class _Parser:
                 return None
 
         if self.at("extends"):
-            self.advance()
+            self.pos += 1
             names = self._read_name_list()
             if kind == "interface":
                 decl.extended_interface_names = names
             elif names:
                 decl.superclass_name = names[0]
         if self.at("implements"):
-            self.advance()
+            self.pos += 1
             decl.implemented_interface_names = self._read_name_list()
         if self.at("permits"):
-            self.advance()
+            self.pos += 1
             self._read_name_list()
 
         if not self.at("{"):
             self._skip(f"malformed {kind} body for {decl.name};"
                        " declaration skipped")
             return None
-        self.advance()
+        self.pos += 1
         self.depth += 1
         self._parse_class_body(decl)
         self.depth -= 1
@@ -560,7 +552,7 @@ class _Parser:
             names.append(type_info[0])
             if not self.at(","):
                 break
-            self.advance()
+            self.pos += 1
         return names
 
     def _parse_class_body(self, decl: ClassDecl) -> None:
@@ -568,10 +560,10 @@ class _Parser:
         # The field names and the (is_constructor, signature) pairs of the
         # methods declared so far; a repeat of either is skipped.
         seen: set[str | tuple[bool, str]] = set()
-        while self.cur() is not None and not self.at("}"):
+        while self.pos < self.n and self.codes[self.pos] != "}":
             self._parse_member(decl, pending_bodies, seen)
-        if self.at("}"):
-            self.advance()
+        if self.pos < self.n:
+            self.pos += 1  # the '}'
         # Bodies are scanned once the full method name set is known, so
         # calls to later-declared methods classify as internal.
         own_names = {m.name for m in decl.methods}
@@ -582,12 +574,13 @@ class _Parser:
     def _parse_member(self, decl: ClassDecl,
                       pending: list[tuple[MethodDecl, int, int]],
                       seen: set) -> None:
-        if self.at(";"):
-            self.advance()
+        codes = self.codes
+        if codes.startswith(";", self.pos):
+            self.pos += 1
             return
         mods = self._collect_modifiers()
-        text = self.cur()
-        if (text is None or text == "}"
+        text = self.texts[self.pos] if self.pos < self.n else None
+        if (text in (None, "}")
                 or self._parse_type_member(mods, text, decl.nested)):
             return
         if text == "{":
@@ -598,12 +591,13 @@ class _Parser:
             return
 
         type_info = self._read_type()
-        if type_info is None or not (self.at("(") or self.at_identifier()):
+        pos = self.pos
+        if type_info is None or not codes.startswith(("(", IDENTIFIER), pos):
             self._skip(f"malformed member in {decl.name} skipped")
             return
         type_name, type_rank = type_info
 
-        if self.at("("):
+        if codes[pos] == "(":
             # No separate return type: constructor (or tolerated oddity).
             if type_name != decl.name:
                 self.warn(f"method '{type_name}' without return type")
@@ -611,9 +605,9 @@ class _Parser:
                                 is_constructor=type_name == decl.name)
             self._finish_method(decl, method, mods, pending, seen)
             return
-        name = self.advance()
-
-        if self.at("("):
+        name = self.texts[pos]
+        self.pos = pos + 1
+        if codes.startswith("(", self.pos):
             method = MethodDecl(name=name, return_type_name=type_name)
             self._finish_method(decl, method, mods, pending, seen)
         else:
@@ -625,8 +619,8 @@ class _Parser:
                        seen: set) -> None:
         method.parameter_type_names = self._read_parameters(
             f"{method.name} in {decl.name}")
-        if self.at("throws"):
-            self.advance()
+        if self.codes.startswith(_THROWS, self.pos):
+            self.pos += 1
             self._read_name_list()
         key = (method.is_constructor, method.signature)
         if key in seen:
@@ -636,44 +630,47 @@ class _Parser:
         seen.add(key)
         method.is_abstract = ("abstract" in mods
                               or (decl.kind == "interface" and "default" not in mods))
-        if self.at("{"):
-            start = self.pos + 1
-            self._skip_braces()
+        start = self.pos + 1
+        if self.codes.startswith("{", self.pos):
+            self.pos = self.closers[self.pos] + 1
             method.is_abstract = False
             pending.append((method, start, self.pos - 1))
-        elif self.at(";"):
-            self.advance()
+        elif self.codes.startswith(";", self.pos):
+            self.pos += 1
         else:
             self._skip(f"malformed method {method.name} in {decl.name}")
         decl.methods.append(method)
 
     def _read_parameters(self, owner: str) -> list[str]:
-        """The parameter types of `owner` ("f in A"); a parameter that
-        is not a type is skipped with a warning."""
-        self.advance()  # '('
+        """The parameter types of `owner` ("f in A"). A parameter that is
+        not a type, or not followed by `,` or `)`, is skipped up to the
+        next of them with a warning; a type read before that is kept."""
+        codes = self.codes
         types = []
-        while self.cur() is not None and not self.at(")"):
-            if self.at(","):
-                self.advance()
-                continue
+        if codes.startswith("()", self.pos):
+            self.pos += 2
+            return types
+        # At the '(', then at each ',' that ends a parameter.
+        while codes.startswith(("(", ","), self.pos):
+            self.pos += 1
             self._collect_modifiers()
             type_info = self._read_type()
-            if type_info is None:
-                # Recover at the next comma or the closing paren.
+            if type_info is not None:
+                type_name, rank = type_info
+                if codes.startswith("...", self.pos):
+                    rank += 1  # varargs behave like one array dimension
+                    self.pos += 3
+                if codes.startswith(IDENTIFIER, self.pos):
+                    self.pos += 1  # parameter name
+                rank += self._read_dims()
+                types.append(type_name + "[]" * rank)
+            if (type_info is None
+                    or not codes.startswith((",", ")"), self.pos)):
                 self.warn(f"malformed parameter of {owner} skipped")
-                while self.cur() is not None and not self.at(",") and not self.at(")"):
-                    self.advance()
-                continue
-            type_name, rank = type_info
-            if self.at(".") and self.peek(1) == "." and self.peek(2) == ".":
-                rank += 1  # varargs behave like one array dimension
-                self.pos += 3
-            if self.at_identifier():
-                self.advance()  # parameter name
-            rank += self._read_dims()
-            types.append(type_name + "[]" * rank)
-        if self.at(")"):
-            self.advance()
+                while self.pos < self.n and codes[self.pos] not in ",)":
+                    self.pos += 1
+        if self.pos < self.n:
+            self.pos += 1  # ')'
         return types
 
     def _finish_fields(self, decl: ClassDecl, mods: list[str],
@@ -696,17 +693,18 @@ class _Parser:
                     visibility=_visibility(mods),
                 ))
             if self.at("="):
-                self.advance()
+                self.pos += 1
                 self._skip_initializer()
             if self.at(","):
-                self.advance()
+                self.pos += 1
                 if not self.at_identifier():
                     self._skip(f"malformed field declarator in {decl.name}")
                     return
-                name = self.advance()
+                name = self.texts[self.pos]
+                self.pos += 1
                 continue
             if self.at(";"):
-                self.advance()
+                self.pos += 1
             else:
                 self._skip(f"unterminated field declaration in {decl.name}")
             return
@@ -715,11 +713,11 @@ class _Parser:
         """Consume the `[ ]` pairs at the current token, after a type or a
         declarator name, and return their number. A `[` without its `]`
         is no dimension and stays unread."""
-        rank = 0
-        while self.at("[") and self.peek(1) == "]":
-            self.pos += 2
-            rank += 1
-        return rank
+        start = pos = self.pos
+        while self.codes.startswith("[]", pos):
+            pos += 2
+        self.pos = pos
+        return (pos - start) // 2
 
     def _skip_initializer(self) -> None:
         """Skip an initializer expression up to a top-level ',' or ';'.
@@ -728,7 +726,7 @@ class _Parser:
         depth = 0
         while (text := self.cur()) is not None:
             if text == "{":
-                self._skip_braces()
+                self.pos = self.closers[self.pos] + 1
                 continue
             if text in "([":
                 depth += 1
@@ -738,22 +736,24 @@ class _Parser:
                 depth -= 1
             elif depth == 0 and text in (",", ";"):
                 return
-            self.advance()
+            self.pos += 1
 
     def _read_type(self) -> tuple[str, int] | None:
         """Read a type: primitive or dotted name, optional generic args
         (dropped), optional [] pairs. Returns (base_name, array_rank)."""
-        if self.at_identifier():
-            parts = [self.advance()]
-            while self.at(".") and self.at_identifier(1):
-                self.advance()
-                parts.append(self.advance())
-            name = ".".join(parts)
-        elif self.cur() in PRIMITIVE_TYPES or self.at("void"):
-            name = self.advance()
+        codes = self.codes
+        start = end = self.pos
+        if codes.startswith(IDENTIFIER, start):
+            end += 1
+            while codes.startswith(_DOT_NAME, end):
+                end += 2
+        elif codes.startswith(_VOID_OR_PRIMITIVE, start):
+            end += 1
         else:
             return None
-        if self.at("<"):
+        name = "".join(self.texts[start:end])  # the dots are tokens too
+        self.pos = end
+        if end < self.n and self.texts[end] == "<":
             self.warn(f"generic type arguments on {name} ignored")
             if not self._try_skip_angles():
                 return None
@@ -775,7 +775,7 @@ class _Parser:
                 depth -= 3
             elif text in (";", "{", "(", ")", "="):
                 break
-            self.advance()
+            self.pos += 1
             if depth <= 0:
                 return depth == 0
         self.pos = save

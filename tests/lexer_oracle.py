@@ -3,7 +3,10 @@ grammar, run with `finditer` as in the "Writing a Tokenizer" recipe of
 the `re` documentation. Each group's kind is decided here by its name,
 not by the lexer's code table, so the kinds of `tokenize(s)`, the
 positions `Tokens.position` gives, and the LexErrors can be compared
-with `positioned(s)`.
+with `positioned(s)`. The operator alternative is built here from the
+JLS 3.12 list, and the alternatives are tried in an order of the
+oracle's own, so a wrong operator pattern or a wrong order of the
+lexer's alternatives shows as a difference.
 
 `scan` also returns the skipped trivia (whitespace and comment runs),
 rebuilt from the gaps between tokens, and `reconstruct` rebuilds the
@@ -15,6 +18,25 @@ from typing import NamedTuple
 
 from classmetrics.lexer import _ERRORS, _GRAMMAR, _TRIVIA, KEYWORDS, LexError
 
+# The operators of JLS 3.12, longest first so that the alternation takes
+# the longest match.
+OPERATORS = sorted(
+    [
+        ">>>=", "<<=", ">>=", ">>>", "<<", ">>", "==", "!=", "<=", ">=",
+        "&&", "||", "++", "--", "+=", "-=", "*=", "/=", "&=", "|=", "^=",
+        "%=", "->", "::", "+", "-", "*", "/", "%", "=", "<", ">", "!", "~",
+        "&", "|", "^", "?", ":",
+    ],
+    key=len,
+    reverse=True,
+)
+# The lexer's alternatives by name, the operator built from OPERATORS,
+# in an order of the oracle's own: every literal and error group before
+# the operator, and `other` last.
+_PATTERNS = dict(_GRAMMAR, operator="|".join(map(re.escape, OPERATORS)))
+_ORDER = """space comment word punctuation text_block bad_text_block string
+    char bad_comment bad_string bad_char float integer operator other""".split()
+
 # The blanks that follow any match are consumed with it, outside the
 # alternatives, so they never form a match alone. The positioned pass
 # leaves line breaks out, because it counts lines in the trivia matches.
@@ -22,8 +44,8 @@ _BLANKS = r"[ \t\f\r]*"
 
 # One named group per alternative, for the positioned pass.
 _MASTER = re.compile(
-    "(?:" + "|".join(f"(?P<{name}>{rx})" for name, rx in _GRAMMAR) + ")"
-    + _BLANKS)
+    "(?:" + "|".join(f"(?P<{name}>{_PATTERNS[name]})" for name in _ORDER)
+    + ")" + _BLANKS)
 _TRIVIA_RUN = re.compile(_TRIVIA)
 _LINE_BREAK = re.compile(r"\n")
 

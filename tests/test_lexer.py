@@ -1,3 +1,4 @@
+import itertools
 import threading
 
 import pytest
@@ -5,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classmetrics.lexer import LexError, tokenize
-from lexer_oracle import Token, Trivia, positioned, reconstruct, scan
+from lexer_oracle import (OPERATORS, Token, Trivia, positioned, reconstruct,
+                          scan)
 
 
 def kinds_and_texts(source):
@@ -310,6 +312,23 @@ def test_flat_path_matches_positioned_property(source):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_JAVA_PIECES, max_size=60).map("".join))
 def test_flat_path_matches_positioned_on_java_fragments(source):
+    assert_flat_path_matches_positioned(source)
+
+
+def test_every_operator_pair_splits_as_the_oracle_splits_it():
+    assert len(OPERATORS) == len(set(OPERATORS)) == 39
+    for op in OPERATORS:
+        assert kinds_and_texts(op) == [("operator", op)]
+    for first, second in itertools.product(OPERATORS, repeat=2):
+        assert_flat_path_matches_positioned(first + second)
+
+
+_OPERATOR_CHARACTERS = st.sampled_from(list("<>=+-&|*/%^!~?:.") + [" "])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_OPERATOR_CHARACTERS, max_size=30).map("".join))
+def test_operator_character_soup_splits_as_the_oracle_splits_it(source):
     assert_flat_path_matches_positioned(source)
 
 

@@ -290,6 +290,16 @@ WARNING_CASES = [
     ("class A {\n A(1, int b, = 2) { }\n}",
      ["malformed parameter of A in A skipped at line 2",
       "malformed parameter of A in A skipped at line 2"]),
+    # A parameter ends at a `,` or the `)`, and each empty slot warns.
+    ("class A {\n void f(int a b) { }\n}",
+     ["malformed parameter of f in A skipped at line 2"]),
+    ("class A {\n void f(int a\n int b) { }\n}",
+     ["malformed parameter of f in A skipped at line 3"]),
+    ("class A {\n void f(,\n) { }\n}",
+     ["malformed parameter of f in A skipped at line 2",
+      "malformed parameter of f in A skipped at line 3"]),
+    ("class A {\n void f(int a,) { }\n}",
+     ["malformed parameter of f in A skipped at line 2"]),
 ]
 
 
@@ -341,6 +351,29 @@ DECLARATION_CASES = [
     # Dimensions after a name in a name list are read and dropped.
     ("class A extends B[] { void f() throws E[] { } }",
      [("A", ["B"], [], ["f()"])], []),
+    # A parameter not followed by `,` or `)` keeps its type; the rest of
+    # it, and each empty slot, is skipped with a warning.
+    ("class A { void f(int a b) { } void g(int a int b) { }\n"
+     " void h(,) { } void k(int a,) { } }",
+     [("A", [], [], ["f(int)", "g(int)", "h()", "k(int)"])],
+     ["malformed parameter of f in A skipped at line 1",
+      "malformed parameter of g in A skipped at line 1",
+      "malformed parameter of h in A skipped at line 2",
+      "malformed parameter of h in A skipped at line 2",
+      "malformed parameter of k in A skipped at line 2"]),
+    ("class A { void f(int... a[]) { } void g(java.util.List x) { } }",
+     [("A", [], [], ["f(int[][])", "g(java.util.List)"])], []),
+    ("class A {\n void f(final @A int x) { }\n}",
+     [("A", [], [], ["f(int)"])], ["annotation skipped at line 2"]),
+    # `non-sealed` is a modifier wherever modifiers stand, `sealed` in a
+    # parameter too; elsewhere `non`, `record` and `sealed` are names.
+    ("class A {\n non-sealed class B extends A { }\n"
+     " public non-sealed void f() { }\n non x;\n}",
+     [("A", [], ["non x"], ["f()"])], []),
+    ("class A {\n record r;\n void g(record x) { }\n sealed y;\n"
+     " void f(sealed x) { }\n}",
+     [("A", [], ["record r"], ["g(record)", "f(x)"])],
+     ["malformed member in A skipped at line 4"]),
 ]
 
 
