@@ -131,11 +131,9 @@ def build_model(units: list[CompilationUnit]) -> ProjectModel:
                 (c for c in candidates if c.unit.package_name == package),
                 candidates[0] if candidates else None)))
 
-    _check_acyclic(entries, supers)
-
+    model.ancestors = _walk_hierarchy(entries, supers)
     for entry in entries:
         model.immediate_subclasses.setdefault(entry.qualified, set())
-    model.ancestors = _all_ancestors(entries, supers)
     for entry in entries:
         model.interfaces_implemented[entry.qualified] = {
             n.split(".")[-1] for n in entry.decl.implemented_interface_names
@@ -178,34 +176,6 @@ def _flatten(decl: ClassDecl, unit: CompilationUnit, prefix: str,
         _flatten(nested, unit, f"{display}.", out)
 
 
-def _all_ancestors(entries: list[_Entry],
-                   supers: _Supers) -> dict[str, list[str]]:
-    """Ancestor names of every entry, as _collect_ancestors gives them.
-
-    An entry with exactly one resolved direct super t extends t's list,
-    which is computed first: its breadth-first walk is t's walk with
-    t.display seen from the start. That start changes nothing unless
-    t's own list holds t.display (a same-named class of another
-    package), and then the full walk runs instead."""
-    out: dict[str, list[str]] = {}
-    for entry in entries:
-        chain = []  # (entry, its one resolved super), child first
-        while entry.qualified not in out:
-            ups = supers[entry.qualified]
-            target = ups[0][1] if len(ups) == 1 else None
-            if target is None:
-                out[entry.qualified] = _collect_ancestors(entry, supers)
-                break
-            chain.append((entry, target))
-            entry = target
-        for entry, target in reversed(chain):
-            above = out[target.qualified]
-            out[entry.qualified] = (
-                [target.display] + above if target.display not in above
-                else _collect_ancestors(entry, supers))
-    return out
-
-
 def _collect_ancestors(entry: _Entry, supers: _Supers) -> list[str]:
     """Breadth-first ancestor names; an external name counts once and ends
     its branch."""
@@ -230,35 +200,48 @@ def _collect_ancestors(entry: _Entry, supers: _Supers) -> list[str]:
     return out
 
 
-def _check_acyclic(entries: list[_Entry], supers: _Supers) -> None:
-    """Depth-first search for a cycle in the resolved super relation. The
-    stack is explicit, so a deep hierarchy cannot exhaust the recursion
-    limit."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {e.qualified: WHITE for e in entries}
+def _walk_hierarchy(entries: list[_Entry],
+                    supers: _Supers) -> dict[str, list[str]]:
+    """Ancestor names of every entry, as _collect_ancestors gives them,
+    found by one depth-first search of the resolved super relation; a
+    cycle there is a ModelError. The stack is explicit, so a deep
+    hierarchy cannot exhaust the recursion limit.
 
+    An entry finishes after all of its supers. One with exactly one
+    resolved direct super t extends t's list: its breadth-first walk is
+    t's walk with t.display seen from the start. That start changes
+    nothing unless t's own list holds t.display (a same-named class of
+    another package), and then the full walk runs instead."""
+    out: dict[str, list[str]] = {}  # the finished entries
+    on_path: set[str] = set()
     for root in entries:
-        if color[root.qualified] != WHITE:
+        if root.qualified in out:
             continue
-        color[root.qualified] = GRAY
+        on_path.add(root.qualified)
         path = [root.display]
         stack = [(root, iter(supers[root.qualified]))]
         while stack:
             entry, ups = stack[-1]
             for _, target in ups:
-                if target is None:
+                if target is None or target.qualified in out:
                     continue
-                state = color[target.qualified]
-                if state == GRAY:
+                if target.qualified in on_path:
                     cycle = path[path.index(target.display):]
                     raise ModelError("inheritance cycle: " + " -> ".join(
                         cycle + [target.display]))
-                if state == WHITE:
-                    color[target.qualified] = GRAY
-                    path.append(target.display)
-                    stack.append((target, iter(supers[target.qualified])))
-                    break
+                on_path.add(target.qualified)
+                path.append(target.display)
+                stack.append((target, iter(supers[target.qualified])))
+                break
             else:
                 stack.pop()
                 path.pop()
-                color[entry.qualified] = BLACK
+                on_path.discard(entry.qualified)
+                ups = supers[entry.qualified]
+                target = ups[0][1] if len(ups) == 1 else None
+                above = [] if target is None else out[target.qualified]
+                out[entry.qualified] = (
+                    [target.display] + above
+                    if target is not None and target.display not in above
+                    else _collect_ancestors(entry, supers))
+    return out

@@ -14,7 +14,10 @@ counts each body's facts with `str` and `re` methods on the codes, and
 runs Python code only at the few tokens whose meaning depends on their
 neighbours. It asks for a token's position (`Tokens.position`) only to
 report a warning or a brace error, so a file that parses cleanly never
-computes token offsets.
+computes token offsets. The declaration walk reads copies of the codes
+and texts that end in two end tokens, so it looks up to two tokens ahead
+with no bounds check and stops at the first end token; a warning there
+gives the line of the last real token.
 """
 
 import re
@@ -346,37 +349,21 @@ class _Parser:
     def __init__(self, tokens: Tokens, file_path: str,
                  closers: dict[int, int]):
         self.tokens = tokens
-        self.codes = tokens.codes
-        self.texts = tokens.texts
-        self.n = len(tokens.texts)
+        # The end tokens: no real token has code "\0" (a NUL in the source
+        # is an `other` token, code "x") or an empty text. `pos` never
+        # moves past the first of them.
+        self.codes = tokens.codes + "\0\0"
+        self.texts = tokens.texts + ["", ""]
         self.closers = closers  # '{' index -> matching '}' index
         self.pos = 0
         self.depth = 0  # class bodies entered and not yet left
         self.unit = CompilationUnit(file_path=file_path)
 
-    # -- token helpers ------------------------------------------------
-
-    def cur(self) -> str | None:
-        """Text of the current token; None at the end."""
-        return self.texts[self.pos] if self.pos < self.n else None
-
-    def at_identifier(self, off: int = 0) -> bool:
-        """Whether the token `off` places ahead is an identifier."""
-        return self.codes.startswith(IDENTIFIER, self.pos + off)
-
-    def peek(self, off: int) -> str | None:
-        """Text of the token `off` places ahead; None past the end."""
-        p = self.pos + off
-        return self.texts[p] if p < self.n else None
-
-    def at(self, text: str) -> bool:
-        return self.pos < self.n and self.texts[self.pos] == text
-
     def warn(self, message: str) -> None:
-        where = ""
-        if self.pos < self.n:
-            where = f" at line {self.tokens.position(self.pos)[0]}"
-        self.unit.warnings.append(f"{self.unit.file_path}: {message}{where}")
+        # At the end of the input, the line of the last token.
+        line = self.tokens.position(min(self.pos, len(self.tokens) - 1))[0]
+        self.unit.warnings.append(
+            f"{self.unit.file_path}: {message} at line {line}")
 
     def _skip(self, message: str) -> None:
         """Warn, then skip the declaration at the current token."""
@@ -386,22 +373,22 @@ class _Parser:
     # -- top level ----------------------------------------------------
 
     def parse_unit(self) -> CompilationUnit:
-        while (text := self.cur()) is not None:
+        while text := self.texts[self.pos]:
             if text == "package":
                 self.pos += 1
                 self.unit.package_name = self._read_until_semi()
             elif text == "import":
                 self.pos += 1
                 self.unit.imports.append(self._read_until_semi())
-            elif text == "@" and self.peek(1) != "interface":
+            elif text == "@" and self.texts[self.pos + 1] != "interface":
                 self._skip_annotation()
             elif text == ";":
                 self.pos += 1
             else:
                 before = self.pos
                 mods = self._collect_modifiers()
-                text = self.cur()
-                if text is not None and not self._parse_type_member(
+                text = self.texts[self.pos]
+                if text and not self._parse_type_member(
                         mods, text, self.unit.type_decls):
                     self._skip(f"unsupported top-level construct '{text}'"
                                " skipped")
@@ -412,9 +399,10 @@ class _Parser:
     def _read_until_semi(self) -> str:
         start = self.pos
         end = self.codes.find(";", start)
-        if end < 0:
-            end = self.n
-        self.pos = min(end + 1, self.n)
+        if end < 0:  # no ';': the rest of the input
+            end = self.pos = len(self.tokens)
+        else:
+            self.pos = end + 1
         out = []
         for p in self.texts[start:end]:
             if out and _wordlike(out[-1][-1]) and _wordlike(p[0]):
@@ -424,8 +412,7 @@ class _Parser:
 
     def _collect_modifiers(self) -> list[str]:
         mods = []
-        while self.pos < self.n:
-            text = self.texts[self.pos]
+        while text := self.texts[self.pos]:
             if text in MODIFIERS:
                 mods.append(text)
                 self.pos += 1
@@ -442,17 +429,19 @@ class _Parser:
     def _skip_annotation(self) -> None:
         self.warn("annotation skipped")
         self.pos += 1  # '@'
-        if self.at_identifier() or self.cur() in KEYWORD_CODES:
+        if (self.codes[self.pos] == IDENTIFIER
+                or self.texts[self.pos] in KEYWORD_CODES):
             self.pos += 1
-            while self.at(".") and self.pos + 1 < self.n:
+            # A '.' with no token after it stays unread.
+            while self.texts[self.pos] == "." and self.texts[self.pos + 1]:
                 self.pos += 2
-        if self.at("("):
+        if self.texts[self.pos] == "(":
             self._skip_parenthesized()
 
     def _skip_declaration(self) -> None:
         """Skip to the end of a declaration: past a balanced brace block or
         the next top-level semicolon, whichever comes first."""
-        while (text := self.cur()) is not None:
+        while text := self.texts[self.pos]:
             if text == ";":
                 self.pos += 1
                 return
@@ -466,7 +455,7 @@ class _Parser:
     def _skip_parenthesized(self) -> None:
         """Skip the balanced parentheses starting at the current '('."""
         depth = 0
-        while (text := self.cur()) is not None:
+        while text := self.texts[self.pos]:
             self.pos += 1
             if text == "(":
                 depth += 1
@@ -492,10 +481,10 @@ class _Parser:
         elif text == "enum":
             self._skip("enum declaration skipped")
         elif text == "@":
-            self._skip(f"annotation type declaration '{self.peek(2) or ''}'"
-                       " skipped")
-        elif (text == "record" and self.at_identifier(1)
-              and self.peek(2) in ("(", "<")):
+            self._skip(f"annotation type declaration"
+                       f" '{self.texts[self.pos + 2]}' skipped")
+        elif (text == "record" and self.codes[self.pos + 1] == IDENTIFIER
+              and self.texts[self.pos + 2] in ("(", "<")):
             self._skip("record declaration skipped")
         else:
             return False
@@ -503,38 +492,38 @@ class _Parser:
 
     def _parse_type_decl(self, mods: list[str], kind: str) -> ClassDecl | None:
         self.pos += 1  # 'class' | 'interface'
-        if not self.at_identifier():
+        if self.codes[self.pos] != IDENTIFIER:
             self._skip(f"malformed {kind} header skipped")
             return None
         decl = ClassDecl(
-            name=self.cur(),
+            name=self.texts[self.pos],
             kind=kind,
             visibility=_visibility(mods),
             is_abstract="abstract" in mods or kind == "interface",
             unit_path=self.unit.file_path,
         )
         self.pos += 1
-        if self.at("<"):
+        if self.texts[self.pos] == "<":
             self.warn(f"type parameters on {decl.name} ignored")
             if not self._try_skip_angles():
                 self._skip_declaration()
                 return None
 
-        if self.at("extends"):
+        if self.texts[self.pos] == "extends":
             self.pos += 1
             names = self._read_name_list()
             if kind == "interface":
                 decl.extended_interface_names = names
             elif names:
                 decl.superclass_name = names[0]
-        if self.at("implements"):
+        if self.texts[self.pos] == "implements":
             self.pos += 1
             decl.implemented_interface_names = self._read_name_list()
-        if self.at("permits"):
+        if self.texts[self.pos] == "permits":
             self.pos += 1
             self._read_name_list()
 
-        if not self.at("{"):
+        if self.texts[self.pos] != "{":
             self._skip(f"malformed {kind} body for {decl.name};"
                        " declaration skipped")
             return None
@@ -548,9 +537,10 @@ class _Parser:
         """Read type names separated by commas, each as `_read_type` reads
         a type. The list ends where no comma follows a name."""
         names = []
-        while self.at_identifier() and (type_info := self._read_type()):
+        while (self.codes[self.pos] == IDENTIFIER
+               and (type_info := self._read_type())):
             names.append(type_info[0])
-            if not self.at(","):
+            if self.texts[self.pos] != ",":
                 break
             self.pos += 1
         return names
@@ -560,10 +550,10 @@ class _Parser:
         # The field names and the (is_constructor, signature) pairs of the
         # methods declared so far; a repeat of either is skipped.
         seen: set[str | tuple[bool, str]] = set()
-        while self.pos < self.n and self.codes[self.pos] != "}":
+        while self.codes[self.pos] not in "}\0":
             self._parse_member(decl, pending_bodies, seen)
-        if self.pos < self.n:
-            self.pos += 1  # the '}'
+        if self.codes[self.pos] == "}":
+            self.pos += 1
         # Bodies are scanned once the full method name set is known, so
         # calls to later-declared methods classify as internal.
         own_names = {m.name for m in decl.methods}
@@ -575,12 +565,12 @@ class _Parser:
                       pending: list[tuple[MethodDecl, int, int]],
                       seen: set) -> None:
         codes = self.codes
-        if codes.startswith(";", self.pos):
+        if codes[self.pos] == ";":
             self.pos += 1
             return
         mods = self._collect_modifiers()
-        text = self.texts[self.pos] if self.pos < self.n else None
-        if (text in (None, "}")
+        text = self.texts[self.pos]
+        if (text in ("", "}")
                 or self._parse_type_member(mods, text, decl.nested)):
             return
         if text == "{":
@@ -607,7 +597,7 @@ class _Parser:
             return
         name = self.texts[pos]
         self.pos = pos + 1
-        if codes.startswith("(", self.pos):
+        if codes[self.pos] == "(":
             method = MethodDecl(name=name, return_type_name=type_name)
             self._finish_method(decl, method, mods, pending, seen)
         else:
@@ -619,7 +609,7 @@ class _Parser:
                        seen: set) -> None:
         method.parameter_type_names = self._read_parameters(
             f"{method.name} in {decl.name}")
-        if self.codes.startswith(_THROWS, self.pos):
+        if self.codes[self.pos] == _THROWS:
             self.pos += 1
             self._read_name_list()
         key = (method.is_constructor, method.signature)
@@ -631,11 +621,11 @@ class _Parser:
         method.is_abstract = ("abstract" in mods
                               or (decl.kind == "interface" and "default" not in mods))
         start = self.pos + 1
-        if self.codes.startswith("{", self.pos):
+        if self.codes[self.pos] == "{":
             self.pos = self.closers[self.pos] + 1
             method.is_abstract = False
             pending.append((method, start, self.pos - 1))
-        elif self.codes.startswith(";", self.pos):
+        elif self.codes[self.pos] == ";":
             self.pos += 1
         else:
             self._skip(f"malformed method {method.name} in {decl.name}")
@@ -651,7 +641,7 @@ class _Parser:
             self.pos += 2
             return types
         # At the '(', then at each ',' that ends a parameter.
-        while codes.startswith(("(", ","), self.pos):
+        while codes[self.pos] in "(,":
             self.pos += 1
             self._collect_modifiers()
             type_info = self._read_type()
@@ -660,17 +650,16 @@ class _Parser:
                 if codes.startswith("...", self.pos):
                     rank += 1  # varargs behave like one array dimension
                     self.pos += 3
-                if codes.startswith(IDENTIFIER, self.pos):
+                if codes[self.pos] == IDENTIFIER:
                     self.pos += 1  # parameter name
                 rank += self._read_dims()
                 types.append(type_name + "[]" * rank)
-            if (type_info is None
-                    or not codes.startswith((",", ")"), self.pos)):
+            if type_info is None or codes[self.pos] not in ",)":
                 self.warn(f"malformed parameter of {owner} skipped")
-                while self.pos < self.n and codes[self.pos] not in ",)":
+                while codes[self.pos] not in ",)\0":
                     self.pos += 1
-        if self.pos < self.n:
-            self.pos += 1  # ')'
+        if codes[self.pos] == ")":
+            self.pos += 1
         return types
 
     def _finish_fields(self, decl: ClassDecl, mods: list[str],
@@ -692,18 +681,18 @@ class _Parser:
                     is_static=is_static,
                     visibility=_visibility(mods),
                 ))
-            if self.at("="):
+            if self.texts[self.pos] == "=":
                 self.pos += 1
                 self._skip_initializer()
-            if self.at(","):
+            if self.texts[self.pos] == ",":
                 self.pos += 1
-                if not self.at_identifier():
+                if self.codes[self.pos] != IDENTIFIER:
                     self._skip(f"malformed field declarator in {decl.name}")
                     return
                 name = self.texts[self.pos]
                 self.pos += 1
                 continue
-            if self.at(";"):
+            if self.texts[self.pos] == ";":
                 self.pos += 1
             else:
                 self._skip(f"unterminated field declaration in {decl.name}")
@@ -724,7 +713,7 @@ class _Parser:
         A brace block (array initializer, anonymous class body) is one
         jump."""
         depth = 0
-        while (text := self.cur()) is not None:
+        while text := self.texts[self.pos]:
             if text == "{":
                 self.pos = self.closers[self.pos] + 1
                 continue
@@ -753,7 +742,7 @@ class _Parser:
             return None
         name = "".join(self.texts[start:end])  # the dots are tokens too
         self.pos = end
-        if end < self.n and self.texts[end] == "<":
+        if self.texts[end] == "<":
             self.warn(f"generic type arguments on {name} ignored")
             if not self._try_skip_angles():
                 return None
@@ -764,7 +753,7 @@ class _Parser:
         brackets do not balance before a structural token."""
         save = self.pos
         depth = 0
-        while (text := self.cur()) is not None:
+        while text := self.texts[self.pos]:
             if text == "<":
                 depth += 1
             elif text == ">":

@@ -1,33 +1,38 @@
 """Dead-code guard for the package: every import in a module is used
 there, and every top-level function, class or assigned name is named
 somewhere in the package, the tests or the benchmark other than by its
-own definition. One that only the tests name belongs in the tests,
-unless it is public."""
+own definition, and so is every method of a class in the package. One
+that only the tests name belongs in the tests, unless it is public."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "classmetrics"
 
 
-def _names_in(node: ast.AST, strings: bool = True) -> set[str]:
-    """Identifiers that `node` refers to: names it reads, attributes,
-    imported names, and, when `strings` is set, identifiers inside string
-    constants (the benchmark's tracer names what it wraps as strings)."""
-    found = set()
+def _mentions(node: ast.AST, strings: bool = True):
+    """Each mention of an identifier in `node`: a name it reads, an
+    attribute, an imported name, and, when `strings` is set, an
+    identifier inside a string constant (the benchmark's tracer names
+    what it wraps as strings)."""
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
-            found.add(sub.id)
+            yield sub.id
         elif isinstance(sub, ast.Attribute):
-            found.add(sub.attr)
+            yield sub.attr
         elif isinstance(sub, ast.alias):
-            found.add(sub.name.rpartition(".")[2])
+            yield sub.name.rpartition(".")[2]
         elif (strings and isinstance(sub, ast.Constant)
               and isinstance(sub.value, str)):
-            found.update(re.findall(r"[A-Za-z_]\w*", sub.value))
-    return found
+            yield from re.findall(r"[A-Za-z_]\w*", sub.value)
+
+
+def _names_in(node: ast.AST, strings: bool = True) -> set[str]:
+    """Identifiers that `node` mentions (see `_mentions`)."""
+    return set(_mentions(node, strings))
 
 
 def _parse(path: Path) -> ast.Module:
@@ -107,3 +112,27 @@ def test_every_top_level_definition_serves_the_program():
         if path.name != "__init__.py":
             referenced |= _references(path, strings=False)
     assert _unnamed(referenced) == []
+
+
+def test_every_method_is_named():
+    # A method is named when the package, the tests and the benchmark
+    # mention it more often than its own definition does; dunder methods
+    # are called by Python itself.
+    mentions = Counter()
+    for folder in ("src", "tests", "bench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            mentions.update(_mentions(_parse(path)))
+    unnamed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(_parse(path)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                name = method.name
+                own = Counter(_mentions(method))[name]
+                if (not (name.startswith("__") and name.endswith("__"))
+                        and mentions[name] <= own):
+                    unnamed.append(f"{path.name}: {node.name}.{name}")
+    assert unnamed == []

@@ -37,6 +37,17 @@ def test_imports_preserve_stars_and_order():
     assert unit.imports == ["java.util.*", "java.io.File"]
 
 
+@pytest.mark.parametrize("source, package, imports", [
+    ("package a.b", "a.b", []),
+    ("import a.", "", ["a."]),
+    ("package a; import b.c", "a", ["b.c"]),
+])
+def test_header_without_semicolon_reads_to_the_end(source, package, imports):
+    unit = parse_source(source)
+    assert (unit.package_name, unit.imports, unit.warnings) == (
+        package, imports, [])
+
+
 def test_namedb_declaration_model(namedb_source):
     unit = parse_source(namedb_source, "NameDB.java")
     [decl] = unit.type_decls
@@ -300,6 +311,18 @@ WARNING_CASES = [
       "malformed parameter of f in A skipped at line 3"]),
     ("class A {\n void f(int a,) { }\n}",
      ["malformed parameter of f in A skipped at line 2"]),
+    # At the end of the input a warning gives the last token's line.
+    ("class C extends",
+     ["malformed class body for C; declaration skipped at line 1"]),
+    ("class C permits",
+     ["malformed class body for C; declaration skipped at line 1"]),
+    ("interface I extends",
+     ["malformed interface body for I; declaration skipped at line 1"]),
+    ("class C\n extends\n B",
+     ["malformed class body for C; declaration skipped at line 3"]),
+    ("class A {\n void f(int a\n }",
+     ["malformed parameter of f in A skipped at line 3",
+      "malformed method f in A at line 3"]),
 ]
 
 
@@ -374,6 +397,19 @@ DECLARATION_CASES = [
      " void f(sealed x) { }\n}",
      [("A", [], ["record r"], ["g(record)", "f(x)"])],
      ["malformed member in A skipped at line 4"]),
+    # Each look-ahead at the end of the input.
+    ("@", [], ["annotation skipped at line 1"]),
+    ("@A.", [], ["annotation skipped at line 1",
+                 "unsupported top-level construct '.' skipped at line 1"]),
+    ("@A(", [], ["annotation skipped at line 1"]),
+    ("@interface", [], ["annotation type declaration '' skipped at line 1"]),
+    ("class A {\n @interface\n}", [("A", [], [], [])],
+     ["annotation type declaration '}' skipped at line 2"]),
+    ("class C<T", [], ["type parameters on C ignored at line 1"]),
+    ("record R", [],
+     ["unsupported top-level construct 'record' skipped at line 1"]),
+    ("enum", [], ["enum declaration skipped at line 1"]),
+    ("public", [], []),
 ]
 
 
