@@ -453,9 +453,13 @@ class _Parser:
             self.pos += 1
 
     def _skip_parenthesized(self) -> None:
-        """Skip the balanced parentheses starting at the current '('."""
+        """Skip the balanced parentheses starting at the current '('. A
+        brace block is one jump; a '}' closes an enclosing body and stays
+        unread."""
         depth = 0
-        while text := self.texts[self.pos]:
+        while (text := self.texts[self.pos]) not in ("", "}"):
+            if text == "{":
+                self.pos = self.closers[self.pos]
             self.pos += 1
             if text == "(":
                 depth += 1
@@ -480,9 +484,10 @@ class _Parser:
                 into.append(decl)
         elif text == "enum":
             self._skip("enum declaration skipped")
-        elif text == "@":
-            self._skip(f"annotation type declaration"
-                       f" '{self.texts[self.pos + 2]}' skipped")
+        elif text == "@":  # '@interface', then the name if there is one
+            name = (f" '{self.texts[self.pos + 2]}'"
+                    if self.codes[self.pos + 2] == IDENTIFIER else "")
+            self._skip(f"annotation type declaration{name} skipped")
         elif (text == "record" and self.codes[self.pos + 1] == IDENTIFIER
               and self.texts[self.pos + 2] in ("(", "<")):
             self._skip("record declaration skipped")
@@ -634,7 +639,9 @@ class _Parser:
     def _read_parameters(self, owner: str) -> list[str]:
         """The parameter types of `owner` ("f in A"). A parameter that is
         not a type, or not followed by `,` or `)`, is skipped up to the
-        next of them with a warning; a type read before that is kept."""
+        next of them with a warning; a type read before that is kept.
+        The skip jumps a brace block and stops before a '}', which closes
+        an enclosing body."""
         codes = self.codes
         types = []
         if codes.startswith("()", self.pos):
@@ -656,7 +663,9 @@ class _Parser:
                 types.append(type_name + "[]" * rank)
             if type_info is None or codes[self.pos] not in ",)":
                 self.warn(f"malformed parameter of {owner} skipped")
-                while codes[self.pos] not in ",)\0":
+                while (code := codes[self.pos]) not in ",)}\0":
+                    if code == "{":
+                        self.pos = self.closers[self.pos]
                     self.pos += 1
         if codes[self.pos] == ")":
             self.pos += 1
@@ -709,9 +718,9 @@ class _Parser:
         return (pos - start) // 2
 
     def _skip_initializer(self) -> None:
-        """Skip an initializer expression up to a top-level ',' or ';'.
-        A brace block (array initializer, anonymous class body) is one
-        jump."""
+        """Skip an initializer expression up to a top-level ',' or ';', or
+        up to a '}', which closes an enclosing body. A brace block (array
+        initializer, anonymous class body) is one jump."""
         depth = 0
         while text := self.texts[self.pos]:
             if text == "{":
@@ -719,7 +728,9 @@ class _Parser:
                 continue
             if text in "([":
                 depth += 1
-            elif text in ")]}":
+            elif text == "}":
+                return
+            elif text in ")]":
                 if depth == 0:
                     return
                 depth -= 1

@@ -7,7 +7,9 @@ of two classes is the set union of their parts, deduplicating methods by
 signature. The harness searches a corpus for witnesses (existential
 properties) or violations (universal properties) within a trial budget
 and reports verdicts next to a reference verdict table, flagging
-divergences instead of suppressing them.
+divergences instead of suppressing them. The project corpus holds one
+object per distinct class: equal classes, such as copies of one source
+in several packages, share the first object built for them.
 
 Trial rule: each property check walks a stream of candidates (class
 pairs, triples or renamings). A candidate counts as one trial before it
@@ -291,11 +293,15 @@ def generate_corpus(seed: int, size: int = 60) -> list[CorpusEntry]:
 
 def project_corpus(model: ProjectModel,
                    cfg: MetricConfig = DEFAULT_CONFIG) -> list[CorpusEntry]:
-    return [
-        CorpusEntry(model.display_name_of(decl),
-                    from_class_model(decl, model, cfg))
-        for decl in model.ordered_decls()
-    ]
+    # Each class to itself: a repeat takes the first object built for it
+    # and is freed at once, and class-keyed lookups match it by identity.
+    first: dict[SyntheticClass, SyntheticClass] = {}
+    corpus = []
+    for decl in model.ordered_decls():
+        cls = from_class_model(decl, model, cfg)
+        corpus.append(CorpusEntry(model.display_name_of(decl),
+                                  first.setdefault(cls, cls)))
+    return corpus
 
 
 # ---------------------------------------------------------------------------

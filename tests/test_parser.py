@@ -323,6 +323,15 @@ WARNING_CASES = [
     ("class A {\n void f(int a\n }",
      ["malformed parameter of f in A skipped at line 3",
       "malformed method f in A at line 3"]),
+    # A recovery that meets the body's `}` stops there and warns once
+    # more, wherever the `}` stands.
+    ("class A {\n void f(int a\n }\nclass B { }",
+     ["malformed parameter of f in A skipped at line 3",
+      "malformed method f in A at line 3"]),
+    ("class A {\n int x = { 1 } + (\n}\nclass B { }",
+     ["unterminated field declaration in A at line 3"]),
+    ("class A {\n @interface ;\n}",
+     ["annotation type declaration skipped at line 2"]),
 ]
 
 
@@ -402,14 +411,39 @@ DECLARATION_CASES = [
     ("@A.", [], ["annotation skipped at line 1",
                  "unsupported top-level construct '.' skipped at line 1"]),
     ("@A(", [], ["annotation skipped at line 1"]),
-    ("@interface", [], ["annotation type declaration '' skipped at line 1"]),
+    # `@interface` names its declaration only by an identifier.
+    ("@interface", [], ["annotation type declaration skipped at line 1"]),
     ("class A {\n @interface\n}", [("A", [], [], [])],
-     ["annotation type declaration '}' skipped at line 2"]),
+     ["annotation type declaration skipped at line 2"]),
     ("class C<T", [], ["type parameters on C ignored at line 1"]),
     ("record R", [],
      ["unsupported top-level construct 'record' skipped at line 1"]),
     ("enum", [], ["enum declaration skipped at line 1"]),
     ("public", [], []),
+    # A recovery stops at the `}` that closes the body it is in, so the
+    # declarations after it still parse; a brace block on its way is one
+    # jump.
+    ("class A { void f(int a } class B { void g() { } }",
+     [("A", [], [], ["f(int)"]), ("B", [], [], ["g()"])],
+     ["malformed parameter of f in A skipped at line 1",
+      "malformed method f in A at line 1"]),
+    ("class A { void f(@A( } class B { }",
+     [("A", [], [], ["f()"]), ("B", [], [], [])],
+     ["annotation skipped at line 1",
+      "malformed parameter of f in A skipped at line 1",
+      "malformed method f in A at line 1"]),
+    ("class A { int x = ( } class B { }",
+     [("A", [], ["int x"], []), ("B", [], [], [])],
+     ["unterminated field declaration in A at line 1"]),
+    ("class A {\n void f(int a { } int b) { }\n void g() { }\n}",
+     [("A", [], [], ["f(int)", "g()"])],
+     ["malformed parameter of f in A skipped at line 2"]),
+    ("class A {\n void f(@B(x = { }, y = { 1, ( }) int a) { }\n}\nclass C { }",
+     [("A", [], [], ["f(int)"]), ("C", [], [], [])],
+     ["annotation skipped at line 2"]),
+    ("class A {\n int x = (a { }, y;\n}\nclass B { }",
+     [("A", [], ["int x"], []), ("B", [], [], [])],
+     ["unterminated field declaration in A at line 3"]),
 ]
 
 

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -535,14 +536,20 @@ def test_witnesses_reverify():
                 report.property_number
 
 
+def packaged_dlib_units(dlib_dir, copies: int) -> list:
+    """The dlib fixtures copied into packages dlib.p0, dlib.p1, ..., one
+    package per copy, as in the bench's wide corpus."""
+    return [parse_source(path.read_text(encoding="utf-8").replace(
+                "package dlib;", f"package dlib.p{copy};", 1),
+                f"p{copy}/{path.name}")
+            for copy in range(copies) for path in sorted(dlib_dir.glob("*.java"))]
+
+
 def test_witnesses_naming_two_namesakes_reverify(dlib_dir):
     # Project idents carry no package. Two packages' copies of the dlib
-    # classes, as in the bench's wide corpus, plus a third package's
-    # different BaseObject, last in the corpus.
-    units = [parse_source(path.read_text(encoding="utf-8").replace(
-                 "package dlib;", f"package dlib.p{copy};", 1),
-                 f"p{copy}/{path.name}")
-             for copy in range(2) for path in sorted(dlib_dir.glob("*.java"))]
+    # classes plus a third package's different BaseObject, last in the
+    # corpus.
+    units = packaged_dlib_units(dlib_dir, 2)
     units.append(parse_source("package dlib.p9; public class BaseObject "
                               "{ void f() { if (a) g(); } }",
                               "p9/BaseObject.java"))
@@ -555,6 +562,61 @@ def test_witnesses_naming_two_namesakes_reverify(dlib_dir):
         if report.verdict == "witnessed":
             assert verify_witness(report, CMC_METRIC, corpus), \
                 report.property_number
+
+
+@pytest.fixture(scope="module")
+def three_package_model(dlib_dir):
+    return build_model(packaged_dlib_units(dlib_dir, 3))
+
+
+def test_project_corpus_keeps_one_object_per_distinct_class(
+        three_package_model):
+    model = three_package_model
+    corpus = project_corpus(model)
+    decls = model.ordered_decls()
+    assert [e.ident for e in corpus] == list(map(model.display_name_of, decls))
+    assert [e.cls for e in corpus] == [from_class_model(d, model)
+                                       for d in decls]
+    # Each package's copy of a class equals the others', and all three
+    # are one object.
+    distinct = {e.cls for e in corpus}
+    assert len(distinct) == len(corpus) // 3
+    assert len({id(e.cls) for e in corpus}) == len(distinct)
+
+
+@pytest.mark.parametrize("seed", [7, 42])
+def test_shared_classes_report_as_equal_copies(seed, three_package_model):
+    # Matching a shared class by identity must give the bytes that equal
+    # but distinct objects give, and the reference evaluation's.
+    corpus = project_corpus(three_package_model)
+    fresh = [e._replace(cls=SyntheticClass(*map(frozenset, map(list, e.cls))))
+             for e in corpus]
+    assert all(f.cls == e.cls and f.cls is not e.cls
+               for f, e in zip(fresh, corpus))
+    for metric in (CCC_METRIC, CMC_METRIC):
+        got = run_all(metric, corpus, seed, 1000)
+        for want in (run_all(metric, fresh, seed, 1000),
+                     weyuker_oracle.run_all(metric, corpus, seed, 1000)):
+            for render in (reports_to_json, reports_to_text):
+                assert (render(got, len(corpus))
+                        == render(want, len(corpus))), metric.name
+
+
+def held_by_project_corpus(model) -> int:
+    """The bytes, by tracemalloc, that project_corpus's result holds."""
+    tracemalloc.start()
+    try:
+        corpus = project_corpus(model)  # alive while it is measured
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+def test_project_corpus_memory_does_not_grow_with_copies(dlib_dir):
+    # Twelve packages' copies of the fixtures add entries but no class.
+    one, twelve = (held_by_project_corpus(build_model(
+        packaged_dlib_units(dlib_dir, copies))) for copies in (1, 12))
+    assert twelve < 3 * one, (one, twelve)
 
 
 @pytest.mark.parametrize("seed", [7, 42])
