@@ -357,6 +357,7 @@ class _Parser:
         self.closers = closers  # '{' index -> matching '}' index
         self.pos = 0
         self.depth = 0  # class bodies entered and not yet left
+        self.unbalanced_at = -1  # where the last unbalanced <...> scan stopped
         self.unit = CompilationUnit(file_path=file_path)
 
     def warn(self, message: str) -> None:
@@ -436,37 +437,54 @@ class _Parser:
             while self.texts[self.pos] == "." and self.texts[self.pos + 1]:
                 self.pos += 2
         if self.texts[self.pos] == "(":
-            self._skip_parenthesized()
+            self.pos += 1
+            if self._skip_to(")"):
+                self.pos += 1
 
     def _skip_declaration(self) -> None:
-        """Skip to the end of a declaration: past a balanced brace block or
-        the next top-level semicolon, whichever comes first."""
-        while text := self.texts[self.pos]:
-            if text == ";":
-                self.pos += 1
-                return
-            if text == "{":
-                self.pos = self.closers[self.pos] + 1
-                return
-            if text == "}":
-                return  # let the enclosing body loop consume it
+        """Skip the rest of a declaration: past the `;`, brace block or stray
+        `)` or `]` that `_skip_to` stops at, or up to a `}`."""
+        self._skip_to(";{)]")
+        code = self.codes[self.pos]
+        if code == "{":
+            self.pos = self.closers[self.pos] + 1
+        elif code in ";)]":
             self.pos += 1
 
-    def _skip_parenthesized(self) -> None:
-        """Skip the balanced parentheses starting at the current '('. A
-        brace block is one jump; a '}' closes an enclosing body and stays
-        unread."""
-        depth = 0
-        while (text := self.texts[self.pos]) not in ("", "}"):
-            if text == "{":
+    def _skip_to(self, stops: str) -> bool:
+        """Skip to the first token with a code in `stops` outside every `(`
+        and `[` the skip opened, or to a `{` in `stops` at any depth; True
+        there. Any other brace block is one jump, and so are balanced type
+        arguments after `new` and a name, unless an unbalanced scan already
+        passed them. A `)` or `]` closes up to its own opener, or all if
+        that is not open, so the `[` in `f(int a[)` does not hide the `)`.
+        A `}` (the end of the enclosing body), a `;` at any depth (outside
+        a body, valid Java has none in parentheses) and the end of the
+        input cut the skip: False there, unless at a `;` in `stops` with
+        nothing open. The stop token stays unread."""
+        codes = self.codes
+        opened = []  # the '(' and '[' not yet closed, innermost last
+        while (code := codes[self.pos]) not in "};\0":
+            if code in stops and (not opened or code == "{"):
+                return True
+            if code == "{":
                 self.pos = self.closers[self.pos]
+            elif code in "([":
+                opened.append(code)
+            elif code in ")]":
+                opener = "(" if code == ")" else "["
+                if code in stops and opener not in reversed(opened):
+                    return True
+                while opened and opened.pop() != opener:
+                    pass
+            elif (code == _NEW and self.pos > self.unbalanced_at
+                  and (m := _NEW_TYPE.match(codes, self.pos))
+                  and self.texts[m.end()] == "<"):
+                self.pos = m.end()
+                self._try_skip_angles()
+                continue
             self.pos += 1
-            if text == "(":
-                depth += 1
-            elif text == ")":
-                depth -= 1
-                if depth == 0:
-                    return
+        return not opened and code in stops
 
     # -- declarations ---------------------------------------------------
 
@@ -515,17 +533,14 @@ class _Parser:
                 return None
 
         if self.texts[self.pos] == "extends":
-            self.pos += 1
             names = self._read_name_list()
             if kind == "interface":
                 decl.extended_interface_names = names
             elif names:
                 decl.superclass_name = names[0]
         if self.texts[self.pos] == "implements":
-            self.pos += 1
             decl.implemented_interface_names = self._read_name_list()
         if self.texts[self.pos] == "permits":
-            self.pos += 1
             self._read_name_list()
 
         if self.texts[self.pos] != "{":
@@ -539,16 +554,22 @@ class _Parser:
         return decl
 
     def _read_name_list(self) -> list[str]:
-        """Read type names separated by commas, each as `_read_type` reads
-        a type. The list ends where no comma follows a name."""
+        """Read the keyword at the current token (`extends`, `implements`,
+        `permits` or `throws`) and the names after it, separated by commas,
+        each as `_read_type` reads a type. The list ends where no comma
+        follows a name. A keyword or comma with no name after it stays
+        unread, so the caller finds no `{` or `;` there."""
         names = []
-        while (self.codes[self.pos] == IDENTIFIER
-               and (type_info := self._read_type())):
+        while True:  # at the keyword, then at each comma
+            self.pos += 1
+            if self.codes[self.pos] != IDENTIFIER:
+                self.pos -= 1
+                return names
+            if (type_info := self._read_type()) is None:
+                return names
             names.append(type_info[0])
             if self.texts[self.pos] != ",":
-                break
-            self.pos += 1
-        return names
+                return names
 
     def _parse_class_body(self, decl: ClassDecl) -> None:
         pending_bodies: list[tuple[MethodDecl, int, int]] = []
@@ -615,7 +636,6 @@ class _Parser:
         method.parameter_type_names = self._read_parameters(
             f"{method.name} in {decl.name}")
         if self.codes[self.pos] == _THROWS:
-            self.pos += 1
             self._read_name_list()
         key = (method.is_constructor, method.signature)
         if key in seen:
@@ -638,10 +658,9 @@ class _Parser:
 
     def _read_parameters(self, owner: str) -> list[str]:
         """The parameter types of `owner` ("f in A"). A parameter that is
-        not a type, or not followed by `,` or `)`, is skipped up to the
-        next of them with a warning; a type read before that is kept.
-        The skip jumps a brace block and stops before a '}', which closes
-        an enclosing body."""
+        not a type, or not followed by `,` or `)`, is skipped with a
+        warning up to the next of them outside its own parentheses (see
+        `_skip_to`); a type read before that is kept."""
         codes = self.codes
         types = []
         if codes.startswith("()", self.pos):
@@ -663,10 +682,7 @@ class _Parser:
                 types.append(type_name + "[]" * rank)
             if type_info is None or codes[self.pos] not in ",)":
                 self.warn(f"malformed parameter of {owner} skipped")
-                while (code := codes[self.pos]) not in ",)}\0":
-                    if code == "{":
-                        self.pos = self.closers[self.pos]
-                    self.pos += 1
+                self._skip_to(",)")
         if codes[self.pos] == ")":
             self.pos += 1
         return types
@@ -690,9 +706,11 @@ class _Parser:
                     is_static=is_static,
                     visibility=_visibility(mods),
                 ))
+            # An initializer ends at a `,` or `;`; a cut one is unterminated.
             if self.texts[self.pos] == "=":
                 self.pos += 1
-                self._skip_initializer()
+                if not self._skip_to(",;)]"):
+                    break
             if self.texts[self.pos] == ",":
                 self.pos += 1
                 if self.codes[self.pos] != IDENTIFIER:
@@ -703,9 +721,9 @@ class _Parser:
                 continue
             if self.texts[self.pos] == ";":
                 self.pos += 1
-            else:
-                self._skip(f"unterminated field declaration in {decl.name}")
-            return
+                return
+            break
+        self._skip(f"unterminated field declaration in {decl.name}")
 
     def _read_dims(self) -> int:
         """Consume the `[ ]` pairs at the current token, after a type or a
@@ -716,27 +734,6 @@ class _Parser:
             pos += 2
         self.pos = pos
         return (pos - start) // 2
-
-    def _skip_initializer(self) -> None:
-        """Skip an initializer expression up to a top-level ',' or ';', or
-        up to a '}', which closes an enclosing body. A brace block (array
-        initializer, anonymous class body) is one jump."""
-        depth = 0
-        while text := self.texts[self.pos]:
-            if text == "{":
-                self.pos = self.closers[self.pos] + 1
-                continue
-            if text in "([":
-                depth += 1
-            elif text == "}":
-                return
-            elif text in ")]":
-                if depth == 0:
-                    return
-                depth -= 1
-            elif depth == 0 and text in (",", ";"):
-                return
-            self.pos += 1
 
     def _read_type(self) -> tuple[str, int] | None:
         """Read a type: primitive or dotted name, optional generic args
@@ -761,7 +758,8 @@ class _Parser:
 
     def _try_skip_angles(self) -> bool:
         """Consume a balanced <...> type-argument list; False if the
-        brackets do not balance before a structural token."""
+        brackets do not balance before a structural token, which
+        `unbalanced_at` then holds."""
         save = self.pos
         depth = 0
         while text := self.texts[self.pos]:
@@ -773,11 +771,12 @@ class _Parser:
                 depth -= 2
             elif text == ">>>":
                 depth -= 3
-            elif text in (";", "{", "(", ")", "="):
+            elif text in (";", "{", "}", "(", ")", "="):
                 break
             self.pos += 1
             if depth <= 0:
                 return depth == 0
+        self.unbalanced_at = self.pos
         self.pos = save
         return False
 

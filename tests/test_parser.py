@@ -1,10 +1,12 @@
 import random
+import re
 import signal
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from classmetrics import parser as parser_module
 from classmetrics.lexer import tokenize
 from classmetrics.parser import (ParseError, classify_calls,
                                  count_decision_points, count_returns, parse,
@@ -170,7 +172,6 @@ def test_members_after_skipped_brace_blocks_still_parse():
 
 
 def test_class_nesting_is_capped(monkeypatch):
-    import classmetrics.parser as parser_module
     monkeypatch.setattr(parser_module, "MAX_CLASS_NESTING", 2)
     unit = parse_source(
         "class A {\n class B {\n  class C { class D { } }\n  int b;\n }\n"
@@ -332,6 +333,22 @@ WARNING_CASES = [
      ["unterminated field declaration in A at line 3"]),
     ("class A {\n @interface ;\n}",
      ["annotation type declaration skipped at line 2"]),
+    # A keyword or comma of a name list with no name after it leaves the
+    # declaration malformed.
+    ("class A extends { }",
+     ["malformed class body for A; declaration skipped at line 1"]),
+    ("class A implements { }",
+     ["malformed class body for A; declaration skipped at line 1"]),
+    ("sealed class A permits { }",
+     ["malformed class body for A; declaration skipped at line 1"]),
+    ("interface I extends { }",
+     ["malformed interface body for I; declaration skipped at line 1"]),
+    ("class A {\n void f() throws { }\n}",
+     ["malformed method f in A at line 2"]),
+    ("class A implements I,\n { }",
+     ["malformed class body for A; declaration skipped at line 1"]),
+    ("class A {\n void f() throws E,\n { }\n}",
+     ["malformed method f in A at line 2"]),
 ]
 
 
@@ -379,7 +396,8 @@ DECLARATION_CASES = [
      ["malformed member in A skipped at line 2"]),
     ("class A {\n int x = a), y;\n int z;\n}",
      [("A", [], ["int x", "int z"], [])],
-     ["unterminated field declaration in A at line 2"]),
+     ["unterminated field declaration in A at line 2",
+      "malformed member in A skipped at line 2"]),
     # Dimensions after a name in a name list are read and dropped.
     ("class A extends B[] { void f() throws E[] { } }",
      [("A", ["B"], [], ["f()"])], []),
@@ -443,7 +461,51 @@ DECLARATION_CASES = [
      ["annotation skipped at line 2"]),
     ("class A {\n int x = (a { }, y;\n}\nclass B { }",
      [("A", [], ["int x"], []), ("B", [], [], [])],
-     ["unterminated field declaration in A at line 3"]),
+     ["unterminated field declaration in A at line 2"]),
+    # A skip ends at the `,` or `)` of its own parenthesis, and a closer
+    # closes up to its own opener.
+    ("class A { void f(int a = g(1), int b) { } void h() { } }",
+     [("A", [], [], ["f(int,int)", "h()"])],
+     ["malformed parameter of f in A skipped at line 1"]),
+    ("class A { void f(int a], int b) { } int x = a[), y; }",
+     [("A", [], ["int x"], ["f(int,int)"])],
+     ["malformed parameter of f in A skipped at line 1",
+      "unterminated field declaration in A at line 1",
+      "malformed member in A skipped at line 1"]),
+    # A `;` cuts a skip at any depth, and a stray `)` or `]` where a member
+    # starts is a malformed member of its own.
+    ("class A {\n void f(int a = (b; int c) { }\n int d;\n}",
+     [("A", [], ["int c", "int d"], ["f(int)"])],
+     ["malformed parameter of f in A skipped at line 2",
+      "unterminated field declaration in A at line 2",
+      "initializer block skipped at line 2"]),
+    ("class A {\n )\n int x;\n ] void f() { }\n}",
+     [("A", [], ["int x"], ["f()"])],
+     ["malformed member in A skipped at line 2",
+      "malformed member in A skipped at line 4"]),
+    # The skip of a malformed parameter steps over the brace block after
+    # it, here the method's body, and ends at the next `;`.
+    ("class A { void f(@A( ) { } void g() { } int y; int z; }",
+     [("A", [], ["int z"], ["f()"])],
+     ["annotation skipped at line 1",
+      "malformed parameter of f in A skipped at line 1"]),
+    # Type arguments after `new` and a name are one jump; other `<` and
+    # `>` are operators.
+    ("class A { Map<K, V> m = new HashMap<K, V>(); int z; }",
+     [("A", [], ["Map m", "int z"], [])],
+     ["generic type arguments on Map ignored at line 1"]),
+    ("class A { int x = a < b, c = d > e; }",
+     [("A", [], ["int x", "int c"], [])], []),
+    # A declaration ends at its first brace block, even inside an open
+    # parenthesis, so a later class survives.
+    ("static String h(( ) { }\nclass T { int t; }",
+     [("T", [], ["int t"], [])],
+     ["unsupported top-level construct 'String' skipped at line 1"]),
+    # A `}` ends type arguments too, so no skip passes the end of a body.
+    ("class A {\n int x = new B<\n}\nclass C extends D> { }",
+     [("A", [], ["int x"], [])],
+     ["unterminated field declaration in A at line 3",
+      "malformed class body for C; declaration skipped at line 4"]),
 ]
 
 
@@ -490,6 +552,20 @@ def _parse_took_too_long(signum, frame):
     raise TimeoutError("parse did not finish within 2 s")
 
 
+def _parse_within_2_s(source):
+    """Parse `source`, or fail if that takes more than 2 s: a reader that
+    stops advancing would loop forever."""
+    previous = signal.signal(signal.SIGALRM, _parse_took_too_long)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        parse(tokenize(source))
+    except ParseError:
+        pass
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(st.lists(_DECLARATION_SOUP, max_size=40).map(" ".join),
                  _MEMBER_SOUP),
@@ -500,18 +576,88 @@ def _parse_took_too_long(signum, frame):
 @example("void a ( int a ; int b )", True)
 @example("A ( ] )", True)
 def test_parse_finishes_on_declaration_soup(soup, in_class):
-    # A reader that stops advancing would loop forever; the timer turns
-    # that into a failure.
-    source = f"class Z {{ {soup} }}" if in_class else soup
-    previous = signal.signal(signal.SIGALRM, _parse_took_too_long)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
-        parse(tokenize(source))
-    except ParseError:
-        pass
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    _parse_within_2_s(f"class Z {{ {soup} }}" if in_class else soup)
+
+
+def test_unbalanced_type_arguments_after_new_scan_once():
+    # Each `new A <` would rescan the rest of the initializer: on a 2-core
+    # Xeon VM, about 6 s for these 4,000 when every scan starts over and
+    # 20 ms when none does.
+    _parse_within_2_s("class A { int x = " + "new A < " * 4000 + "; }")
+
+
+# Malformed members whose braces balance. Their names start with `zz` or
+# `Zz`, which no bundled file gives a member or calls.
+_MALFORMED_MEMBERS = [
+    "void zz(int a b) { }", "void zz(int a int b) { }", "void zz(int a[) { }",
+    "void zz(int a[ { } ) { }", "void zz(int a { } int b) { }",
+    "void zz(int a = g(1), int b) { }",
+    "void zz(int a = new X() { void r() { if (x) y(); } }) { }",
+    "void zz(3) { }", "void zz(,) { }", "void zz(@A( ) { }",
+    "void zz(@A(x = { 1, ( }) int a) { }", "void zz(int a ; int zzb) { }",
+    "void zz(int a = (b;) { }", "void zz(int a]) { }", "void zz(int a)) { }",
+    "zz(1, int b, = 2) { }", "int zz = a), zzy;", "int zz = (a { }, zzy;",
+    "int zz = ( ;", "int zz = [ ;", "int zz = a] ;", "int zz = 1 ] , zzy ;",
+    "int zz[;", "int zz = new int[] { 1 } ) ;", "int zz, 3;", "int zz zzb;",
+    "int 3;", "List<String zz;", "zz;", "Map<K, V> zz = new HashMap<K, V>();",
+    "void zz() = 3;", "void zz() throws { }", "void zz() throws E F { }",
+    "void zz() throws E, { }", "class Zz extends { }",
+    "class Zz implements I, { }", "interface Zz extends { }",
+    "<T> void zz() { }", "static { }", "enum Zz { A }", "@interface Zz { }",
+    "record Zz(int a) { }", ");", ")", "]", "] ;", "@A( int zz;",
+    "void zz() { } )", "zz ( ;", "Object zz = f(;", "int zz = a ? (b : c;",
+]
+# The one member that loses the members after it, up to the next `;`
+# (see DECLARATION_CASES).
+_SKIPS_TO_SEMICOLON = "void zz(@A( ) { }"
+
+
+def _member_offsets(source, monkeypatch):
+    """The offset in `source` of each member its parse reads."""
+    starts = []
+    parse_member = parser_module._Parser._parse_member
+
+    def record(self, *args):
+        starts.append(self.pos)
+        return parse_member(self, *args)
+
+    tokens = tokenize(source)
+    with monkeypatch.context() as patch:
+        patch.setattr(parser_module._Parser, "_parse_member", record)
+        parse(tokens)
+    line_starts = [0] + [m.end() for m in re.finditer("\n", source)]
+    return [line_starts[line - 1] + column - 1
+            for line, column in map(tokens.position, starts)]
+
+
+def _view(decls):
+    """Each class, with its fields and methods but those named `zz...`."""
+    return [(d.name, d.kind, d.visibility, d.is_abstract, d.superclass_name,
+             d.extended_interface_names, d.implemented_interface_names,
+             [f for f in d.fields if not f.name.startswith("zz")],
+             [m for m in d.methods if not m.name.startswith("zz")],
+             _view(d.nested)) for d in decls]
+
+
+def test_malformed_member_loses_only_itself(dlib_dir, monkeypatch):
+    # Inserted at a member boundary of a bundled file, a malformed member
+    # warns and leaves every other class, field and method (body facts
+    # included) as it was.
+    points = [(source, offset) for path in sorted(dlib_dir.glob("*.java"))
+              for source in [path.read_text(encoding="utf-8")]
+              for offset in _member_offsets(source, monkeypatch)]
+    failures = []
+    for source, offset in random.Random(2026).sample(points, 24):
+        unit = parse_source(source)
+        for fragment in _MALFORMED_MEMBERS:
+            probe = parse_source(
+                f"{source[:offset]}{fragment} {source[offset:]}")
+            if len(probe.warnings) <= len(unit.warnings):
+                failures.append(("silent", fragment))
+            if (fragment != _SKIPS_TO_SEMICOLON
+                    and _view(probe.type_decls) != _view(unit.type_decls)):
+                failures.append(("changes others", fragment))
+    assert sorted(set(failures)) == []
 
 
 def test_repeated_members_keep_the_first_declaration():
