@@ -27,31 +27,13 @@ class _Entry(NamedTuple):
 _Supers = dict[str, list[tuple[str, _Entry | None]]]
 
 
-class ProjectModel(Record):
+class ProjectModel(Record, classes=dict, ancestors=dict,
+                   immediate_subclasses=dict, interfaces_implemented=dict,
+                   user_defined_types=set, units=dict, _qualified_by_id=dict,
+                   _display=dict):
     __slots__ = ("classes", "ancestors", "immediate_subclasses",
                  "interfaces_implemented", "user_defined_types", "units",
                  "_qualified_by_id", "_display")
-
-    def __init__(self, classes: dict[str, ClassDecl] | None = None,
-                 ancestors: dict[str, list[str]] | None = None,
-                 immediate_subclasses: dict[str, set[str]] | None = None,
-                 interfaces_implemented: dict[str, set[str]] | None = None,
-                 user_defined_types: set[str] | None = None,
-                 units: dict[str, CompilationUnit] | None = None,
-                 _qualified_by_id: dict[int, str] | None = None,
-                 _display: dict[str, str] | None = None):
-        self.classes = {} if classes is None else classes
-        self.ancestors = {} if ancestors is None else ancestors
-        self.immediate_subclasses = (
-            {} if immediate_subclasses is None else immediate_subclasses)
-        self.interfaces_implemented = (
-            {} if interfaces_implemented is None else interfaces_implemented)
-        self.user_defined_types = (
-            set() if user_defined_types is None else user_defined_types)
-        self.units = {} if units is None else units
-        self._qualified_by_id = (
-            {} if _qualified_by_id is None else _qualified_by_id)
-        self._display = {} if _display is None else _display
 
     def qualified_name_of(self, decl: ClassDecl) -> str:
         return self._qualified_by_id[id(decl)]
@@ -97,18 +79,17 @@ def build_model(units: list[CompilationUnit]) -> ProjectModel:
             _flatten(decl, unit, "", entries)
 
     model = ProjectModel()
-    by_qualified: dict[str, _Entry] = {}
     for entry in entries:
-        prior = by_qualified.get(entry.qualified)
+        prior = model.classes.get(entry.qualified)
         if prior is not None:
             raise ModelError(
                 f"duplicate class name {entry.qualified!r} declared in both "
-                f"{prior.unit.file_path} and {entry.unit.file_path}"
+                f"{prior.unit_path} and {entry.unit.file_path}"
             )
-        by_qualified[entry.qualified] = entry
         model.classes[entry.qualified] = entry.decl
         model._qualified_by_id[id(entry.decl)] = entry.qualified
         model._display[entry.qualified] = entry.display
+        model.immediate_subclasses[entry.qualified] = set()
         model.units.setdefault(entry.unit.file_path, entry.unit)
 
     by_simple: dict[str, list[_Entry]] = {}
@@ -132,8 +113,6 @@ def build_model(units: list[CompilationUnit]) -> ProjectModel:
                 candidates[0] if candidates else None)))
 
     model.ancestors = _walk_hierarchy(entries, supers)
-    for entry in entries:
-        model.immediate_subclasses.setdefault(entry.qualified, set())
     for entry in entries:
         model.interfaces_implemented[entry.qualified] = {
             n.split(".")[-1] for n in entry.decl.implemented_interface_names

@@ -89,12 +89,35 @@ class BodyFacts(NamedTuple):
 
 class Record:
     """Base of the records that are filled in step by step. A subclass
-    lists its fields in `__slots__`; two records of one class are equal
-    when their fields are, in that order, `repr` is `Name(field=value,
-    ...)` in that order, and no record is hashable."""
+    lists its fields in `__slots__`, and the defaults of its last fields
+    in its class statement: `class R(Record, b=0, c=list)`. Its `__init__`
+    takes the fields in slot order; a default of `list`, `set` or `dict`,
+    and an argument of None there, stands for a fresh empty one. Two
+    records of one class are equal when their fields are, in that order,
+    `repr` is `Name(field=value, ...)` in that order, and no record is
+    hashable."""
 
     __slots__ = ()
     __hash__ = None
+
+    def __init_subclass__(cls, **defaults):
+        super().__init_subclass__()
+        names = cls.__slots__
+        if list(defaults) != list(names[len(names) - len(defaults):]):
+            raise TypeError(f"{cls.__name__}: defaults must name the last"
+                            " slots, in order")
+        lines = [f"def __init__(self, {', '.join(names)}):"]
+        for name in names:
+            value = name
+            if isinstance(defaults.get(name), type):
+                value = f"{defaults[name]()!r} if {name} is None else {name}"
+            lines.append(f"    self.{name} = {value}")
+        namespace = {}
+        exec("\n".join(lines), namespace)
+        init = cls.__init__ = namespace["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__defaults__ = tuple(None if isinstance(value, type) else value
+                                  for value in defaults.values())
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -109,86 +132,37 @@ class Record:
             f"{name}={getattr(self, name)!r}" for name in self.__slots__) + ")"
 
 
-class FieldDecl(Record):
+class FieldDecl(Record, array_rank=0, is_static=False, visibility=""):
+    # declared_type_name has the array suffix stripped.
     __slots__ = ("name", "declared_type_name", "array_rank", "is_static",
                  "visibility")
 
-    def __init__(self, name: str, declared_type_name: str,
-                 array_rank: int = 0, is_static: bool = False,
-                 visibility: str = ""):
-        self.name = name
-        self.declared_type_name = declared_type_name  # array suffix stripped
-        self.array_rank = array_rank
-        self.is_static = is_static
-        self.visibility = visibility
 
-
-class MethodDecl(Record):
+class MethodDecl(Record, is_constructor=False, return_type_name=None,
+                 parameter_type_names=list, is_abstract=False, body=None):
     __slots__ = ("name", "is_constructor", "return_type_name",
                  "parameter_type_names", "is_abstract", "body")
-
-    def __init__(self, name: str, is_constructor: bool = False,
-                 return_type_name: str | None = None,
-                 parameter_type_names: list[str] | None = None,
-                 is_abstract: bool = False, body: BodyFacts | None = None):
-        self.name = name
-        self.is_constructor = is_constructor
-        self.return_type_name = return_type_name
-        self.parameter_type_names = (
-            [] if parameter_type_names is None else parameter_type_names)
-        self.is_abstract = is_abstract
-        self.body = body
 
     @property
     def signature(self) -> str:
         return f"{self.name}({','.join(self.parameter_type_names)})"
 
 
-class ClassDecl(Record):
+class ClassDecl(Record, visibility="", is_abstract=False,
+                superclass_name=None, extended_interface_names=list,
+                implemented_interface_names=list, fields=list,
+                methods=list, nested=list, unit_path=""):
+    # kind is 'class' or 'interface'.
     __slots__ = ("name", "kind", "visibility", "is_abstract",
                  "superclass_name", "extended_interface_names",
                  "implemented_interface_names", "fields", "methods",
                  "nested", "unit_path")
 
-    def __init__(self, name: str, kind: str, visibility: str = "",
-                 is_abstract: bool = False,
-                 superclass_name: str | None = None,
-                 extended_interface_names: list[str] | None = None,
-                 implemented_interface_names: list[str] | None = None,
-                 fields: list[FieldDecl] | None = None,
-                 methods: list[MethodDecl] | None = None,
-                 nested: list["ClassDecl"] | None = None,
-                 unit_path: str = ""):
-        self.name = name
-        self.kind = kind  # 'class' | 'interface'
-        self.visibility = visibility
-        self.is_abstract = is_abstract
-        self.superclass_name = superclass_name
-        self.extended_interface_names = (
-            [] if extended_interface_names is None
-            else extended_interface_names)
-        self.implemented_interface_names = (
-            [] if implemented_interface_names is None
-            else implemented_interface_names)
-        self.fields = [] if fields is None else fields
-        self.methods = [] if methods is None else methods
-        self.nested = [] if nested is None else nested
-        self.unit_path = unit_path
 
-
-class CompilationUnit(Record):
+class CompilationUnit(Record, package_name="", imports=list,
+                      type_decls=list, warnings=list):
     __slots__ = ("file_path", "package_name", "imports", "type_decls",
                  "warnings")
-
-    def __init__(self, file_path: str, package_name: str = "",
-                 imports: list[str] | None = None,
-                 type_decls: list[ClassDecl] | None = None,
-                 warnings: list[str] | None = None):
-        self.file_path = file_path
-        self.package_name = package_name
-        self.imports = [] if imports is None else imports
-        self.type_decls = [] if type_decls is None else type_decls
-        self.warnings = [] if warnings is None else warnings
 
 
 def parse(tokens: Tokens, file_path: str = "<memory>") -> CompilationUnit:
@@ -454,14 +428,14 @@ class _Parser:
     def _skip_to(self, stops: str) -> bool:
         """Skip to the first token with a code in `stops` outside every `(`
         and `[` the skip opened, or to a `{` in `stops` at any depth; True
-        there. Any other brace block is one jump, and so are balanced type
-        arguments after `new` and a name, unless an unbalanced scan already
-        passed them. A `)` or `]` closes up to its own opener, or all if
-        that is not open, so the `[` in `f(int a[)` does not hide the `)`.
-        A `}` (the end of the enclosing body), a `;` at any depth (outside
-        a body, valid Java has none in parentheses) and the end of the
-        input cut the skip: False there, unless at a `;` in `stops` with
-        nothing open. The stop token stays unread."""
+        there. Any other brace block is one jump, and so are type arguments
+        after `new` and a name that `_try_skip_angles` reads. A `)` or `]`
+        closes up to its own opener, or all if that is not open, so the `[`
+        in `f(int a[)` does not hide the `)`. A `}` (the end of the
+        enclosing body), a `;` at any depth (outside a body, valid Java has
+        none in parentheses) and the end of the input cut the skip: False
+        there, unless at a `;` in `stops` with nothing open. The stop token
+        stays unread."""
         codes = self.codes
         opened = []  # the '(' and '[' not yet closed, innermost last
         while (code := codes[self.pos]) not in "};\0":
@@ -477,8 +451,7 @@ class _Parser:
                     return True
                 while opened and opened.pop() != opener:
                     pass
-            elif (code == _NEW and self.pos > self.unbalanced_at
-                  and (m := _NEW_TYPE.match(codes, self.pos))
+            elif (code == _NEW and (m := _NEW_TYPE.match(codes, self.pos))
                   and self.texts[m.end()] == "<"):
                 self.pos = m.end()
                 self._try_skip_angles()
@@ -759,7 +732,11 @@ class _Parser:
     def _try_skip_angles(self) -> bool:
         """Consume a balanced <...> type-argument list; False if the
         brackets do not balance before a structural token, which
-        `unbalanced_at` then holds."""
+        `unbalanced_at` then holds. A `<` at or before that token of an
+        earlier scan fails at once, so no token is scanned twice by lists
+        that fail and a run of them stays linear."""
+        if self.pos <= self.unbalanced_at:
+            return False
         save = self.pos
         depth = 0
         while text := self.texts[self.pos]:

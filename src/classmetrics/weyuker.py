@@ -23,11 +23,10 @@ in one walk order (methods sorted, each one's parameter types before its
 name, then the sorted fields, name before type, ancestors, subclasses,
 interfaces and imports) and format templates that rebuild the class
 from one name per slot. rename looks every slot up, then fills the
-templates. The P8 check builds a class's skeleton and sorted names once
-per run and evaluates each distinct renamed class once: a trial draws
-its mapping as before, and only a mapping not drawn for that class
-before is built, checked, filled and evaluated. Which mappings it
-draws, and in what order, is unchanged.
+templates. The P8 check builds each class's skeleton and sorted names
+once and keeps them for the whole check; it evaluates each distinct
+renamed class once: every trial draws a mapping, and only a mapping not
+drawn for that class before is built, checked, filled and evaluated.
 """
 
 import itertools
@@ -60,52 +59,15 @@ class CorpusEntry(NamedTuple):
     equivalence_group: str | None = None
 
 
-class PropertyReport(Record):
+class PropertyReport(Record, note=""):
+    # verdict: witnessed | no-counterexample-found | not-applicable
     __slots__ = ("property_number", "metric_name", "verdict", "witness",
                  "trials", "trial_budget", "seed", "note")
-
-    def __init__(self, property_number: int, metric_name: str, verdict: str,
-                 witness: dict | None, trials: int, trial_budget: int,
-                 seed: int, note: str = ""):
-        self.property_number = property_number
-        self.metric_name = metric_name
-        # witnessed | no-counterexample-found | not-applicable
-        self.verdict = verdict
-        self.witness = witness
-        self.trials = trials
-        self.trial_budget = trial_budget
-        self.seed = seed
-        self.note = note
+    _KEYS = ("property", "metric", "verdict", "witness", "trials",
+             "trial_budget", "seed", "note")  # to_dict's, in slot order
 
     def to_dict(self) -> dict:
-        return {
-            "property": self.property_number,
-            "metric": self.metric_name,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "trials": self.trials,
-            "trial_budget": self.trial_budget,
-            "seed": self.seed,
-            "note": self.note,
-        }
-
-
-# Per property: the claimed verdict this harness cross-checks (divergences
-# are reported, never forced into agreement), then the (outcome,
-# agreement) reported with a witness and without one. A witness shows
-# that an existential property holds and that a universal one (P5, P8)
-# fails. P2 and P7 are never tried.
-_PROPERTIES = {
-    1: ("holds", ("holds", "agree"), ("not shown", "inconclusive")),
-    2: ("holds", None, ("n/a", "untested (structural note)")),
-    3: ("holds", ("holds", "agree"), ("not shown", "inconclusive")),
-    4: ("holds", ("holds", "agree"), ("not shown", "inconclusive")),
-    5: ("holds", ("fails", "DIVERGES"), ("no violation", "consistent")),
-    6: ("holds", ("holds", "agree"), ("not shown", "inconclusive")),
-    7: ("n/a", None, ("n/a", "agree")),
-    8: ("holds", ("fails", "DIVERGES"), ("no violation", "consistent")),
-    9: ("fails", ("holds", "DIVERGES"), ("not shown", "consistent")),
-}
+        return dict(zip(self._KEYS, self._values()))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +222,7 @@ _NAME_SET_DRAWS = [(_RELATION_NAMES, 3), (_RELATION_NAMES, 2),
                    (_RELATION_NAMES, 2), (_IMPORT_NAMES, 3)]
 
 
-def random_corpus(seed: int, size: int = 48) -> list[CorpusEntry]:
+def random_corpus(seed: int, size: int) -> list[CorpusEntry]:
     """Seeded random classes with heavy-tailed method complexity."""
     rng = random.Random(seed)
     entries = []
@@ -286,9 +248,10 @@ def random_corpus(seed: int, size: int = 48) -> list[CorpusEntry]:
     return entries
 
 
-def generate_corpus(seed: int, size: int = 60) -> list[CorpusEntry]:
+def generate_corpus(seed: int) -> list[CorpusEntry]:
+    """The fixture classes, then seeded random ones: 60 in all."""
     fixtures = fixture_corpus()
-    return fixtures + random_corpus(seed, max(0, size - len(fixtures)))
+    return fixtures + random_corpus(seed, 60 - len(fixtures))
 
 
 def project_corpus(model: ProjectModel,
@@ -344,26 +307,13 @@ def check_property(k: int, metric: MetricFunction,
     report = PropertyReport(
         property_number=k, metric_name=metric.name, verdict="",
         witness=None, trials=0, trial_budget=trial_budget, seed=seed)
-
-    if k == 7:
-        report.verdict = "not-applicable"
-        report.note = "not applicable to class-level metrics"
-        return report
-    if k == 2:
-        report.verdict = "not-applicable"
-        report.note = (
-            "structural claim, not an empirical test: the metric's value "
-            "set is discrete (rationals with denominator bounded by the "
-            "method count), so over classes of bounded size every value "
-            "is taken by only finitely many classes")
+    search = _PROPERTIES[k][3]
+    if isinstance(search, str):
+        report.verdict, report.note = "not-applicable", search
         return report
 
     values = values or _Values(metric, corpus)
-    checker = {
-        1: _check_p1, 3: _check_p3, 4: _check_p4, 5: _check_p5,
-        6: _check_p6, 8: _check_p8, 9: _check_p9,
-    }[k]
-    report.witness = checker(report, values, random.Random(seed * 1000003 + k))
+    report.witness = search(report, values, random.Random(seed * 1000003 + k))
     report.verdict = ("witnessed" if report.witness
                       else "no-counterexample-found")
     return report
@@ -379,10 +329,8 @@ def run_all(metric: MetricFunction, corpus: list[CorpusEntry],
 
 
 def _witness(*pairs: tuple[str, Fraction], **extra) -> dict:
-    out = {"classes": [{"ident": ident, "value": str(value)}
-                       for ident, value in pairs]}
-    out.update(extra)
-    return out
+    return {"classes": [{"ident": ident, "value": str(value)}
+                        for ident, value in pairs], **extra}
 
 
 def _trials(report: PropertyReport, candidates):
@@ -481,19 +429,15 @@ def _renaming(names: list[str], shuffled: tuple | None) -> dict:
 
 
 def _check_p8(report, values, rng):
-    # Trials visit the first trial_budget entries round-robin; a class's
-    # skeleton and its renamed values, by drawn shuffle or None for the
-    # prefix renaming, are kept until the trial count reaches its last
-    # visit.
-    budget, entries = report.trial_budget, values[:report.trial_budget]
-    last = {entries[t % len(entries)][0].cls: t + 1
-            for t in range(budget - len(entries), budget)}
-    kept = {}
+    # Trials visit the first trial_budget entries round-robin. Each class
+    # gets its skeleton and a dict of its renamed values, by drawn shuffle
+    # or None for the prefix renaming, on its first visit.
+    skeletons = {}
+    entries = values[:report.trial_budget]
     for entry, value in _trials(report, itertools.cycle(entries)):
-        skeleton = kept.pop(entry.cls, None) or (*_skeleton(entry.cls), {})
-        if report.trials < last[entry.cls]:
-            kept[entry.cls] = skeleton
-        slots, names, shape, renamed_by = skeleton
+        if entry.cls not in skeletons:
+            skeletons[entry.cls] = (*_skeleton(entry.cls), {})
+        slots, names, shape, renamed_by = skeletons[entry.cls]
         if not names:
             continue
         shuffled = None
@@ -533,13 +477,40 @@ def _check_p9(report, values, rng):
     return None
 
 
+# Per property: the claimed verdict this harness cross-checks (divergences
+# are reported, never forced into agreement), the (outcome, agreement)
+# reported with a witness and without one, and the search for a witness.
+# A witness shows that an existential property holds and that a universal
+# one (P5, P8) fails. P2 and P7 are never tried: their rows hold the
+# not-applicable note in place of a search.
+_PROPERTIES = {
+    1: ("holds", ("holds", "agree"), ("not shown", "inconclusive"), _check_p1),
+    2: ("holds", None, ("n/a", "untested (structural note)"),
+        "structural claim, not an empirical test: the metric's value set is "
+        "discrete (rationals with denominator bounded by the method count), "
+        "so over classes of bounded size every value is taken by only "
+        "finitely many classes"),
+    3: ("holds", ("holds", "agree"), ("not shown", "inconclusive"), _check_p3),
+    4: ("holds", ("holds", "agree"), ("not shown", "inconclusive"), _check_p4),
+    5: ("holds", ("fails", "DIVERGES"), ("no violation", "consistent"),
+        _check_p5),
+    6: ("holds", ("holds", "agree"), ("not shown", "inconclusive"), _check_p6),
+    7: ("n/a", None, ("n/a", "agree"),
+        "not applicable to class-level metrics"),
+    8: ("holds", ("fails", "DIVERGES"), ("no violation", "consistent"),
+        _check_p8),
+    9: ("fails", ("holds", "DIVERGES"), ("not shown", "consistent"),
+        _check_p9),
+}
+
+
 # ---------------------------------------------------------------------------
 # Report rendering
 
 
 def _verdicts(report: PropertyReport) -> dict[str, str]:
     """The report's outcome, reference and agreement, from _PROPERTIES."""
-    reference, witnessed, unwitnessed = _PROPERTIES[report.property_number]
+    reference, witnessed, unwitnessed, _ = _PROPERTIES[report.property_number]
     outcome, agreement = (witnessed if report.verdict == "witnessed"
                           else unwitnessed)
     return dict(outcome=outcome, reference=reference, agreement=agreement)

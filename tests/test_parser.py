@@ -496,6 +496,13 @@ DECLARATION_CASES = [
      ["generic type arguments on Map ignored at line 1"]),
     ("class A { int x = a < b, c = d > e; }",
      [("A", [], ["int x", "int c"], [])], []),
+    # A `<` at or before where an unbalanced list stopped fails at once.
+    ("class A { void f(A<B x, C<D> y) { } }",
+     [("A", [], [], ["f()"])],
+     ["generic type arguments on A ignored at line 1",
+      "malformed parameter of f in A skipped at line 1",
+      "generic type arguments on C ignored at line 1",
+      "malformed parameter of f in A skipped at line 1"]),
     # A declaration ends at its first brace block, even inside an open
     # parenthesis, so a later class survives.
     ("static String h(( ) { }\nclass T { int t; }",
@@ -584,6 +591,34 @@ def test_unbalanced_type_arguments_after_new_scan_once():
     # Xeon VM, about 6 s for these 4,000 when every scan starts over and
     # 20 ms when none does.
     _parse_within_2_s("class A { int x = " + "new A < " * 4000 + "; }")
+
+
+def test_unbalanced_type_arguments_in_parameters_scan_once():
+    # Each `A<` would rescan the rest of the list: on a 2-core Xeon VM,
+    # about 22 s for these 8,000 when every scan starts over and 50 ms
+    # when none does.
+    _parse_within_2_s(
+        "class A { void f(" + "A<, " * 8000 + "int z) { } void g() { } }")
+
+
+@pytest.mark.parametrize("source, members, warnings, bodies", [
+    ("class A extends B<C { }\nclass D { }", [("D", [], [], [])],
+     ["generic type arguments on B ignored at line 1",
+      "malformed class body for A; declaration skipped at line 1"], []),
+    ("class A {\n void f() throws E<X { }\n void g() { }\n}",
+     [("A", [], [], ["f()", "g()"])],
+     ["generic type arguments on E ignored at line 2",
+      "malformed method f in A at line 2"], [False, True]),
+])
+def test_unbalanced_type_arguments_end_a_name_list(source, members, warnings,
+                                                   bodies):
+    # The list ends at that name, so the declaration is malformed there:
+    # the class is skipped, and the method keeps no body.
+    unit = parse_source(source, "W.java")
+    assert _members(unit) == members
+    assert unit.warnings == [f"W.java: {text}" for text in warnings]
+    assert [m.body is not None for d in unit.type_decls
+            for m in d.methods] == bodies
 
 
 # Malformed members whose braces balance. Their names start with `zz` or

@@ -514,6 +514,39 @@ def test_p9_never_superadditive():
     assert report.verdict == "no-counterexample-found"
 
 
+# The squared method count: superadditive on classes whose signatures
+# are disjoint, and distinct on classes with distinct method counts.
+SQUARED = MetricFunction("NOMT2",
+                         lambda cls: Fraction(len(cls.methods)) ** 2)
+
+
+def test_p9_witnessed_by_a_superadditive_metric():
+    corpus = [CorpusEntry("a", make([("f()", 1, 0, 0, True)])),
+              CorpusEntry("b", make([("g()", 1, 0, 0, True)]))]
+    report = check_property(9, SQUARED, corpus, 10)
+    assert (report.verdict, report.trials, report.note) == (
+        "witnessed", 1, "")
+    assert report.witness == {
+        "classes": [{"ident": "a", "value": "1"},
+                    {"ident": "b", "value": "1"},
+                    {"ident": "a+b", "value": "4"}],
+        "relation": "1 + 1 < 4"}
+    text = reports_to_text([report], len(corpus))
+    assert " 9  witnessed                  holds         fails      DIVERGES\n" \
+        in text
+    assert text.endswith("\nP9 witness: 1 + 1 < 4\n")
+
+
+def test_p6_notes_a_corpus_without_equal_values():
+    corpus = [CorpusEntry("one", make([("f()", 1, 0, 0, True)])),
+              CorpusEntry("two", make([("f()", 1, 0, 0, True),
+                                       ("g()", 1, 0, 0, True)]))]
+    report = check_property(6, SQUARED, corpus, 10)
+    assert (report.verdict, report.trials, report.witness) == (
+        "no-counterexample-found", 0, None)
+    assert report.note == "no equal-valued class pair found to start from"
+
+
 def test_run_all_seed42_matches_expected_verdicts():
     corpus = generate_corpus(42)
     reports = run_all(CCC_METRIC, corpus, 42, 1000)
