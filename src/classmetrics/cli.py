@@ -145,8 +145,10 @@ def discover_files(inputs: list[str]) -> list[Path]:
     found = []
     for item in inputs:
         path = Path(item)
-        if path.is_dir():
-            found.extend(p for p in path.rglob("*.java") if p.is_file())
+        if path.is_dir():  # a symlinked directory in it is not followed
+            found.extend(Path(root, name) for root, _, names in os.walk(path)
+                         for name in names if name.endswith(".java")
+                         and os.path.isfile(os.path.join(root, name)))
         elif path.is_file():
             found.append(path)
     unique = sorted({p.as_posix(): p for p in found}.items())
@@ -278,10 +280,10 @@ def main(argv: list[str] | None = None) -> int:
         "config": cfg._asdict(),
         "inputs": {"files": len(files), "sha256": digest.hexdigest()},
     }
-    cells = [sheet_cells(row, cfg) for row in rows]
+    cells = [sheet_cells(row) for row in rows]
     formats = (("csv", "json") if settings["format"] == "all"
                else (settings["format"],))
-    bundle = build_bundle(model, rows, cfg, formats, cells)
+    bundle = build_bundle(model, rows, cells, formats)
     bundle.files["run.json"] = (
         json.dumps(metadata, indent=2, sort_keys=True) + "\n").encode()
 

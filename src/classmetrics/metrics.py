@@ -44,13 +44,7 @@ class ClassMetricsRow(NamedTuple):
     cmc: int
     cc: int
     ccc: Fraction
-
-    def wmc(self, mode: str = "unity") -> int:
-        if mode == "unity":
-            return self.nomt
-        if mode == "weighted":
-            return self.cmc
-        raise ValueError(f"unknown WMC mode: {mode!r}")
+    wmc: int  # .nomt in 'unity' mode, .cmc in 'weighted' mode
 
 
 class SyntheticClass(NamedTuple):
@@ -139,6 +133,8 @@ def ccc_of(cls: SyntheticClass) -> Fraction:
 
 def compute_row(decl: ClassDecl, model: ProjectModel,
                 cfg: MetricConfig = DEFAULT_CONFIG) -> ClassMetricsRow:
+    if cfg.wmc_mode not in ("unity", "weighted"):
+        raise ValueError(f"unknown WMC mode: {cfg.wmc_mode!r}")
     sums = part_sums(class_parts(decl, model, cfg))
     nomt, cmc = sums["nomt"], sums["cmc"]
     iv = sum(1 for f in decl.fields if not f.is_static)
@@ -149,6 +145,7 @@ def compute_row(decl: ClassDecl, model: ProjectModel,
         avcc=Fraction(cmc, nomt) if nomt else Fraction(0),
         iv=iv,
         cc=iv + cmc,
+        wmc=nomt if cfg.wmc_mode == "unity" else cmc,
         **sums,
     )
 

@@ -350,11 +350,9 @@ class _Parser:
     def parse_unit(self) -> CompilationUnit:
         while text := self.texts[self.pos]:
             if text == "package":
-                self.pos += 1
-                self.unit.package_name = self._read_until_semi()
+                self.unit.package_name = self._read_header(text)
             elif text == "import":
-                self.pos += 1
-                self.unit.imports.append(self._read_until_semi())
+                self.unit.imports.append(self._read_header(text))
             elif text == "@" and self.texts[self.pos + 1] != "interface":
                 self._skip_annotation()
             elif text == ";":
@@ -371,19 +369,30 @@ class _Parser:
                     self.pos += 1  # never stall on unexpected tokens
         return self.unit
 
-    def _read_until_semi(self) -> str:
-        start = self.pos
-        end = self.codes.find(";", start)
-        if end < 0:  # no ';': the rest of the input
-            end = self.pos = len(self.tokens)
+    def _read_header(self, keyword: str) -> str:
+        """Read a `package` or `import` declaration from its keyword: a
+        dotted name, which keeps a last `.` with no name after it, then the
+        `;`. An import may put `static` first and `*` after a `.`. With no
+        `;` there, warn and leave that token unread."""
+        texts = self.texts
+        static = keyword == "import" and texts[self.pos + 1] == "static"
+        start = self.pos = self.pos + 1 + static
+        while self.codes[self.pos] == IDENTIFIER:
+            self.pos += 1
+            if texts[self.pos] != ".":
+                break
+            self.pos += 1
+        else:  # no name at the start or after a `.`
+            if keyword == "import" and texts[self.pos] == "*":
+                self.pos += 1
+        name = "".join(texts[start:self.pos])
+        if static:
+            name = f"static {name}".rstrip()
+        if texts[self.pos] == ";":
+            self.pos += 1
         else:
-            self.pos = end + 1
-        out = []
-        for p in self.texts[start:end]:
-            if out and _wordlike(out[-1][-1]) and _wordlike(p[0]):
-                out.append(" ")
-            out.append(p)
-        return "".join(out)
+            self.warn(f"{keyword} declaration without ';'")
+        return name
 
     def _collect_modifiers(self) -> list[str]:
         mods = []
@@ -763,6 +772,3 @@ def _visibility(mods: list[str]) -> str:
     return next((m for m in mods
                  if m in ("public", "private", "protected")), "")
 
-
-def _wordlike(ch: str) -> bool:
-    return ch.isalnum() or ch in "_$*"

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import fsum, sqrt
 from typing import NamedTuple
 
-from .metrics import DEFAULT_CONFIG, ClassMetricsRow, MetricConfig
+from .metrics import ClassMetricsRow
 from .model import ProjectModel
 
 SHEET_COLUMNS = ["CT", "CL", "NM", "AVCC", "MOA", "IV", "EMC", "NS",
@@ -50,13 +50,12 @@ def format_fixed2(value: int | Fraction) -> str:
     return f"{'-' if numerator < 0 else ''}{whole}.{cents:02d}"
 
 
-def sheet_cells(row: ClassMetricsRow,
-                cfg: MetricConfig = DEFAULT_CONFIG) -> list[str | int]:
+def sheet_cells(row: ClassMetricsRow) -> list[str | int]:
     """One row of the sheet: counts as ints, the rest as text."""
     return ["C" if row.class_kind == "class" else "I", row.class_name,
             row.nomt, format_rational(row.avcc), row.moa, row.iv, row.ext,
             row.nsup, row.nsub, row.pack, row.nqu, row.ncd,
-            format_fixed2(row.wmc(cfg.wmc_mode)), format_fixed2(row.cmc),
+            format_fixed2(row.wmc), format_fixed2(row.cmc),
             format_fixed2(row.cc), format_fixed2(row.ccc)]
 
 
@@ -66,13 +65,9 @@ _JSON_RECORD = "  {\n" + ",\n".join(
     f"    {json.dumps(column)}: %s" for column in SHEET_COLUMNS) + "\n  }"
 
 
-def emit_sheet(rows: list[ClassMetricsRow], format: str = "csv",
-               cfg: MetricConfig = DEFAULT_CONFIG,
-               cells: list[list[str | int]] | None = None) -> str:
-    """The metric sheet in `format`. `cells` holds each row's sheet_cells
-    when the caller has them already; otherwise they are computed here."""
-    if cells is None:
-        cells = [sheet_cells(row, cfg) for row in rows]
+def emit_sheet(cells: list[list[str | int]], format: str = "csv") -> str:
+    """The metric sheet in `format`, one line or record per item of
+    `cells`, each a row's sheet_cells."""
     if format == "csv":
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\n")
@@ -115,14 +110,12 @@ def pearson(xs, ys) -> float | None:
         return None
 
 
-def correlations(
-        rows: list[ClassMetricsRow],
-        cfg: MetricConfig = DEFAULT_CONFIG) -> dict[str, float | None]:
+def correlations(rows: list[ClassMetricsRow]) -> dict[str, float | None]:
     if len(rows) < 2:
         return {"WMC": None, "CMC": None, "CC": None}
     ccc = [row.ccc for row in rows]
     return {
-        "WMC": pearson(ccc, [row.wmc(cfg.wmc_mode) for row in rows]),
+        "WMC": pearson(ccc, [row.wmc for row in rows]),
         "CMC": pearson(ccc, [row.cmc for row in rows]),
         "CC": pearson(ccc, [row.cc for row in rows]),
     }
@@ -220,8 +213,7 @@ _SERIES = [("WMC", "#4878a8"), ("CMC", "#e49444"),
            ("CC", "#5ba053"), ("CCC", "#d1605e")]
 
 
-def emit_chart(rows: list[ClassMetricsRow],
-               cfg: MetricConfig = DEFAULT_CONFIG) -> str:
+def emit_chart(rows: list[ClassMetricsRow]) -> str:
     """Grouped bars (WMC, CMC, CC, CCC) per class, deterministic layout."""
     margin_left, margin_right = 70, 150
     margin_top, margin_bottom = 40, 120
@@ -234,8 +226,8 @@ def emit_chart(rows: list[ClassMetricsRow],
     width = margin_left + plot_width + margin_right
     height = margin_top + plot_height + margin_bottom
 
-    values = [(float(row.wmc(cfg.wmc_mode)), float(row.cmc),
-               float(row.cc), float(row.ccc)) for row in rows]
+    values = [(float(row.wmc), float(row.cmc), float(row.cc), float(row.ccc))
+              for row in rows]
     peak = max((v for row_values in values for v in row_values), default=0.0)
     scale_max = peak if peak > 0 else 1.0
 
@@ -317,13 +309,12 @@ class ReportBundle(NamedTuple):
 
 
 def build_bundle(model: ProjectModel, rows: list[ClassMetricsRow],
-                 cfg: MetricConfig = DEFAULT_CONFIG,
-                 formats: tuple[str, ...] = ("csv", "json"),
-                 cells: list[list[str | int]] | None = None) -> ReportBundle:
-    """Render model.xml, metrics.<fmt> for each of `formats` and
-    chart.svg. `cells` is passed on to emit_sheet."""
+                 cells: list[list[str | int]],
+                 formats: tuple[str, ...] = ("csv", "json")) -> ReportBundle:
+    """Render model.xml, metrics.<fmt> for each of `formats` from `cells`
+    (each row's sheet_cells) and chart.svg."""
     files = {"model.xml": emit_model_xml(model)}
     for fmt in formats:
-        files[f"metrics.{fmt}"] = emit_sheet(rows, fmt, cfg, cells).encode()
-    files["chart.svg"] = emit_chart(rows, cfg).encode()
-    return ReportBundle(files, correlations(rows, cfg))
+        files[f"metrics.{fmt}"] = emit_sheet(cells, fmt).encode()
+    files["chart.svg"] = emit_chart(rows).encode()
+    return ReportBundle(files, correlations(rows))

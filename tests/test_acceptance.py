@@ -11,7 +11,7 @@ from fractions import Fraction
 from classmetrics import build_model, parse, tokenize
 from classmetrics.cli import main as cli_main
 from classmetrics.metrics import MetricConfig, compute_rows
-from classmetrics.report import correlations, emit_sheet
+from classmetrics.report import correlations, emit_sheet, sheet_cells
 from classmetrics.weyuker import (CCC_METRIC, generate_corpus,
                                   reports_to_text, run_all)
 
@@ -131,8 +131,8 @@ def test_criterion_5_correlations(dlib_model):
     with criterion(5, "CCC/WMC, CCC/CMC, CCC/CC correlations are defined, "
                       "deterministic and r(CCC, CMC) > 0"):
         rows = compute_rows(dlib_model, ANY_CLASS)
-        first = correlations(rows, ANY_CLASS)
-        second = correlations(compute_rows(dlib_model, ANY_CLASS), ANY_CLASS)
+        first = correlations(rows)
+        second = correlations(compute_rows(dlib_model, ANY_CLASS))
         assert first == second
         for name, value in first.items():
             assert value is not None, name
@@ -176,5 +176,6 @@ def test_criterion_7_tolerant_parse(tmp_path, capsys):
         # The same class analyzed without the unsupported neighbor.
         plain_unit = parse_file(FIXTURES / "tolerant" / "Plain.java")
         solo_rows = compute_rows(build_model([plain_unit]))
-        solo_row = emit_sheet(solo_rows, "csv").splitlines()[1]
+        solo_row = emit_sheet([sheet_cells(row) for row in solo_rows],
+                              "csv").splitlines()[1]
         assert plain_row == solo_row

@@ -176,7 +176,7 @@ def test_model_error_exits_1(tmp_path, capsys):
     assert "cycle" in capsys.readouterr().err
 
 
-def test_discovery_is_lexicographic_and_recursive(tmp_path):
+def test_discovery_is_lexicographic_and_recursive(tmp_path, monkeypatch):
     (tmp_path / "sub").mkdir()
     (tmp_path / "b.java").write_text("class B {}")
     (tmp_path / "sub" / "a.java").write_text("class A {}")
@@ -186,6 +186,18 @@ def test_discovery_is_lexicographic_and_recursive(tmp_path):
     assert names == sorted(names)
     assert all(p.suffix == ".java" for p in files)
     assert len(files) == 2
+    # A symlinked directory is not followed, a broken `.java` link and a
+    # directory named `D.java` are no files, a `./` prefix is dropped and
+    # a file given twice is listed once.
+    (tmp_path / "link").symlink_to(tmp_path / "sub", target_is_directory=True)
+    (tmp_path / "X.java").symlink_to(tmp_path / "missing.java")
+    (tmp_path / "D.java").mkdir()
+    (tmp_path / "D.java" / "e.java").write_text("class E {}")
+    monkeypatch.chdir(tmp_path)
+    files = discover_files(["./", "./b.java", "b.java", "sub/a.java"])
+    assert all(isinstance(p, Path) for p in files)
+    assert [p.as_posix() for p in files] == [
+        "D.java/e.java", "b.java", "sub/a.java"]
 
 
 def test_order_never_affects_metrics(namedb_trio_dir, tmp_path, capsys):
@@ -622,6 +634,25 @@ def test_help_text_is_unchanged(monkeypatch):
     # add_argument calls did (argparse's layout at 80 columns).
     monkeypatch.setenv("COLUMNS", "80")
     assert build_arg_parser().format_help() == HELP_TEXT
+
+
+def test_readme_library_example_runs_and_names_row_fields(dlib_dir):
+    # The "Library" block, run with `paths` bound to the dlib fixtures;
+    # each `.name` its row paragraph gives must be a field of every row.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL)[1]
+    namespace = {"paths": sorted(dlib_dir.glob("*.java"))}
+    exec(code, namespace)
+    rows = namespace["rows"]
+    assert len(rows) == 18
+    paragraph = next(text for text in section.split("\n\n")
+                     if text.startswith("A row's fields"))
+    named = set(re.findall(r"`\.(\w+)`", paragraph))
+    assert {"nomt", "avcc", "ccc", "wmc", "cmc", "cc"} <= named
+    for row in rows:
+        assert named <= set(row._fields), named - set(row._fields)
 
 
 def test_readme_lists_every_flag():

@@ -73,7 +73,9 @@ def test_namedb_full_row_any_class(dlib_model):
     assert row.pack == 1
     assert row.nqu == 3
     assert row.ncd == 3
-    assert row.wmc("unity") == 6 and row.wmc("weighted") == 6
+    weighted = row_for(dlib_model, "NameDB",
+                       ANY_CLASS._replace(wmc_mode="weighted"))
+    assert row.wmc == 6 and weighted.wmc == 6
     assert row.cmc == 6
     assert row.cc == 7
     assert row.ccc == 22
@@ -91,7 +93,7 @@ def test_empty_class_row_is_all_zero():
     assert (row.nomt, row.moa, row.iv, row.ext, row.nsup, row.nsub,
             row.intr, row.pack, row.nqu, row.ncd) == (0,) * 10
     assert row.avcc == 0 and row.ccc == 0
-    assert row.wmc("unity") == 0 and row.cmc == 0 and row.cc == 0
+    assert row.wmc == 0 and row.cmc == 0 and row.cc == 0
 
 
 def test_interface_row_counts_bodyless_methods(dlib_model):
@@ -135,9 +137,9 @@ def test_ccc_rational_arithmetic_and_rendering():
 def test_wmc_modes(dlib_model):
     for mode in ("unity", "weighted"):
         row = row_for(dlib_model, "NameDB", MetricConfig(wmc_mode=mode))
-        assert row.wmc(mode) == 6
+        assert row.wmc == 6
     empty = lone_row(ClassDecl(name="E", kind="class"))
-    assert empty.wmc() == 0
+    assert empty.wmc == 0
 
 
 def test_cmc_sums_all_visibilities():
@@ -169,7 +171,9 @@ def test_formula_identity_over_500_synthetic_classes():
         cfg = MetricConfig(
             moa_policy=rng.choice(["project", "any-class"]),
             count_short_circuit=rng.random() < 0.5)
-        for decl, row in zip(model.ordered_decls(), compute_rows(model, cfg)):
+        weighted = compute_rows(model, cfg._replace(wmc_mode="weighted"))
+        for decl, row, heavy in zip(model.ordered_decls(),
+                                    compute_rows(model, cfg), weighted):
             recomputed = (Fraction(row.nomt) + row.avcc + row.moa + row.ext
                           + row.nsup + row.nsub + row.intr + row.pack
                           + row.nqu)
@@ -178,9 +182,9 @@ def test_formula_identity_over_500_synthetic_classes():
             cmc = sum(method_cyclomatic(m, cfg) for m in decl.methods)
             iv = sum(1 for f in decl.fields if not f.is_static)
             assert row.cmc == cmc and row.iv == iv
-            assert row.wmc("weighted") == cmc
+            assert heavy.wmc == cmc
             assert row.cc == row.iv + row.cmc
-            assert row.wmc("unity") == row.nomt
+            assert row.wmc == row.nomt
             checked += 1
     assert checked >= 500
 

@@ -46,8 +46,11 @@ def test_imports_preserve_stars_and_order():
 ])
 def test_header_without_semicolon_reads_to_the_end(source, package, imports):
     unit = parse_source(source)
+    # The one warning names the last declaration, the one with no `;`.
+    keyword = source.rpartition(";")[2].split()[0]
     assert (unit.package_name, unit.imports, unit.warnings) == (
-        package, imports, [])
+        package, imports,
+        [f"<test>.java: {keyword} declaration without ';' at line 1"])
 
 
 def test_namedb_declaration_model(namedb_source):
@@ -349,6 +352,10 @@ WARNING_CASES = [
      ["malformed class body for A; declaration skipped at line 1"]),
     ("class A {\n void f() throws E,\n { }\n}",
      ["malformed method f in A at line 2"]),
+    # A `package` or `import` warns at the token that stands where its
+    # `;` should be.
+    ("package a.b\nclass A { }", ["package declaration without ';' at line 2"]),
+    ("import static a.b.*", ["import declaration without ';' at line 1"]),
 ]
 
 
@@ -513,6 +520,18 @@ DECLARATION_CASES = [
      [("A", [], ["int x"], [])],
      ["unterminated field declaration in A at line 3",
       "malformed class body for C; declaration skipped at line 4"]),
+    # A `package` or `import` with no `;` ends after its name, so the
+    # class after it keeps its header.
+    ("package a\nclass B { int x; }\nclass C { }",
+     [("B", [], ["int x"], []), ("C", [], [], [])],
+     ["package declaration without ';' at line 2"]),
+    ("import a.b\nclass B extends C { void f() { } }",
+     [("B", ["C"], [], ["f()"])],
+     ["import declaration without ';' at line 2"]),
+    ("import static a.b.*\nimport c.\npublic class B { int x; }",
+     [("B", [], ["int x"], [])],
+     ["import declaration without ';' at line 2",
+      "import declaration without ';' at line 3"]),
 ]
 
 

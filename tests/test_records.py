@@ -34,7 +34,7 @@ SIGNATURES = {
                       "warnings"],
     ClassMetricsRow: ["class_name", "class_kind", "file_path", "nomt",
                       "avcc", "moa", "iv", "ext", "nsup", "nsub", "intr",
-                      "pack", "nqu", "ncd", "cmc", "cc", "ccc"],
+                      "pack", "nqu", "ncd", "cmc", "cc", "ccc", "wmc"],
     ProjectModel: ["classes", "ancestors", "immediate_subclasses",
                    "interfaces_implemented", "user_defined_types", "units",
                    "_qualified_by_id", "_display"],
@@ -44,7 +44,7 @@ SIGNATURES = {
 
 # How many leading parameters each constructor requires.
 REQUIRED = {BodyFacts: 0, FieldDecl: 2, MethodDecl: 1, ClassDecl: 2,
-            CompilationUnit: 1, ClassMetricsRow: 17, ProjectModel: 0,
+            CompilationUnit: 1, ClassMetricsRow: 18, ProjectModel: 0,
             PropertyReport: 7}
 
 

@@ -12,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from classmetrics import build_model, report
-from classmetrics.metrics import MetricConfig, compute_rows
-from classmetrics.report import (build_bundle, correlations, emit_chart,
-                                 emit_model_xml, emit_sheet, format_fixed2,
-                                 format_rational, pearson, sheet_cells)
+from classmetrics.metrics import MetricConfig, compute_row, compute_rows
+from classmetrics.report import (SHEET_COLUMNS, build_bundle, correlations,
+                                 emit_chart, emit_model_xml, emit_sheet,
+                                 format_fixed2, format_rational, pearson,
+                                 sheet_cells)
 
 import report_oracle as oracle
 from conftest import FIXTURES, model_from_sources, parse_file, parse_source
@@ -161,21 +162,22 @@ def test_csv_header_exact():
 def test_empty_class_csv_row():
     model = model_from_sources("class A {}")
     rows = compute_rows(model)
-    sheet = emit_sheet(rows, "csv")
+    sheet = emit_sheet([sheet_cells(row) for row in rows], "csv")
     assert sheet.splitlines()[1] == "C,A,0,0,0,0,0,0,0,0,0,0,0.00,0.00,0.00,0.00"
 
 
 def test_namedb_csv_row(dlib_model):
     rows = [row for row in compute_rows(dlib_model, ANY_CLASS)
             if row.class_name == "NameDB"]
-    sheet = emit_sheet(rows, "csv", ANY_CLASS)
+    sheet = emit_sheet([sheet_cells(row) for row in rows], "csv")
     assert sheet.splitlines()[1] == \
         "C,NameDB,6,1,1,1,8,2,0,1,3,3,6.00,6.00,7.00,22.00"
 
 
 def test_json_rows_keyed_by_columns(dlib_model):
     rows = compute_rows(dlib_model, ANY_CLASS)
-    records = json.loads(emit_sheet(rows, "json", ANY_CLASS))
+    records = json.loads(emit_sheet([sheet_cells(row) for row in rows],
+                                    "json"))
     assert len(records) == 18
     namedb = next(r for r in records if r["CL"] == "NameDB")
     assert namedb["CT"] == "C"
@@ -189,7 +191,7 @@ def test_csv_round_trip_recomputes_ccc(dlib_model):
     # The pinned column set (like the original sheet layout) carries no
     # INTR column, so the CSV sum comes up short by exactly INTR.
     rows = {row.class_name: row for row in compute_rows(dlib_model, ANY_CLASS)}
-    sheet = emit_sheet(list(rows.values()), "csv", ANY_CLASS)
+    sheet = emit_sheet([sheet_cells(row) for row in rows.values()], "csv")
     for record in csv.DictReader(io.StringIO(sheet)):
         total = (Fraction(record["NM"]) + Fraction(record["AVCC"])
                  + Fraction(record["MOA"]) + Fraction(record["EMC"])
@@ -207,7 +209,7 @@ def test_json_sheet_of_any_cells_is_the_oracle_bytes(values):
     # Rows of 16 cells from the drawn values, the last one padded with 0.
     padded = values + [0] * (-len(values) % 16)
     cells = [padded[i:i + 16] for i in range(0, len(padded), 16)]
-    assert emit_sheet([], "json", cells=cells) == oracle.sheet_json(cells)
+    assert emit_sheet(cells, "json") == oracle.sheet_json(cells)
 
 
 @settings(max_examples=200, deadline=None)
@@ -334,7 +336,7 @@ def test_pearson_argument_errors():
 
 def test_correlations_on_dlib(dlib_model):
     rows = compute_rows(dlib_model, ANY_CLASS)
-    corr = correlations(rows, ANY_CLASS)
+    corr = correlations(rows)
     assert set(corr) == {"WMC", "CMC", "CC"}
     for value in corr.values():
         assert value is not None and -1.0 <= value <= 1.0
@@ -428,8 +430,8 @@ def test_xml_and_json_sheet_are_the_oracle_bytes(dlib_model):
         assert emit_model_xml(model) == oracle.emit_model_xml(model)
         for cfg in (MetricConfig(), ANY_CLASS):
             rows = compute_rows(model, cfg)
-            cells = [sheet_cells(row, cfg) for row in rows]
-            assert emit_sheet(rows, "json", cfg) == oracle.sheet_json(cells)
+            cells = [sheet_cells(row) for row in rows]
+            assert emit_sheet(cells, "json") == oracle.sheet_json(cells)
 
 
 def test_xml_escapes_hostile_file_path():
@@ -468,7 +470,7 @@ def test_chart_one_class_four_bars():
 
 
 def test_chart_dlib_has_18_groups(dlib_model):
-    svg = emit_chart(compute_rows(dlib_model, ANY_CLASS), ANY_CLASS)
+    svg = emit_chart(compute_rows(dlib_model, ANY_CLASS))
     assert svg.count('class="group"') == 18
     assert svg.count('class="bar ') == 72
     ET.fromstring(svg)
@@ -477,9 +479,9 @@ def test_chart_dlib_has_18_groups(dlib_model):
 def test_chart_ccc_bar_tallest_where_ext_dominates(dlib_model):
     rows = compute_rows(dlib_model, ANY_CLASS)
     console = next(r for r in rows if r.class_name == "ConsoleWindow")
-    values = [console.wmc("unity"), console.cmc, console.cc, console.ccc]
+    values = [console.wmc, console.cmc, console.cc, console.ccc]
     assert max(values) == console.ccc
-    svg = emit_chart(rows, ANY_CLASS)
+    svg = emit_chart(rows)
     console_group = next(
         chunk for chunk in svg.split('<g class="group"')
         if 'data-class="ConsoleWindow"' in chunk)
@@ -504,8 +506,9 @@ def test_chart_escapes_class_names():
 
 def test_all_emitters_byte_deterministic(dlib_model):
     rows = compute_rows(dlib_model, ANY_CLASS)
-    first = build_bundle(dlib_model, rows, ANY_CLASS)
-    second = build_bundle(dlib_model, rows, ANY_CLASS)
+    cells = [sheet_cells(row) for row in rows]
+    first = build_bundle(dlib_model, rows, cells)
+    second = build_bundle(dlib_model, rows, cells)
     assert sorted(first.files) == ["chart.svg", "metrics.csv",
                                    "metrics.json", "model.xml"]
     for name, data in first.files.items():
@@ -514,13 +517,66 @@ def test_all_emitters_byte_deterministic(dlib_model):
 
 def test_bundle_renders_only_requested_formats(dlib_model):
     rows = compute_rows(dlib_model, ANY_CLASS)
-    full = build_bundle(dlib_model, rows, ANY_CLASS)
+    cells = [sheet_cells(row) for row in rows]
+    full = build_bundle(dlib_model, rows, cells)
     for fmt in ("csv", "json"):
-        assert full.files[f"metrics.{fmt}"] == emit_sheet(
-            rows, fmt, ANY_CLASS).encode()
-    csv_only = build_bundle(dlib_model, rows, ANY_CLASS, formats=("csv",))
+        assert full.files[f"metrics.{fmt}"] == emit_sheet(cells, fmt).encode()
+    csv_only = build_bundle(dlib_model, rows, cells, formats=("csv",))
     assert csv_only.files["metrics.csv"] == full.files["metrics.csv"]
     assert "metrics.json" not in csv_only.files
-    json_only = build_bundle(dlib_model, rows, ANY_CLASS, formats=("json",))
+    json_only = build_bundle(dlib_model, rows, cells, formats=("json",))
     assert json_only.files["metrics.json"] == full.files["metrics.json"]
     assert "metrics.csv" not in json_only.files
+
+
+# ---------------------------------------------------------------------------
+# WMC mode: applied once, when the rows are computed
+
+
+def _bar_heights(svg: str, class_name: str) -> dict[str, float]:
+    group = next(chunk for chunk in svg.split('<g class="group"')
+                 if f'data-class="{class_name}"' in chunk)
+    return {part.split('"')[0]: float(part.split('height="')[1].split('"')[0])
+            for part in group.split('class="bar bar-')[1:]}
+
+
+@pytest.mark.parametrize("mode, base_wmc, r_wmc", [
+    ("unity", "3.00", 0.943), ("weighted", "4.00", 0.878)])
+def test_rows_carry_their_wmc_into_every_report(dlib_model, mode, base_wmc,
+                                                r_wmc):
+    rows = compute_rows(dlib_model, MetricConfig(wmc_mode=mode))
+    wmc = [row.nomt if mode == "unity" else row.cmc for row in rows]
+    assert [row.wmc for row in rows] == wmc
+    cells = [sheet_cells(row) for row in rows]
+    column = SHEET_COLUMNS.index("WMC")
+    assert [line[column] for line in cells] == [
+        format_fixed2(value) for value in wmc]
+    base = next(line for line in cells if line[1] == "BaseObject")
+    assert base[column] == base_wmc
+
+    corr = correlations(rows)
+    assert corr["WMC"] == pearson([row.ccc for row in rows], wmc)
+    assert round(corr["WMC"], 3) == r_wmc
+
+    svg = emit_chart(rows)
+    for row, value in zip(rows, wmc):
+        # In scale with the CMC bar; a class without methods has neither.
+        heights = _bar_heights(svg, row.class_name)
+        assert heights["wmc"] == pytest.approx(
+            heights["cmc"] * value / max(row.cmc, 1), abs=0.011), row.class_name
+
+    bundle = build_bundle(dlib_model, rows, cells)
+    sheet = list(csv.DictReader(io.StringIO(
+        bundle.files["metrics.csv"].decode())))
+    assert [record["WMC"] for record in sheet] == [
+        format_fixed2(value) for value in wmc]
+    assert [record["WMC"] for record in json.loads(
+        bundle.files["metrics.json"])] == [format_fixed2(v) for v in wmc]
+    assert bundle.files["chart.svg"] == svg.encode()
+    assert bundle.correlations == corr
+
+
+def test_unknown_wmc_mode_fails_when_the_row_is_computed(dlib_model):
+    decl = dlib_model.ordered_decls()[0]
+    with pytest.raises(ValueError, match="unknown WMC mode: 'bogus'"):
+        compute_row(decl, dlib_model, MetricConfig(wmc_mode="bogus"))
