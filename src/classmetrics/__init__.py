@@ -2,23 +2,21 @@
 
 Pipeline: tokenize -> parse -> build_model -> compute_rows -> reports.
 The weyuker module evaluates any class metric against Weyuker's
-properties over synthetic or parsed corpora.
+properties over synthetic or parsed corpora; its names here are loaded
+on first use (PEP 562), so importing the package does not import it.
 """
 
 from pathlib import Path
 
 from .lexer import LexError, tokenize
-from .metrics import (ClassMetricsRow, MetricConfig, compute_row,
-                      compute_rows, method_cyclomatic)
+from .metrics import (ClassMetricsRow, MetricConfig, SyntheticClass,
+                      compute_row, compute_rows, method_cyclomatic)
 from .model import ModelError, ProjectModel, build_model, is_user_defined
 from .parser import (BodyFacts, ClassDecl, CompilationUnit, FieldDecl,
                      MethodDecl, ParseError, classify_calls,
                      count_decision_points, parse)
 from .report import (build_bundle, emit_chart, emit_model_xml, emit_sheet,
                      pearson)
-from .weyuker import (CCC_METRIC, CorpusEntry, MetricFunction,
-                      PropertyReport, SyntheticClass, check_property,
-                      concat, generate_corpus, rename, run_all)
 
 __version__ = "0.1.0"
 
@@ -34,6 +32,19 @@ __all__ = [
     "method_cyclomatic", "parse", "pearson", "rename", "run_all",
     "tokenize", "__version__",
 ]
+
+
+_HARNESS = ("CCC_METRIC", "CorpusEntry", "MetricFunction", "PropertyReport",
+            "check_property", "concat", "generate_corpus", "rename",
+            "run_all")
+
+
+def __getattr__(name: str):
+    """The harness names, from classmetrics.weyuker on first access."""
+    if name not in _HARNESS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import weyuker
+    return getattr(weyuker, name)
 
 
 def dlib_fixture_dir() -> Path:

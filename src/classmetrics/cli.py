@@ -10,6 +10,9 @@ there. It writes them only after every other step has succeeded, first
 into a staging directory in --out and then moved into place (see
 "Report bundle" in RULES.md).
 
+The Weyuker harness is imported only for a run that asks for it (see
+_load_harness).
+
 Exit codes: 0 success (warnings allowed in tolerant mode), 1 parse/model
 error in strict mode, 2 bad settings or no input files, 3 unwritable
 output directory or bundle file.
@@ -32,8 +35,6 @@ from .metrics import DEFAULT_CONFIG, MetricConfig, compute_rows
 from .model import ModelError, build_model
 from .parser import ParseError, parse
 from .report import SHEET_COLUMNS, build_bundle, sheet_cells
-from .weyuker import (CCC_METRIC, generate_corpus, project_corpus,
-                      reports_to_json, reports_to_text, run_all)
 
 
 # Every setting, in --help order: its default, its help text and, for a
@@ -62,6 +63,10 @@ _SETTINGS = {
 }
 
 _EPOCH = "1970-01-01T00:00:00Z"
+
+# The classmetrics.weyuker names that main uses.
+_HARNESS = ("CCC_METRIC", "generate_corpus", "project_corpus",
+            "reports_to_json", "reports_to_text", "run_all")
 
 BUNDLE_FILES = ("metrics.csv", "metrics.json", "model.xml", "chart.svg",
                 "run.json", "weyuker.json", "weyuker.txt")
@@ -141,6 +146,22 @@ def _effective_settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+def __getattr__(name: str):
+    """The harness names, from classmetrics.weyuker, until main has
+    bound them here (PEP 562)."""
+    if name not in _HARNESS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import weyuker
+    return getattr(weyuker, name)
+
+
+def _load_harness() -> None:
+    """Bind the harness names into this module for main. A name already
+    set here is kept, so a wrapper set on it before the load stays."""
+    for name in _HARNESS:
+        globals().setdefault(name, __getattr__(name))
+
+
 def discover_files(inputs: list[str]) -> list[Path]:
     found = []
     for item in inputs:
@@ -212,6 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if settings["weyuker"]:
+        _load_harness()  # before the run's data, so as not to add to its peak
 
     cfg = MetricConfig(
         moa_policy=settings["moa_policy"],

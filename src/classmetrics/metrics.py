@@ -135,6 +135,8 @@ def compute_row(decl: ClassDecl, model: ProjectModel,
                 cfg: MetricConfig = DEFAULT_CONFIG) -> ClassMetricsRow:
     if cfg.wmc_mode not in ("unity", "weighted"):
         raise ValueError(f"unknown WMC mode: {cfg.wmc_mode!r}")
+    if cfg.moa_policy not in ("project", "any-class"):
+        raise ValueError(f"unknown MOA policy: {cfg.moa_policy!r}")
     sums = part_sums(class_parts(decl, model, cfg))
     nomt, cmc = sums["nomt"], sums["cmc"]
     iv = sum(1 for f in decl.fields if not f.is_static)

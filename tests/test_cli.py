@@ -322,6 +322,78 @@ def test_cli_import_skips_start_up_heavy_modules():
     assert result.stdout.strip() == "[]"
 
 
+def _fresh_python(code: str) -> str:
+    """Run `code` in a new interpreter (-S) that imports the package from
+    src/, and return the last line it prints."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys; sys.path.insert(0, {str(src)!r})\n{code}"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    return result.stdout.strip().splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["classmetrics", "classmetrics.cli"])
+def test_import_leaves_the_harness_unloaded(module):
+    code = f"import {module}; print('classmetrics.weyuker' in sys.modules)"
+    assert _fresh_python(code) == "False"
+
+
+@pytest.mark.parametrize("flags, loaded", [
+    ([], False),
+    (["--weyuker"], True),
+    (["--config", "{config}"], True),
+])
+def test_main_loads_the_harness_only_for_a_weyuker_run(
+        flags, loaded, namedb_trio_dir, tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_text("weyuker=yes\ntrials=5\n")
+    argv = [str(namedb_trio_dir), "--out", str(tmp_path / "o"),
+            *(flag.format(config=config) for flag in flags)]
+    code = ("from classmetrics.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('classmetrics.weyuker' in sys.modules)")
+    assert _fresh_python(code) == str(loaded)
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from classmetrics import *", namespace)
+    assert set(classmetrics.__all__) <= namespace.keys()
+    assert classmetrics.run_all is classmetrics.weyuker.run_all
+    assert classmetrics.cli.run_all is classmetrics.weyuker.run_all
+
+
+@pytest.mark.parametrize("module", ["classmetrics", "classmetrics.cli"])
+def test_unknown_module_attribute_raises(module):
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(sys.modules[module], "no_such_name")
+
+
+def test_harness_name_set_before_the_load_is_kept(namedb_trio_dir,
+                                                  tmp_path, capsys):
+    # The benchmark's tracer sets its wrappers on cli before main runs.
+    argv = [str(namedb_trio_dir), "--weyuker", "--fixed-timestamp",
+            "--out"]
+    code = (
+        "import classmetrics.cli as cli\n"
+        "calls = []\n"
+        "def counting_run_all(*args):\n"
+        "    calls.append(args)\n"
+        "    from classmetrics.weyuker import run_all\n"
+        "    return run_all(*args)\n"
+        "cli.run_all = counting_run_all\n"
+        "assert 'classmetrics.weyuker' not in sys.modules\n"
+        f"assert cli.main({argv + [str(tmp_path / 'wrapped')]!r}) == 0\n"
+        "print(len(calls))")
+    assert _fresh_python(code) == "1"
+    assert run_cli(*argv, tmp_path / "plain") == 0
+    capsys.readouterr()
+    assert ((tmp_path / "wrapped" / "weyuker.txt").read_bytes()
+            == (tmp_path / "plain" / "weyuker.txt").read_bytes())
+
+
 def test_console_script_module_invocation(namedb_trio_dir, tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "classmetrics", str(namedb_trio_dir),

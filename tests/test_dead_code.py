@@ -85,11 +85,14 @@ def _defined(node: ast.stmt) -> list[str]:
 
 
 def _unnamed(referenced: set[str]) -> list[str]:
-    """The package's top-level definitions not in `referenced`."""
+    """The package's top-level definitions not in `referenced`; a dunder
+    function (a module's __getattr__) is called by Python itself."""
     return [f"{path.name}: {name}"
             for path in sorted(PACKAGE.glob("*.py"))
             for node in _parse(path).body
-            for name in _defined(node) if name not in referenced]
+            for name in _defined(node) if name not in referenced
+            and not (isinstance(node, ast.FunctionDef)
+                     and name.startswith("__") and name.endswith("__"))]
 
 
 def test_every_top_level_definition_is_named():

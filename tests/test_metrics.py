@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from classmetrics.metrics import (MetricConfig, ccc_value, compute_row,
                                   compute_rows, method_cyclomatic)
 from classmetrics.model import build_model
@@ -85,6 +87,14 @@ def test_namedb_project_policy_drops_library_moa(dlib_model):
     row = row_for(dlib_model, "NameDB", MetricConfig(moa_policy="project"))
     assert row.moa == 0
     assert row.ccc == 21
+
+
+def test_unknown_moa_policy_fails_before_any_field_is_read():
+    # No field of A has a class type, so the policy is never consulted
+    # per field; compute_row still refuses it up front.
+    model = model_from_sources("class A { int x; void f() { } }")
+    with pytest.raises(ValueError, match="unknown MOA policy: 'bogus'"):
+        compute_rows(model, MetricConfig(moa_policy="bogus"))
 
 
 def test_empty_class_row_is_all_zero():
