@@ -6,15 +6,12 @@ properties over synthetic or parsed corpora; its names here are loaded
 on first use (PEP 562), so importing the package does not import it.
 """
 
-from pathlib import Path
-
 from .lexer import LexError, tokenize
 from .metrics import (ClassMetricsRow, MetricConfig, SyntheticClass,
                       compute_row, compute_rows, method_cyclomatic)
 from .model import ModelError, ProjectModel, build_model, is_user_defined
 from .parser import (BodyFacts, ClassDecl, CompilationUnit, FieldDecl,
-                     MethodDecl, ParseError, classify_calls,
-                     count_decision_points, parse)
+                     MethodDecl, ParseError, parse)
 from .report import (build_bundle, emit_chart, emit_model_xml, emit_sheet,
                      pearson)
 
@@ -25,10 +22,9 @@ __all__ = [
     "CompilationUnit", "CorpusEntry", "FieldDecl", "LexError",
     "MethodDecl", "MetricConfig", "MetricFunction", "ModelError",
     "ParseError", "ProjectModel", "PropertyReport", "SyntheticClass",
-    "build_bundle", "build_model", "check_property",
-    "classify_calls", "compute_row", "compute_rows", "concat",
-    "count_decision_points", "dlib_fixture_dir", "emit_chart",
-    "emit_model_xml", "emit_sheet", "generate_corpus", "is_user_defined",
+    "build_bundle", "build_model", "check_property", "compute_row",
+    "compute_rows", "concat", "emit_chart", "emit_model_xml",
+    "emit_sheet", "generate_corpus", "is_user_defined",
     "method_cyclomatic", "parse", "pearson", "rename", "run_all",
     "tokenize", "__version__",
 ]
@@ -45,8 +41,3 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import weyuker
     return getattr(weyuker, name)
-
-
-def dlib_fixture_dir() -> Path:
-    """Directory holding the bundled 18-class sample corpus."""
-    return Path(__file__).with_name("fixtures") / "dlib"

@@ -73,6 +73,8 @@ def class_parts(decl: ClassDecl, model: ProjectModel,
     """decl's parts in SyntheticClass order: a list of its counted
     methods and one of its fields, one item per declaration, then its
     ancestors, subclasses, interfaces and distinct imports."""
+    if cfg.moa_policy not in ("project", "any-class"):
+        raise ValueError(f"unknown MOA policy: {cfg.moa_policy!r}")
     methods = [
         ("new " + m.signature if m.is_constructor else m.signature,
          method_cyclomatic(m, cfg),
@@ -135,8 +137,6 @@ def compute_row(decl: ClassDecl, model: ProjectModel,
                 cfg: MetricConfig = DEFAULT_CONFIG) -> ClassMetricsRow:
     if cfg.wmc_mode not in ("unity", "weighted"):
         raise ValueError(f"unknown WMC mode: {cfg.wmc_mode!r}")
-    if cfg.moa_policy not in ("project", "any-class"):
-        raise ValueError(f"unknown MOA policy: {cfg.moa_policy!r}")
     sums = part_sums(class_parts(decl, model, cfg))
     nomt, cmc = sums["nomt"], sums["cmc"]
     iv = sum(1 for f in decl.fields if not f.is_static)

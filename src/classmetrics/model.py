@@ -29,17 +29,16 @@ _Supers = dict[str, list[tuple[str, _Entry | None]]]
 
 class ProjectModel(Record, classes=dict, ancestors=dict,
                    immediate_subclasses=dict, interfaces_implemented=dict,
-                   user_defined_types=set, units=dict, _qualified_by_id=dict,
-                   _display=dict):
+                   user_defined_types=set, _entries=dict):
+    # _entries: the _Entry of each class, keyed by id() of its ClassDecl.
     __slots__ = ("classes", "ancestors", "immediate_subclasses",
-                 "interfaces_implemented", "user_defined_types", "units",
-                 "_qualified_by_id", "_display")
+                 "interfaces_implemented", "user_defined_types", "_entries")
 
     def qualified_name_of(self, decl: ClassDecl) -> str:
-        return self._qualified_by_id[id(decl)]
+        return self._entries[id(decl)].qualified
 
     def display_name_of(self, decl: ClassDecl) -> str:
-        return self._display[self.qualified_name_of(decl)]
+        return self._entries[id(decl)].display
 
     def ancestors_of(self, decl: ClassDecl) -> list[str]:
         return self.ancestors[self.qualified_name_of(decl)]
@@ -51,7 +50,7 @@ class ProjectModel(Record, classes=dict, ancestors=dict,
         return self.interfaces_implemented[self.qualified_name_of(decl)]
 
     def unit_of(self, decl: ClassDecl) -> CompilationUnit:
-        return self.units[decl.unit_path]
+        return self._entries[id(decl)].unit
 
     def ordered_decls(self) -> list[ClassDecl]:
         """Declarations in (file path, source declaration) order."""
@@ -87,10 +86,8 @@ def build_model(units: list[CompilationUnit]) -> ProjectModel:
                 f"{prior.unit_path} and {entry.unit.file_path}"
             )
         model.classes[entry.qualified] = entry.decl
-        model._qualified_by_id[id(entry.decl)] = entry.qualified
-        model._display[entry.qualified] = entry.display
+        model._entries[id(entry.decl)] = entry
         model.immediate_subclasses[entry.qualified] = set()
-        model.units.setdefault(entry.unit.file_path, entry.unit)
 
     by_simple: dict[str, list[_Entry]] = {}
     for entry in entries:
@@ -130,12 +127,9 @@ def is_user_defined(type_name: str, model: ProjectModel,
     policy 'project': the simple name is declared in the analyzed set.
     policy 'any-class': any non-primitive, non-void type.
     """
-    base = type_name.strip()
-    while base.endswith("[]"):
-        base = base[:-2].strip()
-    if "<" in base:
-        base = base.split("<", 1)[0].strip()
-    simple = base.split(".")[-1]
+    while type_name.endswith("[]"):
+        type_name = type_name[:-2]
+    simple = type_name.split(".")[-1]
     if not simple or simple in PRIMITIVE_TYPES or simple == "void":
         return False
     if policy == "any-class":
@@ -197,7 +191,6 @@ def _walk_hierarchy(entries: list[_Entry],
         if root.qualified in out:
             continue
         on_path.add(root.qualified)
-        path = [root.display]
         stack = [(root, iter(supers[root.qualified]))]
         while stack:
             entry, ups = stack[-1]
@@ -205,16 +198,15 @@ def _walk_hierarchy(entries: list[_Entry],
                 if target is None or target.qualified in out:
                     continue
                 if target.qualified in on_path:
-                    cycle = path[path.index(target.display):]
+                    path = [e for e, _ in stack]
+                    cycle = path[path.index(target):] + [target]
                     raise ModelError("inheritance cycle: " + " -> ".join(
-                        cycle + [target.display]))
+                        e.display for e in cycle))
                 on_path.add(target.qualified)
-                path.append(target.display)
                 stack.append((target, iter(supers[target.qualified])))
                 break
             else:
                 stack.pop()
-                path.pop()
                 on_path.discard(entry.qualified)
                 ups = supers[entry.qualified]
                 target = ups[0][1] if len(ups) == 1 else None

@@ -416,8 +416,7 @@ class _Parser:
         if (self.codes[self.pos] == IDENTIFIER
                 or self.texts[self.pos] in KEYWORD_CODES):
             self.pos += 1
-            # A '.' with no token after it stays unread.
-            while self.texts[self.pos] == "." and self.texts[self.pos + 1]:
+            while self.codes.startswith(_DOT_NAME, self.pos):
                 self.pos += 2
         if self.texts[self.pos] == "(":
             self.pos += 1
@@ -608,6 +607,8 @@ class _Parser:
         if codes[self.pos] == "(":
             method = MethodDecl(name=name, return_type_name=type_name)
             self._finish_method(decl, method, mods, pending, seen)
+        elif type_name == "void":
+            self._skip(f"malformed member in {decl.name} skipped")
         else:
             self._finish_fields(decl, mods, type_name, type_rank, name, seen)
 
@@ -653,6 +654,8 @@ class _Parser:
             self.pos += 1
             self._collect_modifiers()
             type_info = self._read_type()
+            if type_info is not None and type_info[0] == "void":
+                type_info = None  # no parameter is void
             if type_info is not None:
                 type_name, rank = type_info
                 if codes.startswith("...", self.pos):

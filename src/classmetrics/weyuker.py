@@ -448,8 +448,6 @@ def _check_p8(report, values, rng):
         renamed = renamed_by.get(shuffled)
         if renamed is None:
             targets = list(map(_renaming(names, shuffled).__getitem__, slots))
-            if len(set(targets)) != len(names):
-                raise ValueError("renaming is not a bijection")
             renamed = renamed_by[shuffled] = values.metric(
                 _fill(shape, targets))
         if renamed != value:

@@ -8,6 +8,9 @@ from classmetrics import build_model, parse, tokenize
 sys.path.insert(0, str(Path(__file__).parent))  # for cfg_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
+# The bundled 18-class sample corpus.
+DLIB_DIR = (Path(__file__).parent.parent / "src" / "classmetrics" / "fixtures"
+            / "dlib")
 
 
 def parse_file(path: Path):
@@ -26,8 +29,7 @@ def model_from_sources(*sources: str):
 
 @pytest.fixture(scope="session")
 def dlib_dir() -> Path:
-    import classmetrics
-    return classmetrics.dlib_fixture_dir()
+    return DLIB_DIR
 
 
 @pytest.fixture(scope="session")

@@ -727,6 +727,15 @@ def test_readme_library_example_runs_and_names_row_fields(dlib_dir):
         assert named <= set(row._fields), named - set(row._fields)
 
 
+def test_readme_library_names_every_public_name():
+    import classmetrics
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"`(\w+)`", section))
+    assert set(classmetrics.__all__) - named == set()
+
+
 def test_readme_lists_every_flag():
     readme = (Path(__file__).parent.parent / "README.md").read_text(
         encoding="utf-8")

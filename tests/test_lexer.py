@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from classmetrics.lexer import LexError, tokenize
+from conftest import DLIB_DIR
 from lexer_oracle import (OPERATORS, Token, Trivia, positioned, reconstruct,
                           scan)
 
@@ -389,8 +390,7 @@ def test_tokens_are_two_lists_and_the_source():
 
 
 def _dlib_source(name):
-    from classmetrics import dlib_fixture_dir
-    return (dlib_fixture_dir() / name).read_text(encoding="utf-8")
+    return (DLIB_DIR / name).read_text(encoding="utf-8")
 
 
 _NAMEDB, _QUEUE = _dlib_source("NameDB.java"), _dlib_source("Queue.java")

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from classmetrics import build_model
+from classmetrics import build_model, compute_rows, parse, tokenize
 from classmetrics.model import ModelError, is_user_defined
 
 from conftest import model_from_sources, parse_source
@@ -27,6 +27,16 @@ def test_external_superclass_counts_one_hop():
     [b] = model.ordered_decls()
     assert model.ancestors_of(b) == ["X"]
     assert "X" not in model.user_defined_types
+
+
+def test_units_sharing_a_path_keep_their_own_imports():
+    # Both units get parse's default path.
+    units = [parse(tokenize("import a.b; import a.c; class A {}")),
+             parse(tokenize("import c.d; class B {}"))]
+    model = build_model(units)
+    assert [model.unit_of(d) for d in model.ordered_decls()] == units
+    assert [(row.class_name, row.pack) for row in compute_rows(model)] == [
+        ("A", 2), ("B", 1)]
 
 
 def test_subclass_map_is_inverse_of_super_relation(dlib_model):
@@ -87,6 +97,20 @@ def test_inheritance_cycle_is_model_error():
     with pytest.raises(ModelError) as err:
         model_from_sources("class A extends B {}", "class B extends A {}")
     assert "cycle" in str(err.value)
+
+
+def test_cycle_message_names_only_the_classes_on_the_cycle():
+    # The walk reaches the cycle q.A -> q.Y through p.A, a namesake of
+    # q.A that is on the path but not on the cycle.
+    units = [parse_source(source, path) for path, source in [
+        ("p/A.java", "package p; class A extends B {}"),
+        ("p/B.java", "package p; class B extends Z {}"),
+        ("q/A.java", "package q; class A extends Y {}"),
+        ("q/Y.java", "package q; class Y extends A {}"),
+        ("q/Z.java", "package q; class Z extends A {}")]]
+    with pytest.raises(ModelError) as err:
+        build_model(units)
+    assert str(err.value) == "inheritance cycle: A -> Y -> A"
 
 
 def test_deep_extends_chain_is_checked_without_recursion():

@@ -660,6 +660,7 @@ _MALFORMED_MEMBERS = [
     "<T> void zz() { }", "static { }", "enum Zz { A }", "@interface Zz { }",
     "record Zz(int a) { }", ");", ")", "]", "] ;", "@A( int zz;",
     "void zz() { } )", "zz ( ;", "Object zz = f(;", "int zz = a ? (b : c;",
+    "@Zz.{ } int zz;", "void zz;", "void zz = 1, zzy;", "void zz(void a) { }",
 ]
 # The one member that loses the members after it, up to the next `;`
 # (see DECLARATION_CASES).
@@ -712,6 +713,31 @@ def test_malformed_member_loses_only_itself(dlib_dir, monkeypatch):
                     and _view(probe.type_decls) != _view(unit.type_decls)):
                 failures.append(("changes others", fragment))
     assert sorted(set(failures)) == []
+
+
+def test_void_is_no_field_or_parameter_type():
+    unit = parse_source(
+        "class A {\n void x, y;\n void f(void v, int k) { }\n int z;\n}")
+    [decl] = unit.type_decls
+    assert [f.name for f in decl.fields] == ["z"]
+    assert [m.signature for m in decl.methods] == ["f(int)"]
+    assert unit.warnings == [
+        "<test>.java: malformed member in A skipped at line 2",
+        "<test>.java: malformed parameter of f in A skipped at line 3",
+    ]
+
+
+def test_annotation_name_ends_before_a_brace_block():
+    # `.{` continues no dotted name, so the block is a malformed member
+    # of A and A's body still ends at its own brace.
+    unit = parse_source("class A { @B.{ } int x; void f() { } } class C { }")
+    a, c = unit.type_decls
+    assert ([f.name for f in a.fields], [m.signature for m in a.methods],
+            c.name) == (["x"], ["f()"], "C")
+    assert unit.warnings == [
+        "<test>.java: annotation skipped at line 1",
+        "<test>.java: malformed member in A skipped at line 1",
+    ]
 
 
 def test_repeated_members_keep_the_first_declaration():

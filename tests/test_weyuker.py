@@ -371,6 +371,13 @@ def test_synthetic_mapping_reproduces_engine_ccc(dlib_model):
             assert CMC_METRIC(entry.cls) == rows[entry.ident].cmc
 
 
+def test_project_corpus_refuses_an_unknown_moa_policy():
+    # As compute_row does, though no field of A has a class type.
+    model = model_from_sources("class A { int x; void f() { } }")
+    with pytest.raises(ValueError, match="unknown MOA policy: 'bogus'"):
+        project_corpus(model, MetricConfig(moa_policy="bogus"))
+
+
 # Legal Java: a repeated import is ignored (JLS 7.5.1-7.5.4).
 REPEATED_IMPORTS = (
     "package p; import java.util.*; import java.util.*; "
