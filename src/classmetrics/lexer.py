@@ -6,11 +6,11 @@ share a first character, the one that must win comes first. Every
 position matches some alternative, so the matches tile the source. The
 operator alternative branches on the first character, so an operator
 costs one branch, not a trial of each operator. `_TEXTS` captures every
-non-trivia alternative in one group, so a single `findall` call yields
-the token texts with no Python code per match. The blanks and line
-breaks after a token ride in that token's match; only comments and
-blanks at the start of the file take a match of their own. `tokenize`
-maps each text to its code, one character naming its kind (see
+non-trivia alternative in one group, and the blanks, line breaks and
+comments after a token ride in that token's match, so each match is one
+token and a single `findall` call yields the token texts with no Python
+code per match; `_LEADING` skips the trivia before the first token.
+`tokenize` maps each text to its code, one character naming its kind (see
 `KIND_OF_CODE`), through a cache that holds each distinct text once, and
 returns a `Tokens`: the codes as one string, the texts as a list, and
 the source.
@@ -48,19 +48,22 @@ PRIMITIVE_TYPES = frozenset(
 # wins. The trivia come first, then words, punctuation and operators,
 # which start most tokens, then literals. Alternatives that share a
 # first character keep their order: at `/` a comment, then
-# `bad_comment`, then the operator; at `.` punctuation's `\.(?!\d)`,
-# then the float. Each operator branch takes the longest match, and the
-# branches accept exactly the 39 operators of JLS 3.12. Each error
-# group matches only the opening of a construct whose well-formed group
-# failed. A text block (JLS 3.10.6) opens with three quotes, optional
-# blanks and a line break, and ends at the first unescaped three quotes.
-# Only "\n" breaks lines, here and in the position bookkeeping.
+# `bad_comment`, then the operator (`_TEXTS` takes each closed comment
+# after a token, so a `/*` left to start a token has no closer); at `.`
+# punctuation's `\.(?!\d)`, then the float. Each operator branch takes
+# the longest match, and the branches accept exactly the 39 operators of
+# JLS 3.12. Each error group matches only the opening of a construct
+# whose well-formed group failed, but an unclosed `/*` takes the rest of
+# the source, as no later `/*` can have a closer. A text block (JLS
+# 3.10.6) opens with three quotes, optional blanks and a line break, and
+# ends at the first unescaped three quotes. Only "\n" breaks lines, here
+# and in the position bookkeeping.
 _GRAMMAR = (
     ("space", r"[ \t\r\n\f]+"),
     ("comment", r"//[^\n]*|/\*[\s\S]*?\*/"),
     ("word", r"[A-Za-z_$][A-Za-z0-9_$]*"),
     ("punctuation", r"[{}()\[\];,@]|\.(?!\d)"),
-    ("bad_comment", r"/\*"),
+    ("bad_comment", r"/\*[\s\S]*"),
     ("operator", r">(?:>>?)?=?|<<?=?|\+[+=]?|-[-=>]?|&[&=]?|\|[|=]?"
                  r"|[*/%^!=]=?|::?|[~?]"),
     ("float", r"(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?[fFdD]?"
@@ -81,14 +84,15 @@ _TRIVIA_GROUPS = ("space", "comment")
 
 # One whitespace or comment run.
 _TRIVIA = "|".join(rx for name, rx in _GRAMMAR if name in _TRIVIA_GROUPS)
-# The alternatives in order, with one capture group round every
-# non-trivia alternative: findall returns each token's text and an empty
-# string for each trivia match. The blanks and line breaks that follow
-# a match are consumed with it, so they never form a match alone.
+# One token per match: the non-trivia alternatives in one capture group,
+# then the blanks and comments up to the next token. Nothing follows the
+# trivia repeats, so they are possessive and keep no backtracking state.
+_BLANKS = r"[ \t\f\r\n]*+"
 _TEXTS = re.compile(
-    "(?:" + _TRIVIA + "|(" + "|".join(
-        rx for name, rx in _GRAMMAR if name not in _TRIVIA_GROUPS) + "))"
-    + r"[ \t\f\r\n]*")
+    "(" + "|".join(rx for name, rx in _GRAMMAR if name not in _TRIVIA_GROUPS)
+    + f"){_BLANKS}(?:(?:{dict(_GRAMMAR)['comment']}){_BLANKS})*+")
+# The trivia before the first token, where matching `_TEXTS` starts.
+_LEADING = re.compile(f"(?:{_TRIVIA})*+")
 # One named group per alternative: the group that matches a token's text
 # alone names the token's lexical class.
 _MASTER = re.compile("|".join(f"(?P<{name}>{rx})" for name, rx in _GRAMMAR))
@@ -189,17 +193,18 @@ class Tokens:
 def _offsets(source: str) -> tuple[list[int], list[int]]:
     """The start offset of each token of the source, from the matches
     `tokenize` takes its texts from, and of each line."""
-    return ([m.start() for m in _TEXTS.finditer(source) if m[1]],
+    return ([m.start() for m in _TEXTS.finditer(
+                source, _LEADING.match(source).end())],
             [0] + [m.end() for m in re.finditer("\n", source)])
 
 
 def tokenize(source: str) -> Tokens:
     """Tokenize Java source, dropping whitespace and comments.
 
-    One findall call yields the texts; each distinct text's code is
-    looked up once per process. A text of an error group has no code;
-    the first one raises its LexError."""
-    texts = list(filter(None, _TEXTS.findall(source)))
+    One findall call after the leading trivia yields the texts; each
+    distinct text's code is looked up once per process. A text of an
+    error group has no code; the first one raises its LexError."""
+    texts = _TEXTS.findall(source, _LEADING.match(source).end())
     try:
         codes = "".join(map(_CODE_OF.__getitem__, texts))
     except KeyError:

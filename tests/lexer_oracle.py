@@ -10,7 +10,8 @@ lexer's alternatives shows as a difference.
 
 `scan` also returns the skipped trivia (whitespace and comment runs),
 rebuilt from the gaps between tokens, and `reconstruct` rebuilds the
-original file byte for byte from both."""
+original file byte for byte from both. `spans` gives each token's start
+and end offsets, for tests that edit a source at token boundaries."""
 
 import re
 from bisect import bisect_right
@@ -109,6 +110,16 @@ def positioned(source: str) -> list[Token]:
             line += breaks
             line_start = start + text.rindex("\n") + 1
     return tokens
+
+
+def spans(source: str) -> list[tuple[int, int]]:
+    """The start and end offset of each token of the source."""
+    line_starts = [0] + [m.end() for m in _LINE_BREAK.finditer(source)]
+    bounds = []
+    for t in positioned(source):
+        start = line_starts[t.line - 1] + t.column - 1
+        bounds.append((start, start + len(t.text)))
+    return bounds
 
 
 def scan(source: str) -> tuple[list[Token], list[Trivia]]:

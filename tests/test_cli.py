@@ -745,6 +745,19 @@ def test_readme_lists_every_flag():
     assert flags <= set(re.findall(r"--[a-z][a-z-]*", readme))
 
 
+def test_readme_and_pyproject_name_one_python_floor_that_this_one_meets():
+    import tomllib  # itself new in Python 3.11
+    root = Path(__file__).parent.parent
+    required = tomllib.loads((root / "pyproject.toml").read_text(
+        encoding="utf-8"))["project"]["requires-python"]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    [named] = re.findall(r"Python (\d+\.\d+)\+", readme)
+    assert required == f">={named}"
+    floor = tuple(map(int, named.split(".")))
+    assert floor >= (3, 11)  # the lexer's possessive repeats
+    assert sys.version_info[:2] >= floor
+
+
 def bundle_digests(out):
     return {p.name: digest(p) for p in out.iterdir() if p.is_file()}
 

@@ -1,14 +1,17 @@
 import itertools
+import random
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfg_oracle import random_body, wrap_method
 from classmetrics.lexer import LexError, tokenize
 from conftest import DLIB_DIR
 from lexer_oracle import (OPERATORS, Token, Trivia, positioned, reconstruct,
-                          scan)
+                          scan, spans)
 
 
 def kinds_and_texts(source):
@@ -174,6 +177,16 @@ def test_lex_error_after_a_token_that_spans_lines(name, opener, message):
     assert str(err.value) == f"{message} at line {line}, column {column}"
     assert (err.value.line, err.value.column) == (line, column)
     assert_flat_path_matches_positioned(source)
+
+
+def test_many_unclosed_comments_cost_one_scan():
+    # No `/*` here has a closer, so the first one takes the rest of the
+    # source: one scan, where each `/*` once rescanned the rest.
+    started = time.perf_counter()
+    with pytest.raises(LexError) as err:
+        tokenize("a /*" * 20_000)
+    assert time.perf_counter() - started < 2
+    assert str(err.value) == "unterminated block comment at line 1, column 3"
 
 
 def test_digit_outside_decimal_digits_is_punctuation():
@@ -430,3 +443,35 @@ def test_position_edge_cases(source, i, where):
         with pytest.raises(ParseError) as err:
             parse(tokens)
         assert (err.value.line, err.value.column) == where
+
+
+# Trivia that may stand between any two tokens. Each comment is padded,
+# so it cannot join the token before it (`/` and then `/* c */`).
+_TRIVIA_PIECES = [" /* c */ ", " // c\n", " /** d */\n", "  ", " \t\f ",
+                  "\n\t", "\n\t\n\t"]
+
+
+def _with_trivia(source, rng):
+    """The source with a seeded trivia piece at offset 0, before its
+    first token, after a seeded third of its tokens and at its end. The
+    token boundaries come from the reference lexer."""
+    bounds = spans(source)
+    cuts = [0, bounds[0][0], *(end for _, end in bounds
+                               if rng.random() < 0.3), len(source)]
+    pieces = []
+    for begin, cut in zip([0] + cuts, cuts):
+        pieces += [source[begin:cut], rng.choice(_TRIVIA_PIECES)]
+    return "".join(pieces)
+
+
+def test_trivia_at_token_boundaries_changes_no_token(dlib_dir):
+    rng = random.Random(3111)
+    sources = [p.read_text(encoding="utf-8")
+               for p in sorted(dlib_dir.glob("*.java"))]
+    sources += [wrap_method(random_body(rng)) for _ in range(60)]
+    for source in sources * 3:
+        before = tokenize(source)
+        padded = _with_trivia(source, rng)
+        after = tokenize(padded)
+        assert (after.codes, after.texts) == (before.codes, before.texts)
+        assert_positions_match_lines(padded)
