@@ -10,10 +10,11 @@ non-trivia alternative in one group, and the blanks, line breaks and
 comments after a token ride in that token's match, so each match is one
 token and a single `findall` call yields the token texts with no Python
 code per match; `_LEADING` skips the trivia before the first token.
-`tokenize` maps each text to its code, one character naming its kind (see
-`KIND_OF_CODE`), through a cache that holds each distinct text once, and
-returns a `Tokens`: the codes as one string, the texts as a list, and
-the source.
+`tokenize` maps each text to its code, one character naming its kind,
+through a cache that holds each distinct text once, and returns a
+`Tokens`: the codes as one string, the texts as a list, and the source.
+An error group takes the rest of the source, so the first lex error is
+always the last text, and only that text is classified to raise it.
 
 Positions follow one rule, `Tokens.position`: a token's line and column
 come from its start offset, which `finditer` over the same pattern
@@ -52,12 +53,12 @@ PRIMITIVE_TYPES = frozenset(
 # after a token, so a `/*` left to start a token has no closer); at `.`
 # punctuation's `\.(?!\d)`, then the float. Each operator branch takes
 # the longest match, and the branches accept exactly the 39 operators of
-# JLS 3.12. Each error group matches only the opening of a construct
-# whose well-formed group failed, but an unclosed `/*` takes the rest of
-# the source, as no later `/*` can have a closer. A text block (JLS
-# 3.10.6) opens with three quotes, optional blanks and a line break, and
-# ends at the first unescaped three quotes. Only "\n" breaks lines, here
-# and in the position bookkeeping.
+# JLS 3.12. Each error group matches the opening of a construct whose
+# well-formed group failed and the rest of the source: the first error
+# wins, so nothing after it need be lexed. A text block (JLS 3.10.6)
+# opens with three quotes, optional blanks and a line break, and ends at
+# the first unescaped three quotes. Only "\n" breaks lines, here and in
+# the position bookkeeping.
 _GRAMMAR = (
     ("space", r"[ \t\r\n\f]+"),
     ("comment", r"//[^\n]*|/\*[\s\S]*?\*/"),
@@ -71,11 +72,11 @@ _GRAMMAR = (
     ("integer", r"0[xX][0-9a-fA-F]+[lL]?|0[bB][01]+[lL]?|\d+[lL]?"),
     ("text_block",
      r"\"\"\"[ \t\f]*\r?\n(?:[^\"\\]|\\[\s\S]|\"(?!\"\"))*\"\"\""),
-    ("bad_text_block", r"\"\"\"[ \t\f]*\r?\n"),
+    ("bad_text_block", r"\"\"\"[ \t\f]*\r?\n[\s\S]*"),
     ("string", r"\"[^\"\\\n]*(?:\\[\s\S][^\"\\\n]*)*\""),
-    ("bad_string", r"\""),
+    ("bad_string", r"\"[\s\S]*"),
     ("char", r"'[^'\\\n]*(?:\\[\s\S][^'\\\n]*)*'"),
-    ("bad_char", r"'"),
+    ("bad_char", r"'[\s\S]*"),
     # Outside the Java lexical grammar; tolerated as punctuation so the
     # byte round-trip still holds.
     ("other", r"[\s\S]"),
@@ -129,13 +130,6 @@ _TEXT_CODES = {**KEYWORD_CODES, **{c: c for c in "{}()[];,.@?"},
 _GROUP_CODES = {"word": IDENTIFIER, "operator": OPERATOR, "other": "x",
                 "float": "f", "integer": "n", "string": "s",
                 "text_block": "s", "char": "c"}
-KIND_OF_CODE = {
-    **dict.fromkeys("{}()[];,.@x", "punctuation"),
-    **dict.fromkeys("?&" + OPERATOR, "operator"),
-    **dict.fromkeys(KEYWORD_CODES.values(), "keyword"),
-    IDENTIFIER: "identifier", "f": "float-literal", "n": "integer-literal",
-    "s": "string-literal", "c": "char-literal",
-}
 
 # Distinct texts the code cache holds at most; it starts over when full,
 # so a tree with many distinct literals cannot grow it without bound.
@@ -175,11 +169,6 @@ class Tokens:
     def __len__(self) -> int:
         return len(self.texts)
 
-    @property
-    def kinds(self) -> list[str]:
-        """The kind of each token, built from `codes` on every call."""
-        return [KIND_OF_CODE[code] for code in self.codes]
-
     def position(self, i: int) -> tuple[int, int]:
         """Line and column of token `i`, both counted from 1. The first
         call finds the offsets of every token and every line."""
@@ -202,14 +191,13 @@ def tokenize(source: str) -> Tokens:
     """Tokenize Java source, dropping whitespace and comments.
 
     One findall call after the leading trivia yields the texts; each
-    distinct text's code is looked up once per process. A text of an
-    error group has no code; the first one raises its LexError."""
+    distinct text's code is looked up once per process. Only the last
+    text can be of an error group; it has no code and raises LexError."""
     texts = _TEXTS.findall(source, _LEADING.match(source).end())
     try:
         codes = "".join(map(_CODE_OF.__getitem__, texts))
     except KeyError:
-        groups = [_MASTER.match(text).lastgroup for text in texts]
-        i = next(i for i, group in enumerate(groups) if group in _ERRORS)
-        where = Tokens("", texts, source).position(i)
-        raise LexError(_ERRORS[groups[i]], *where) from None
+        where = Tokens("", texts, source).position(len(texts) - 1)
+        raise LexError(_ERRORS[_MASTER.match(texts[-1]).lastgroup],
+                       *where) from None
     return Tokens(codes, texts, source)

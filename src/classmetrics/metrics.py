@@ -86,8 +86,8 @@ def class_parts(decl: ClassDecl, model: ProjectModel,
     fields = [(f.name, f.declared_type_name + "[]" * f.array_rank,
                is_user_defined(f.declared_type_name, model, cfg.moa_policy))
               for f in decl.fields]
-    interfaces = (set() if decl.kind == "interface"
-                  else model.implemented_of(decl))
+    interfaces = (set() if decl.kind == "interface" else
+                  {n.split(".")[-1] for n in decl.implemented_interface_names})
     return [methods, fields, model.ancestors_of(decl),
             model.subclasses_of(decl), interfaces,
             set(model.unit_of(decl).imports)]

@@ -1,4 +1,4 @@
-"""Whole-program model: hierarchy, subclass and interface maps.
+"""Whole-program model: hierarchy and subclass maps.
 
 Merges parsed compilation units into one ProjectModel. Name resolution is
 by simple name within the analyzed set; package-qualified names are used
@@ -28,11 +28,11 @@ _Supers = dict[str, list[tuple[str, _Entry | None]]]
 
 
 class ProjectModel(Record, classes=dict, ancestors=dict,
-                   immediate_subclasses=dict, interfaces_implemented=dict,
-                   user_defined_types=set, _entries=dict):
+                   immediate_subclasses=dict, user_defined_types=set,
+                   _entries=dict):
     # _entries: the _Entry of each class, keyed by id() of its ClassDecl.
     __slots__ = ("classes", "ancestors", "immediate_subclasses",
-                 "interfaces_implemented", "user_defined_types", "_entries")
+                 "user_defined_types", "_entries")
 
     def qualified_name_of(self, decl: ClassDecl) -> str:
         return self._entries[id(decl)].qualified
@@ -45,9 +45,6 @@ class ProjectModel(Record, classes=dict, ancestors=dict,
 
     def subclasses_of(self, decl: ClassDecl) -> set[str]:
         return self.immediate_subclasses[self.qualified_name_of(decl)]
-
-    def implemented_of(self, decl: ClassDecl) -> set[str]:
-        return self.interfaces_implemented[self.qualified_name_of(decl)]
 
     def unit_of(self, decl: ClassDecl) -> CompilationUnit:
         return self._entries[id(decl)].unit
@@ -63,7 +60,6 @@ class ProjectModel(Record, classes=dict, ancestors=dict,
             list(self.classes) == list(other.classes)
             and self.ancestors == other.ancestors
             and self.immediate_subclasses == other.immediate_subclasses
-            and self.interfaces_implemented == other.interfaces_implemented
             and self.user_defined_types == other.user_defined_types
             and self.classes == other.classes
         )
@@ -111,9 +107,6 @@ def build_model(units: list[CompilationUnit]) -> ProjectModel:
 
     model.ancestors = _walk_hierarchy(entries, supers)
     for entry in entries:
-        model.interfaces_implemented[entry.qualified] = {
-            n.split(".")[-1] for n in entry.decl.implemented_interface_names
-        }
         for _, target in supers[entry.qualified]:
             if target is not None:
                 model.immediate_subclasses[target.qualified].add(entry.display)

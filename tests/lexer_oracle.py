@@ -1,12 +1,12 @@
 """Reference lexer: one named group per alternative of the lexer's
 grammar, run with `finditer` as in the "Writing a Tokenizer" recipe of
 the `re` documentation. Each group's kind is decided here by its name,
-not by the lexer's code table, so the kinds of `tokenize(s)`, the
-positions `Tokens.position` gives, and the LexErrors can be compared
-with `positioned(s)`. The operator alternative is built here from the
-JLS 3.12 list, and the alternatives are tried in an order of the
-oracle's own, so a wrong operator pattern or a wrong order of the
-lexer's alternatives shows as a difference.
+not by the lexer's code table, so the kinds of `tokenize(s)` (its codes
+through `KIND_OF_CODE`), the positions `Tokens.position` gives, and the
+LexErrors can be compared with `positioned(s)`. The operator
+alternative is built here from the JLS 3.12 list, and the alternatives
+are tried in an order of the oracle's own, so a wrong operator pattern
+or a wrong order of the lexer's alternatives shows as a difference.
 
 `scan` also returns the skipped trivia (whitespace and comment runs),
 rebuilt from the gaps between tokens, and `reconstruct` rebuilds the
@@ -17,7 +17,8 @@ import re
 from bisect import bisect_right
 from typing import NamedTuple
 
-from classmetrics.lexer import _ERRORS, _GRAMMAR, _TRIVIA, KEYWORDS, LexError
+from classmetrics.lexer import (_ERRORS, _GRAMMAR, _TRIVIA, IDENTIFIER,
+                                KEYWORD_CODES, KEYWORDS, OPERATOR, LexError)
 
 # The operators of JLS 3.12, longest first so that the alternation takes
 # the longest match.
@@ -60,6 +61,15 @@ _FLAT_KINDS = {
 _SPANNING_KINDS = {
     "string": "string-literal", "char": "char-literal",
     "text_block": "string-literal",
+}
+
+# The kind each code of `Tokens.codes` names.
+KIND_OF_CODE = {
+    **dict.fromkeys("{}()[];,.@x", "punctuation"),
+    **dict.fromkeys("?&" + OPERATOR, "operator"),
+    **dict.fromkeys(KEYWORD_CODES.values(), "keyword"),
+    IDENTIFIER: "identifier", "f": "float-literal", "n": "integer-literal",
+    "s": "string-literal", "c": "char-literal",
 }
 
 

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib
 import json
 import os
 import re
@@ -734,6 +735,27 @@ def test_readme_library_names_every_public_name():
     section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     named = set(re.findall(r"`(\w+)`", section))
     assert set(classmetrics.__all__) - named == set()
+
+
+def test_readme_dotted_names_resolve():
+    # Each `classmetrics.` name README gives is a module or an attribute
+    # of one, so removing a name cannot leave README naming it.
+    readme = (Path(__file__).parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    names = set(re.findall(r"\bclassmetrics(?:\.\w+)+", readme))
+    assert {"classmetrics.cli.main", "classmetrics.__all__"} <= names
+    for name in sorted(names):
+        parts = name.split(".")
+        cut = len(parts)
+        while True:
+            try:
+                found = importlib.import_module(".".join(parts[:cut]))
+                break
+            except ModuleNotFoundError:
+                cut -= 1
+        for attr in parts[cut:]:
+            assert hasattr(found, attr), name
+            found = getattr(found, attr)
 
 
 def test_readme_lists_every_flag():

@@ -10,25 +10,31 @@ from hypothesis import strategies as st
 from cfg_oracle import random_body, wrap_method
 from classmetrics.lexer import LexError, tokenize
 from conftest import DLIB_DIR
-from lexer_oracle import (OPERATORS, Token, Trivia, positioned, reconstruct,
-                          scan, spans)
+from lexer_oracle import (KIND_OF_CODE, OPERATORS, Token, Trivia, positioned,
+                          reconstruct, scan, spans)
+
+
+def code_kinds(tokens):
+    """The kind of each token, read from its code."""
+    return [KIND_OF_CODE[code] for code in tokens.codes]
 
 
 def kinds_and_texts(source):
     tokens = tokenize(source)
-    return list(zip(tokens.kinds, tokens.texts))
+    return list(zip(code_kinds(tokens), tokens.texts))
 
 
 def with_positions(tokens):
     """The tokens as the oracle's `Token`s, each at the line and column
     `Tokens.position` gives."""
     return [Token(kind, text, *tokens.position(i))
-            for i, (kind, text) in enumerate(zip(tokens.kinds, tokens.texts))]
+            for i, (kind, text) in enumerate(zip(code_kinds(tokens),
+                                                 tokens.texts))]
 
 
 def test_empty_input():
     tokens = tokenize("")
-    assert (len(tokens), tokens.kinds, tokens.texts) == (0, [], [])
+    assert (len(tokens), code_kinds(tokens), tokens.texts) == (0, [], [])
     assert with_positions(tokens) == []
 
 
@@ -179,14 +185,20 @@ def test_lex_error_after_a_token_that_spans_lines(name, opener, message):
     assert_flat_path_matches_positioned(source)
 
 
-def test_many_unclosed_comments_cost_one_scan():
-    # No `/*` here has a closer, so the first one takes the rest of the
-    # source: one scan, where each `/*` once rescanned the rest.
+@pytest.mark.parametrize("source, message", [
+    ("a /*" * 20_000, "unterminated block comment at line 1, column 3"),
+    ('"""\n\\' * 4_000, "unterminated text block at line 1, column 1"),
+    ('"\\' * 8_000, "unterminated string literal at line 1, column 1"),
+    ("'\\" * 8_000, "unterminated char literal at line 1, column 1"),
+], ids=["bad_comment", "bad_text_block", "bad_string", "bad_char"])
+def test_many_unclosed_comments_cost_one_scan(source, message):
+    # No opener here has a closer, so the first one takes the rest of
+    # the source: one scan, where each opener once rescanned the rest.
     started = time.perf_counter()
     with pytest.raises(LexError) as err:
-        tokenize("a /*" * 20_000)
+        tokenize(source)
     assert time.perf_counter() - started < 2
-    assert str(err.value) == "unterminated block comment at line 1, column 3"
+    assert str(err.value) == message
 
 
 def test_digit_outside_decimal_digits_is_punctuation():
@@ -298,7 +310,7 @@ def assert_flat_path_matches_positioned(source):
             str(err), err.line, err.column)
         return
     tokens = tokenize(source)
-    assert tokens.kinds == [t.kind for t in expected]
+    assert code_kinds(tokens) == [t.kind for t in expected]
     assert tokens.texts == [t.text for t in expected]
     assert len(tokens) == len(expected)
     assert [tokens.position(i) for i in range(len(tokens))] == [
@@ -363,7 +375,7 @@ def test_kind_cache_stays_bounded(monkeypatch):
 
 
 def test_every_code_names_one_kind(fixture_paths):
-    from classmetrics.lexer import KEYWORD_CODES, KEYWORDS, KIND_OF_CODE
+    from classmetrics.lexer import KEYWORD_CODES, KEYWORDS
     assert sorted(KEYWORD_CODES) == sorted(KEYWORDS)
     assert len(set(KEYWORD_CODES.values())) == len(KEYWORDS)
     assert all(KIND_OF_CODE[code] == "keyword" and 0x7F < ord(code) < 0x100
@@ -386,7 +398,7 @@ def test_keyword_code_in_the_source_is_punctuation():
     from classmetrics.parser import count_decision_points
     code_of_if = KEYWORD_CODES["if"]
     tokens = tokenize(f"x = {code_of_if} (a) ? b : c; {code_of_if}")
-    assert tokens.kinds[2] == tokens.kinds[-1] == "punctuation"
+    assert code_kinds(tokens)[2] == code_kinds(tokens)[-1] == "punctuation"
     assert code_of_if not in tokens.codes
     assert count_decision_points(tokens) == 1  # the ternary alone
 
@@ -395,7 +407,7 @@ def test_tokens_are_two_lists_and_the_source():
     source = "class A {\n  int f() { return 1; }\n}"
     tokens = tokenize(source)
     assert len(tokens) == 13 and tokens.source == source
-    assert (tokens.kinds[9:11], tokens.texts[9:11]) == (
+    assert (code_kinds(tokens)[9:11], tokens.texts[9:11]) == (
         ["integer-literal", "punctuation"], ["1", ";"])
     assert tokens.codes[9:11] == "n;" and len(tokens.codes) == 13
     assert with_positions(tokens)[10] == ("punctuation", ";", 2, 21)

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from classmetrics import build_model, compute_rows, parse, tokenize
+from classmetrics.metrics import from_class_model
 from classmetrics.model import ModelError, is_user_defined
 
 from conftest import model_from_sources, parse_source
@@ -73,11 +74,13 @@ def test_interface_extends_feeds_ancestors_not_implements():
         "interface I {}",
         "interface J extends I {}",
         "class C implements J {}",
+        "class D implements p.J, K {}",
     )
     decls = {d.name: d for d in model.ordered_decls()}
     assert model.ancestors_of(decls["J"]) == ["I"]
     assert model.ancestors_of(decls["C"]) == []
-    assert model.implemented_of(decls["C"]) == {"J"}
+    assert from_class_model(decls["C"], model).interfaces == {"J"}
+    assert from_class_model(decls["D"], model).interfaces == {"J", "K"}
     assert model.subclasses_of(decls["I"]) == {"J"}
     assert model.subclasses_of(decls["J"]) == set()  # implements is not extends
 

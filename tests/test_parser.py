@@ -17,6 +17,7 @@ from conftest import parse_source
 import body_oracle
 from cfg_oracle import (Switch, While, cyclomatic_from_cfg, random_body,
                         to_java)
+from lexer_oracle import positioned
 
 
 def body_tokens(body_source):
@@ -1014,13 +1015,14 @@ _SUFFIXES = ["", ";", "( )", "extends T", "while ( a ) ;", ". f ( )"]
 
 def assert_scan_matches_oracle(source, own, prefix, suffix):
     body = tokenize(source)
-    assert scan_body(body.codes, body.texts, 0, len(body), own) == (
-        body_oracle.scan_body(body.kinds, body.texts, own))
+    expected = body_oracle.scan_body([t.kind for t in positioned(source)],
+                                     body.texts, own)
+    assert scan_body(body.codes, body.texts, 0, len(body), own) == expected
     start, after = len(tokenize(prefix)), len(tokenize(suffix))
     whole = tokenize(f"{prefix} {source} {suffix}")
     assert whole.texts[start:len(whole) - after] == body.texts
     assert scan_body(whole.codes, whole.texts, start, len(whole) - after,
-                     own) == body_oracle.scan_body(body.kinds, body.texts, own)
+                     own) == expected
 
 
 # Bodies whose facts depend on their first or last token.

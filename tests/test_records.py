@@ -36,8 +36,7 @@ SIGNATURES = {
                       "avcc", "moa", "iv", "ext", "nsup", "nsub", "intr",
                       "pack", "nqu", "ncd", "cmc", "cc", "ccc", "wmc"],
     ProjectModel: ["classes", "ancestors", "immediate_subclasses",
-                   "interfaces_implemented", "user_defined_types",
-                   "_entries"],
+                   "user_defined_types", "_entries"],
     PropertyReport: ["property_number", "metric_name", "verdict", "witness",
                      "trials", "trial_budget", "seed", "note"],
 }
