@@ -15,7 +15,7 @@ _load_harness).
 
 Exit codes: 0 success (warnings allowed in tolerant mode), 1 parse/model
 error in strict mode, 2 bad settings or no input files, 3 unwritable
-output directory or bundle file.
+output directory, bundle file or standard output.
 """
 
 import argparse
@@ -101,7 +101,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 def load_config_file(path: str) -> dict:
     """Parse a simple key=value config file mirroring the CLI flags."""
     settings = {}
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -163,15 +166,23 @@ def _load_harness() -> None:
 
 
 def discover_files(inputs: list[str]) -> list[Path]:
-    found = []
-    for item in inputs:
-        path = Path(item)
-        if path.is_dir():  # a symlinked directory in it is not followed
-            found.extend(Path(root, name) for root, _, names in os.walk(path)
-                         for name in names if name.endswith(".java")
-                         and os.path.isfile(os.path.join(root, name)))
-        elif path.is_file():
-            found.append(path)
+    """The `*.java` files under `inputs` (see "File discovery" in RULES.md)."""
+    found = [path for path in map(Path, inputs) if path.is_file()]
+    dirs = [path for path in map(Path, inputs) if path.is_dir()]
+    while dirs:
+        try:  # an unreadable directory is skipped, as by os.walk
+            with os.scandir(dirs.pop()) as scan:
+                entries = list(scan)
+        except OSError:
+            continue
+        for entry in entries:
+            try:  # as by os.path.isfile, a failed stat skips the entry
+                if entry.name.endswith(".java") and entry.is_file():
+                    found.append(Path(entry.path))
+                elif entry.is_dir() and not entry.is_symlink():
+                    dirs.append(entry.path)
+            except OSError:
+                pass
     unique = sorted({p.as_posix(): p for p in found}.items())
     return [p for _, p in unique]
 
@@ -345,7 +356,12 @@ def console_main() -> int:
     exit does not walk them. main() itself leaves `gc` alone."""
     gc.disable()
     try:
-        return main()
+        code = main()
+        print(end="", flush=True)  # flushes stdout, if there is one
+        return code
+    except BrokenPipeError:  # so that the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
     finally:
         gc.freeze()
 

@@ -403,7 +403,8 @@ class _Parser:
             elif (text == "@"
                   and not self.codes.startswith(_AT_INTERFACE, self.pos)):
                 self._skip_annotation()
-            elif self.texts[self.pos:self.pos + 3] == _NON_SEALED:
+            elif (text == "non"
+                  and self.texts[self.pos:self.pos + 3] == _NON_SEALED):
                 mods.append("non-sealed")
                 self.pos += 3
             else:
@@ -714,11 +715,10 @@ class _Parser:
         """Consume the `[ ]` pairs at the current token, after a type or a
         declarator name, and return their number. A `[` without its `]`
         is no dimension and stays unread."""
-        start = pos = self.pos
-        while self.codes.startswith("[]", pos):
-            pos += 2
-        self.pos = pos
-        return (pos - start) // 2
+        start = self.pos
+        while self.codes.startswith("[]", self.pos):
+            self.pos += 2
+        return (self.pos - start) // 2
 
     def _read_type(self) -> tuple[str, int] | None:
         """Read a type: primitive or dotted name, optional generic args
@@ -739,7 +739,7 @@ class _Parser:
             self.warn(f"generic type arguments on {name} ignored")
             if not self._try_skip_angles():
                 return None
-        return name, self._read_dims()
+        return name, self._read_dims() if codes[self.pos] == "[" else 0
 
     def _try_skip_angles(self) -> bool:
         """Consume a balanced <...> type-argument list; False if the

@@ -14,6 +14,7 @@ import re
 from decimal import ROUND_HALF_EVEN, Context
 from fractions import Fraction
 from math import fsum, sqrt
+from operator import mul
 from typing import NamedTuple
 
 from .metrics import ClassMetricsRow
@@ -90,34 +91,37 @@ def pearson(xs, ys) -> float | None:
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     if len(xs) < 2:
         raise ValueError("need at least two points")
-    # Tested on the exact values: the float mean of a constant such as
-    # 1/17 is inexact, which would leave a tiny variance.
-    if len(set(xs)) == 1 or len(set(ys)) == 1:
+    return _coefficient(_centred(xs), ys)
+
+
+def _centred(values) -> tuple[list[float], float] | None:
+    """The float deviations of `values` from their float mean and the sum
+    of their squares, as in Python 3.11's statistics.correlation. None if
+    the exact values are all equal: the float mean of 1/17s is inexact."""
+    if all(value is values[0] or value == values[0] for value in values):
         return None
-    # The standard library's correlation formula of Python 3.11, step for
-    # step, so the floats do not depend on the interpreter's version.
-    xs = [float(x) for x in xs]
-    ys = [float(y) for y in ys]
-    n = len(xs)
-    x_mean = fsum(xs) / n
-    y_mean = fsum(ys) / n
-    sxy = fsum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys))
-    sxx = fsum((d := x - x_mean) * d for x in xs)
-    syy = fsum((d := y - y_mean) * d for y in ys)
+    floats = [float(value) for value in values]
+    mean = fsum(floats) / len(floats)
+    deviations = [value - mean for value in floats]
+    return deviations, fsum(map(mul, deviations, deviations))
+
+
+def _coefficient(x, ys) -> float | None:
+    """The coefficient of `x`, a column as _centred gives it, and `ys`."""
+    if x is None or (y := _centred(ys)) is None:
+        return None
     try:
-        return sxy / sqrt(sxx * syy)
+        return fsum(map(mul, x[0], y[0])) / sqrt(x[1] * y[1])
     except ZeroDivisionError:
         return None
 
 
 def correlations(rows: list[ClassMetricsRow]) -> dict[str, float | None]:
-    if len(rows) < 2:
-        return {"WMC": None, "CMC": None, "CC": None}
-    ccc = [row.ccc for row in rows]
+    ccc = _centred([row.ccc for row in rows])  # once for all three
     return {
-        "WMC": pearson(ccc, [row.wmc for row in rows]),
-        "CMC": pearson(ccc, [row.cmc for row in rows]),
-        "CC": pearson(ccc, [row.cc for row in rows]),
+        "WMC": _coefficient(ccc, [row.wmc for row in rows]),
+        "CMC": _coefficient(ccc, [row.cmc for row in rows]),
+        "CC": _coefficient(ccc, [row.cc for row in rows]),
     }
 
 

@@ -201,6 +201,58 @@ def test_discovery_is_lexicographic_and_recursive(tmp_path, monkeypatch):
         "D.java/e.java", "b.java", "sub/a.java"]
 
 
+def walk_discovery(inputs):
+    """File discovery by os.walk and os.path.isfile, the reference that
+    discover_files must agree with."""
+    found = []
+    for item in inputs:
+        path = Path(item)
+        if path.is_dir():
+            found.extend(Path(root, name) for root, _, names in os.walk(path)
+                         for name in names if name.endswith(".java")
+                         and os.path.isfile(os.path.join(root, name)))
+        elif path.is_file():
+            found.append(path)
+    return sorted({p.as_posix(): p for p in found}.values(),
+                  key=Path.as_posix)
+
+
+def test_discovery_matches_the_walk_reference(tmp_path, monkeypatch):
+    root = tmp_path / "root"
+    (root / "a" / "b" / "c").mkdir(parents=True)
+    for name in ("A.java", "a/B.java", "a/b/C.java", "a/b/c/D.java",
+                 "a/b/c/notes.txt"):
+        (root / name).write_text("class X {}")
+    (root / "locked").mkdir()  # scandir fails on it, as without read access
+    (root / "locked" / "E.java").write_text("class E {}")
+    os.mkfifo(root / "F.java")
+    (root / "L.java").symlink_to(root / "a" / "B.java")  # followed
+    (root / "Loop.java").symlink_to(root / "Loop.java")  # stat fails
+    (root / "loop").symlink_to(root / "loop")
+    (root / "nested").symlink_to(root / "a", target_is_directory=True)
+    (tmp_path / "outside").mkdir()
+    (tmp_path / "outside" / "G.java").write_text("class G {}")
+    (tmp_path / "given").symlink_to(tmp_path / "outside",
+                                    target_is_directory=True)
+    scandir = os.scandir
+
+    def deny_locked(path="."):
+        if Path(path).name == "locked":
+            raise PermissionError(13, "Permission denied", os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", deny_locked)
+    monkeypatch.chdir(tmp_path)
+    inputs = ["root", "given", "absent", "root/L.java"]
+    files = discover_files(inputs)
+    assert all(isinstance(p, Path) for p in files)
+    assert [str(p) for p in files] == [
+        "given/G.java", "root/A.java", "root/L.java", "root/a/B.java",
+        "root/a/b/C.java", "root/a/b/c/D.java"]
+    assert [str(p) for p in walk_discovery(inputs)] == [
+        str(p) for p in files]
+
+
 def test_order_never_affects_metrics(namedb_trio_dir, tmp_path, capsys):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     files = sorted(namedb_trio_dir.glob("*.java"))
@@ -229,6 +281,24 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     config.write_text("mystery=1\n")
     with pytest.raises(ValueError):
         load_config_file(str(config))
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"\xef\xbb\xbfseed = 7\nstrict = yes\n")
+    assert load_config_file(str(config)) == {"seed": 7, "strict": True}
+
+
+def test_config_file_not_in_utf8_is_named(namedb_trio_dir, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_bytes(b"# caf\xe9\nseed = 7\n")
+    out = tmp_path / "report"
+    assert run_cli(namedb_trio_dir, "--out", out, "--config", config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {config}: ")
+    assert "can't decode byte 0xe9" in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_format_selection_limits_sheet_outputs(namedb_trio_dir, tmp_path, capsys):
@@ -426,6 +496,38 @@ def test_module_run_matches_in_process_main(code, namedb_trio_dir, tmp_path,
     assert result.returncode == code
     assert result.stdout == in_process.out
     assert result.stderr == in_process.err
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_3_quietly(namedb_trio_dir, tmp_path, unbuffered):
+    # The read end is closed before the run, as `| head -1` closes it
+    # during one. A buffered stdout meets the broken pipe at the flush, an
+    # unbuffered one at the first print.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "classmetrics", str(namedb_trio_dir),
+             "--out", str(tmp_path / "o")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+    finally:
+        os.close(write_end)
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert (tmp_path / "o" / "metrics.csv").is_file()
+
+
+def test_run_with_stdout_closed_from_the_start_succeeds(namedb_trio_dir,
+                                                        tmp_path):
+    # With descriptor 1 closed, sys.stdout is None and print prints nothing.
+    result = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m",
+         "classmetrics", str(namedb_trio_dir), "--out", str(tmp_path / "o")],
+        stderr=subprocess.PIPE, text=True)
+    assert result.returncode == 0
+    assert result.stderr == ""
+    assert (tmp_path / "o" / "metrics.csv").is_file()
 
 
 def test_console_main_runs_main_without_the_collector():

@@ -343,6 +343,36 @@ def test_correlations_on_dlib(dlib_model):
     assert corr["CMC"] > 0
 
 
+def _correlation_rows(rows, case):
+    rng = random.Random(3311)
+    if case == "seeded":
+        return [row._replace(ccc=Fraction(rng.randint(0, 900),
+                                          rng.randint(1, 60)),
+                             wmc=rng.randint(0, 40), cmc=rng.randint(0, 90),
+                             cc=rng.randint(0, 99))
+                for row in rows * 20]
+    if case == "constant CCC":
+        return [row._replace(ccc=Fraction(22, 7)) for row in rows]
+    if case == "CC at 1/17":  # the float mean of eleven 1/17s is inexact
+        return [row._replace(cc=Fraction(1, 17)) for row in rows[:11]]
+    return rows
+
+
+@pytest.mark.parametrize("case", ["dlib", "seeded", "constant CCC",
+                                  "CC at 1/17"])
+def test_correlations_are_pearson_bit_for_bit(dlib_model, case):
+    rows = _correlation_rows(compute_rows(dlib_model, ANY_CLASS), case)
+    corr = correlations(rows)
+    ccc = [row.ccc for row in rows]
+    for name, column in (("WMC", [row.wmc for row in rows]),
+                         ("CMC", [row.cmc for row in rows]),
+                         ("CC", [row.cc for row in rows])):
+        assert _bits(corr[name]) == _bits(pearson(ccc, column)), name
+        undefined = case == "constant CCC" or (case, name) == (
+            "CC at 1/17", "CC")
+        assert (corr[name] is None) == undefined, name
+
+
 # ---------------------------------------------------------------------------
 # XML
 
