@@ -2,7 +2,12 @@
 
 Discovers .java files, runs tokenize -> parse -> model -> metrics ->
 reports, writes the report bundle under --out and prints a per-class
-summary plus the CCC/WMC, CCC/CMC and CCC/CC correlations.
+summary plus the CCC/WMC, CCC/CMC and CCC/CC correlations. Standard
+output is written once, after the bundle is in place.
+
+A run whose sources are large enough, on more than one CPU, lexes and
+parses them in forked children as well as in its own process (see
+_slices and _outcomes); what it writes and prints does not change.
 
 The bundle is the files named in BUNDLE_FILES. A run writes the ones it
 produced, removes the others from --out, and touches no other file
@@ -26,6 +31,7 @@ import os
 import shutil
 import sys
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -33,7 +39,7 @@ from . import __version__
 from .lexer import LexError, tokenize
 from .metrics import DEFAULT_CONFIG, MetricConfig, compute_rows
 from .model import ModelError, build_model
-from .parser import ParseError, parse
+from .parser import CompilationUnit, ParseError, parse
 from .report import SHEET_COLUMNS, build_bundle, sheet_cells
 
 
@@ -70,6 +76,11 @@ _HARNESS = ("CCC_METRIC", "generate_corpus", "project_corpus",
 
 BUNDLE_FILES = ("metrics.csv", "metrics.json", "model.xml", "chart.svg",
                 "run.json", "weyuker.json", "weyuker.txt")
+
+# A run lexes and parses in more than one process only when each gets at
+# least this many bytes of source: below it, the fork and the pickled
+# units cost more than a second CPU saves.
+MIN_SLICE_BYTES = 64 * 1024
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -187,17 +198,156 @@ def discover_files(inputs: list[str]) -> list[Path]:
     return [p for _, p in unique]
 
 
-def _read_source(path: Path, digest) -> str:
-    """Add the file's path and bytes to `digest`, then decode the same
-    bytes as UTF-8 with universal newlines: a leading byte-order mark is
-    dropped, UnicodeDecodeError propagates, and both \\r\\n and a lone
-    \\r become \\n."""
-    data = path.read_bytes()
+def _read(path: Path, digest) -> bytes | str:
+    """The file's bytes, added with its path to `digest`; or, when it
+    cannot be read, the message that skips it."""
+    try:
+        data = path.read_bytes()
+    except OSError as exc:  # its text repeats the path; its strerror not
+        return f"{path.as_posix()}: {exc.strerror or exc}"
     digest.update(os.fsencode(path))
     digest.update(b"\0")
     digest.update(data)
     digest.update(b"\0")
-    return data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
+    return data
+
+
+def _lex_parse(path: Path, data: bytes | str) -> CompilationUnit | str:
+    """The file's CompilationUnit, or the message that skips it. `data`
+    is what _read gave. The bytes are decoded as UTF-8 with universal
+    newlines: a leading byte-order mark is dropped, and both \\r\\n and
+    a lone \\r become \\n."""
+    if isinstance(data, str):
+        return data
+    try:
+        source = data.decode("utf-8-sig").replace("\r\n", "\n")
+        return parse(tokenize(source.replace("\r", "\n")), path.as_posix())
+    except (LexError, ParseError, UnicodeDecodeError) as exc:
+        return f"{path.as_posix()}: {exc}"
+
+
+def _slices(files: list[Path]) -> list[list[Path]]:
+    """`files` cut, in order, into runs of about equal source bytes: one
+    run per CPU this process may use, each of at least MIN_SLICE_BYTES.
+    One run in all where a fork is not safe: no os.fork, another thread
+    or one CPU."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        return [files]
+    cpus = len(os.sched_getaffinity(0))
+    if cpus < 2:
+        return [files]
+    sizes = [_size(path) for path in files]
+    total = sum(sizes)
+    count = min(cpus, total // MIN_SLICE_BYTES)
+    slices, start, done = [], 0, 0
+    for end, size in enumerate(sizes, 1):
+        done += size  # cut where the bytes so far pass the next share
+        if len(slices) < count - 1 and (
+                done * count >= total * (len(slices) + 1)):
+            slices.append(files[start:end])
+            start = end
+    slices.append(files[start:])
+    return [part for part in slices if part]
+
+
+def _size(path: Path) -> int:
+    try:
+        return os.stat(path).st_size
+    except OSError:  # _read meets it again
+        return 0
+
+
+def _outcomes(files: list[Path], digest):
+    """Each file's outcome, in file order: its CompilationUnit or the
+    message that skips it. The files are read and added to `digest` in
+    order. With more than one slice (see _slices), a forked child lexes
+    and parses each slice but the last, which this process does. A
+    slice whose child fails is done here after all, so the outcomes and
+    any exception raised are those of a run in one process."""
+    slices = _slices(files)
+    if len(slices) == 1:
+        for path in files:
+            yield _lex_parse(path, _read(path, digest))
+        return
+    import pickle  # noqa: F401 (loaded once, before the forks)
+    children, own, failure = [], [], None
+    try:
+        for part in slices[:-1]:
+            items = [_read(path, digest) for path in part]
+            children.append(_Child(part, items))
+        try:
+            for path in slices[-1]:
+                own.append(_lex_parse(path, _read(path, digest)))
+        except Exception as exc:  # raised after earlier slices' outcomes
+            failure = exc
+        received = [child.receive() for child in children]
+    finally:
+        for child in children:
+            child.reap()
+    for child, outcomes in zip(children, received):
+        yield from outcomes or map(_lex_parse, child.part, child.items)
+    yield from own
+    if failure is not None:
+        raise failure
+
+
+class _Child:
+    """A forked process that lexes and parses one slice of the files and
+    sends the outcomes back, as one pickle, through a pipe. `items` are
+    the slice's bytes or skip messages, from _read."""
+
+    def __init__(self, part: list[Path], items: list):
+        self.part, self.items, self.pid = part, items, None
+        try:
+            read_fd, write_fd = os.pipe()
+        except OSError:  # no child: the slice is done in this process
+            return
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return
+        if self.pid == 0:
+            code = 1
+            try:
+                import pickle
+                os.close(read_fd)
+                payload = pickle.dumps(list(map(_lex_parse, part, items)),
+                                       pickle.HIGHEST_PROTOCOL)
+                with open(write_fd, "wb") as pipe:
+                    pipe.write(payload)
+                code = 0
+            finally:  # the child never returns into the caller
+                os._exit(code)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    def receive(self) -> list | None:
+        """The outcomes the child sent, or None if there is no child, it
+        did not exit 0 or its payload does not load. Reaps the child."""
+        if self.pid is None:
+            return None
+        with self.pipe:
+            payload = self.pipe.read()
+        pid, self.pid = self.pid, None
+        if os.waitpid(pid, 0)[1] != 0:
+            return None
+        import pickle
+        try:
+            return pickle.loads(payload)
+        except Exception:  # a payload that does not load can raise anything
+            return None
+
+    def reap(self) -> None:
+        """Kill and reap the child if receive has not reaped it."""
+        if self.pid is not None:
+            import signal
+            self.pipe.close()
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
 
 
 def _write_bundle(out_dir: Path, files: dict[str, bytes]) -> None:
@@ -223,18 +373,20 @@ def _write_bundle(out_dir: Path, files: dict[str, bytes]) -> None:
         shutil.rmtree(stage, ignore_errors=True)
 
 
-def _print_summary(cells, corr) -> None:
+def _summary(cells, corr) -> str:
+    """The per-class table, a blank line and the three correlations."""
     table = [SHEET_COLUMNS] + [[str(cell) for cell in line] for line in cells]
     widths = [max(len(line[i]) for line in table)
               for i in range(len(SHEET_COLUMNS))]
-    for line in table:
-        print("  ".join(cell.ljust(width)
-                        for cell, width in zip(line, widths)).rstrip())
-    print()
+    lines = ["  ".join(cell.ljust(width)
+                       for cell, width in zip(line, widths)).rstrip()
+             for line in table]
+    lines.append("")
     for name in ("WMC", "CMC", "CC"):
         value = corr[name]
         rendered = "undefined" if value is None else f"{value:.6f}"
-        print(f"pearson(CCC, {name}) = {rendered}")
+        lines.append(f"pearson(CCC, {name}) = {rendered}")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -274,23 +426,15 @@ def main(argv: list[str] | None = None) -> int:
     units = []
     warnings = []
     digest = hashlib.sha256()
-    for path in files:
-        try:
-            source = _read_source(path, digest)
-            unit = parse(tokenize(source), path.as_posix())
-        except (LexError, ParseError, UnicodeDecodeError, OSError) as exc:
-            # An OSError's text repeats the path; its strerror does not.
-            # No local may hold `exc`: its traceback holds this frame, and
-            # the cycle would keep every object of the run alive.
-            message = (f"{path.as_posix()}: "
-                       f"{getattr(exc, 'strerror', None) or exc}")
+    for outcome in _outcomes(files, digest):
+        if isinstance(outcome, str):
             if strict:
-                print(f"error: {message}", file=sys.stderr)
+                print(f"error: {outcome}", file=sys.stderr)
                 return 1
-            warnings.append(f"{message} (file skipped)")
-            continue
-        warnings.extend(unit.warnings)
-        units.append(unit)
+            warnings.append(f"{outcome} (file skipped)")
+        else:
+            warnings.extend(outcome.warnings)
+            units.append(outcome)
 
     try:
         model = build_model(units)
@@ -321,6 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     bundle.files["run.json"] = (
         json.dumps(metadata, indent=2, sort_keys=True) + "\n").encode()
 
+    stdout = ""
     if settings["weyuker"]:
         corpus_kind = settings["weyuker_corpus"]
         corpus = []
@@ -334,7 +479,7 @@ def main(argv: list[str] | None = None) -> int:
             reports, len(corpus)).encode()
         weyuker_text = reports_to_text(reports, len(corpus))
         bundle.files["weyuker.txt"] = weyuker_text.encode()
-        print(weyuker_text)
+        stdout = weyuker_text + "\n"
 
     try:
         _write_bundle(out_dir, bundle.files)
@@ -342,8 +487,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: output directory not writable: {exc}", file=sys.stderr)
         return 3
 
-    _print_summary(cells, bundle.correlations)
-    print(f"\nreports written to {out_dir.as_posix()}/")
+    # Standard output is written once, and only with the bundle in place.
+    stdout += _summary(cells, bundle.correlations)
+    print(f"{stdout}\nreports written to {out_dir.as_posix()}/\n", end="")
     return 0
 
 
@@ -359,7 +505,13 @@ def console_main() -> int:
         code = main()
         print(end="", flush=True)  # flushes stdout, if there is one
         return code
-    except BrokenPipeError:  # so that the flush at exit raises nothing
+    except OSError as exc:
+        if exc.filename is not None:  # not a stream's error: a fault
+            raise
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: standard output: {exc.strerror or exc}",
+                  file=sys.stderr)
+        # so that the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 3
     finally:

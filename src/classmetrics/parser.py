@@ -112,15 +112,20 @@ class Record:
             if isinstance(defaults.get(name), type):
                 value = f"{defaults[name]()!r} if {name} is None else {name}"
             lines.append(f"    self.{name} = {value}")
+        # The fields in slot order, as one tuple display.
+        lines += ["def _values(self):",
+                  f"    return ({''.join(f'self.{n}, ' for n in names)})"]
         namespace = {}
         exec("\n".join(lines), namespace)
         init = cls.__init__ = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         init.__defaults__ = tuple(None if isinstance(value, type) else value
                                   for value in defaults.values())
+        cls._values = namespace["_values"]
+        cls._values.__qualname__ = f"{cls.__qualname__}._values"
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    def __reduce__(self):  # a smaller and faster pickle than by slot name
+        return type(self), self._values()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -1,3 +1,4 @@
+import errno
 import gc
 import hashlib
 import importlib
@@ -516,6 +517,62 @@ def test_closed_stdout_exits_3_quietly(namedb_trio_dir, tmp_path, unbuffered):
     assert result.returncode == 3
     assert result.stderr == ""
     assert (tmp_path / "o" / "metrics.csv").is_file()
+
+
+def test_closed_stdout_still_gets_a_weyuker_runs_bundle(namedb_trio_dir,
+                                                       tmp_path):
+    # Unbuffered, the first write meets the broken pipe; stdout is written
+    # only once the bundle is in place, so the bundle is there.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "classmetrics", str(namedb_trio_dir),
+             "--out", str(tmp_path / "o"), "--weyuker", "--trials", "20"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONUNBUFFERED="1"))
+    finally:
+        os.close(write_end)
+    assert result.returncode == 3
+    assert result.stderr == ""
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == sorted(
+        BUNDLE_FILES)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_full_stdout_exits_3_with_one_line(namedb_trio_dir, tmp_path,
+                                           unbuffered):
+    with open("/dev/full", "w") as full:
+        result = subprocess.run(
+            [sys.executable, "-m", "classmetrics", str(namedb_trio_dir),
+             "--out", str(tmp_path / "o")],
+            stdout=full, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered))
+    assert result.returncode == 3
+    assert result.stderr == (
+        f"error: standard output: {os.strerror(errno.ENOSPC)}\n")
+    assert (tmp_path / "o" / "metrics.csv").is_file()
+
+
+def test_stdout_is_written_in_one_call(dlib_dir, tmp_path, monkeypatch):
+    class Recorder:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            if text:
+                self.writes.append(text)
+            return len(text)
+
+    recorder = Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert run_cli(dlib_dir, "--out", tmp_path / "o", "--weyuker",
+                   "--trials", 20) == 0
+    [text] = recorder.writes
+    assert text.startswith("Weyuker property evaluation")
+    out = (tmp_path / "o").as_posix()
+    assert text.endswith(f"\nreports written to {out}/\n")
 
 
 def test_run_with_stdout_closed_from_the_start_succeeds(namedb_trio_dir,

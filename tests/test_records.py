@@ -1,14 +1,17 @@
 """The record classes: constructor signatures, fresh default lists,
-field-by-field equality, no hashing, and the exact repr of a parse."""
+field-by-field equality, no hashing, a pickle round trip, and the exact
+repr of a parse."""
 
 import hashlib
 import inspect
+import pickle
 
 import pytest
 
 from classmetrics import (BodyFacts, ClassDecl, ClassMetricsRow,
                           CompilationUnit, FieldDecl, MethodDecl,
                           ProjectModel, PropertyReport, parse, tokenize)
+from classmetrics.parser import Record
 
 # sha256 over the repr of every bundled dlib file's CompilationUnit, in
 # file-name order, each followed by a newline. It was computed when the
@@ -104,3 +107,38 @@ def test_records_compare_field_by_field_and_are_unhashable():
         with pytest.raises(TypeError):
             hash(record)
 
+
+
+def _record_classes(base=Record):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _record_classes(cls)
+
+
+def test_every_record_round_trips_through_pickle(fixture_paths):
+    # A forked run sends its units back pickled; a record comes back
+    # equal, with the same repr, through its positional __reduce__.
+    made = {
+        FieldDecl: FieldDecl("x", "int", 2, True, "private"),
+        MethodDecl: MethodDecl("f", False, "int", ["int", "String"], True,
+                               BodyFacts(1, 2, 3, 4, 5, 6, 7, ["T"])),
+        ClassDecl: ClassDecl("A", "interface", "public", True, "B", ["I"],
+                             ["J"], [FieldDecl("x", "int")],
+                             [MethodDecl("f")], [ClassDecl("N", "class")],
+                             "a.java"),
+        CompilationUnit: CompilationUnit("a.java", "p", ["q.R"], [],
+                                         ["a warning"]),
+        ProjectModel: ProjectModel(),
+        PropertyReport: PropertyReport(1, "CCC", "witnessed", ["w"], 3, 5,
+                                       42, "note"),
+    }
+    assert set(made) == set(_record_classes())
+    units = [parse(tokenize(path.read_text(encoding="utf-8")),
+                   path.as_posix()) for path in fixture_paths]
+    assert any(unit.warnings for unit in units)
+    for record in [*made.values(), *units]:
+        copy = pickle.loads(pickle.dumps(record, pickle.HIGHEST_PROTOCOL))
+        assert type(copy) is type(record)
+        assert copy == record
+        assert repr(copy) == repr(record)
+    assert pickle.loads(pickle.dumps(units)) == units
